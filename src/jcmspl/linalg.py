@@ -120,8 +120,10 @@ def sylvester_solve(R, S, T) -> np.ndarray:
 
     Parameters
     ----------
-    R, S : array_like
-        Symmetric coefficient matrices.
+    R, S : array_like or SymmetricEigen
+        Symmetric coefficient matrices, or their eigendecompositions when
+        the caller already has them (a coefficient that stays fixed over
+        many solves is then factorized only once).
     T : array_like, shape (r, s)
         Right-hand side.
 
@@ -137,18 +139,14 @@ def sylvester_solve(R, S, T) -> np.ndarray:
         no unique solution at working precision.  Callers decide whether
         to regularize; nothing is damped silently here.
     """
-    R = as_matrix(R, "R")
-    S = as_matrix(S, "S")
     T = as_matrix(T, "T")
-    _require_square(R, "R")
-    _require_square(S, "S")
-    r, s = R.shape[0], S.shape[0]
+    eig_r = R if isinstance(R, SymmetricEigen) else symmetric_eigen(R, "R")
+    eig_s = S if isinstance(S, SymmetricEigen) else symmetric_eigen(S, "S")
+    r, s = eig_r.values.shape[0], eig_s.values.shape[0]
     if T.shape != (r, s):
         raise DimensionMismatchError(
             f"T must have shape ({r}, {s}), got {T.shape}"
         )
-    eig_r = symmetric_eigen(R, "R")
-    eig_s = symmetric_eigen(S, "S")
     denom = np.add.outer(eig_r.values, eig_s.values)
     scale = np.max(np.abs(eig_r.values)) + np.max(np.abs(eig_s.values))
     if scale == 0.0 or np.min(np.abs(denom)) <= DEGENERATE_PAIR_RTOL * scale:

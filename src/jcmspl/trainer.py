@@ -17,6 +17,14 @@ exactly: ``A`` and ``B`` via symmetric Sylvester equations whose
 operands are Gram matrices of fixed size (independent of the sample
 count), ``C`` via one positive definite solve.  Iterating the three
 exact updates drives the objective monotonically downward.
+
+From the first C step on, ``C = W Z`` for the stacked fixed data
+``Z = [X; Y; H]`` (H only when lambda2 > 0, p rows in all) and some
+k x p matrix W, so the objective and every update depend on the data
+only through the Gram ``Z Z^T``.  ``fit`` therefore trains on a p x p
+factor ``Zc`` with ``Zc Zc^T = Z Z^T``: then ``Z = Zc Q^T`` for some Q
+with orthonormal columns, which preserves every norm and Gram in the
+objective, and an iteration costs the same whatever the sample count.
 """
 
 from __future__ import annotations
@@ -38,12 +46,9 @@ from .errors import (
     TooFewRowsError,
     UnknownClassIdError,
 )
-from .linalg import solve_spd, sylvester_solve
+from .linalg import SymmetricEigen, solve_spd, sylvester_solve, symmetric_eigen
 
 VARIANTS = ("full", "jcmspl1", "jcmspl0", "ipl", "fpl")
-
-# variants whose loss keeps the class-indicator term, hence need H
-_H_VARIANTS = ("full", "jcmspl0")
 
 
 class RidgeWarning(RuntimeWarning):
@@ -177,6 +182,13 @@ def _fro2(E) -> float:
     return float(np.vdot(E, E))
 
 
+def _fro2_minus(P, Q) -> float:
+    """``||P - Q||^2`` for a freshly computed product ``P``, which is
+    overwritten: one n-wide temporary per residual, freed on return."""
+    P -= Q
+    return _fro2(P)
+
+
 def _check_joint_shapes(A, B, C, X, Y, H, hyper):
     k, m = A.shape
     if B.shape[0] != k:
@@ -203,12 +215,12 @@ def loss(A, B, C, X, Y, H, hyper: Hyperparams) -> float:
     zero.
     """
     _check_joint_shapes(A, B, C, X, Y, H, hyper)
-    value = 0.5 * _fro2(A @ X - C)
-    value += 0.5 * hyper.lambda1 * _fro2(B @ Y - C)
+    value = 0.5 * _fro2_minus(A @ X, C)
+    value += 0.5 * hyper.lambda1 * _fro2_minus(B @ Y, C)
     if hyper.lambda2 > 0:
         value += 0.5 * hyper.lambda2 * _fro2(C - H)
-    value += 0.5 * hyper.lambda3 * _fro2(X - A.T @ C)
-    value += 0.5 * hyper.lambda4 * _fro2(Y - B.T @ C)
+    value += 0.5 * hyper.lambda3 * _fro2_minus(A.T @ C, X)
+    value += 0.5 * hyper.lambda4 * _fro2_minus(B.T @ C, Y)
     return value
 
 
@@ -237,9 +249,18 @@ def b_update_operands(C, Y, lambda1, lambda4):
     return lambda4 * (C @ C.T), lambda1 * (Y @ Y.T), (lambda1 + lambda4) * (C @ Y.T)
 
 
-def _solve_block(M, N, T, ridge_eps, block):
+def _solve_block(M, N, N_eig: SymmetricEigen, T, ridge_eps, block):
+    """Solve ``M Z + Z N = T`` given the eigendecomposition of the fixed
+    Gram ``N``.
+
+    Returns Z and the strong-convexity modulus of the block subproblem,
+    ``lambda_min(M) + lambda_min(N)`` clipped at 0, read off the two
+    eigendecompositions the solve uses.
+    """
+    M_eig = symmetric_eigen(M, "M")
+    modulus = max(float(M_eig.values[0] + N_eig.values[0]), 0.0)
     try:
-        return sylvester_solve(M, N, T)
+        return sylvester_solve(M_eig, N_eig, T), modulus
     except NonUniqueError:
         if ridge_eps <= 0:
             raise
@@ -255,7 +276,7 @@ def _solve_block(M, N, T, ridge_eps, block):
         )
         M_r = M + 0.5 * eps * np.eye(M.shape[0])
         N_r = N + 0.5 * eps * np.eye(N.shape[0])
-        return sylvester_solve(M_r, N_r, T)
+        return sylvester_solve(M_r, N_r, T), modulus
 
 
 def update_A(C, X, lambda3, ridge_eps: float = 0.0) -> np.ndarray:
@@ -266,13 +287,15 @@ def update_A(C, X, lambda3, ridge_eps: float = 0.0) -> np.ndarray:
     positive ``ridge_eps`` falls back to a damped solve (with a
     RidgeWarning), otherwise NonUniqueError propagates.
     """
-    return _solve_block(*a_update_operands(C, X, lambda3), ridge_eps, "A")
+    M, N, T = a_update_operands(C, X, lambda3)
+    return _solve_block(M, N, symmetric_eigen(N, "N"), T, ridge_eps, "A")[0]
 
 
 def update_B(C, Y, lambda1, lambda4, ridge_eps: float = 0.0) -> np.ndarray:
     """Exact minimizer over B: solves
     ``lambda4 C C^T B + B (lambda1 Y Y^T) = (lambda1 + lambda4) C Y^T``."""
-    return _solve_block(*b_update_operands(C, Y, lambda1, lambda4), ridge_eps, "B")
+    M, N, T = b_update_operands(C, Y, lambda1, lambda4)
+    return _solve_block(M, N, symmetric_eigen(N, "N"), T, ridge_eps, "B")[0]
 
 
 def update_C(A, B, X, Y, H, hyper: Hyperparams) -> np.ndarray:
@@ -285,13 +308,19 @@ def update_C(A, B, X, Y, H, hyper: Hyperparams) -> np.ndarray:
     k = A.shape[0]
     if B.shape[0] != k:
         raise ShapeMismatchError(f"A and B disagree on k: {k} vs {B.shape[0]}")
-    M = (1.0 + l1 + l2) * np.eye(k) + l3 * (A @ A.T) + l4 * (B @ B.T)
-    rhs = (1.0 + l3) * (A @ X) + (l1 + l4) * (B @ Y)
+    if l2 > 0 and H is None:
+        raise ShapeMismatchError("H is required when lambda2 > 0")
+    # the n-wide right-hand side is accumulated in place
+    rhs = A @ X
+    rhs *= 1.0 + l3
+    term = B @ Y
+    term *= l1 + l4
+    rhs += term
     if l2 > 0:
-        if H is None:
-            raise ShapeMismatchError("H is required when lambda2 > 0")
-        rhs = rhs + l2 * H
-    return solve_spd(M, rhs)
+        np.multiply(H, l2, out=term)
+        rhs += term
+    del term
+    return solve_spd(_c_hessian(A, B, hyper), rhs)
 
 
 def fpl_fit(X, Y, ridge_eps: float = 0.0) -> np.ndarray:
@@ -318,20 +347,12 @@ def fpl_fit(X, Y, ridge_eps: float = 0.0) -> np.ndarray:
     return solve_spd(G, X @ Y.T).T
 
 
-def _min_sq_singular(P, Q) -> float:
-    # smallest eigenvalue of P^T P + Q^T Q, an n x n matrix; zero exactly
-    # when n exceeds the stacked row count, else the squared smallest
-    # singular value of the (rows(P)+rows(Q)) x n stack
-    if P.shape[1] != Q.shape[1]:
-        raise ShapeMismatchError(
-            f"operands disagree on column count: {P.shape[1]} vs {Q.shape[1]}"
-        )
-    W = np.vstack([P, Q])
-    n = W.shape[1]
-    if n > W.shape[0]:
-        return 0.0
-    s = np.linalg.svd(W, compute_uv=False)
-    return float(s[-1] ** 2)
+def _c_hessian(A, B, hyper: Hyperparams) -> np.ndarray:
+    """``(1 + lambda1 + lambda2) I + lambda3 A A^T + lambda4 B B^T``, the
+    k x k matrix of the C-step solve."""
+    l1, l2, l3, l4 = hyper.lambda1, hyper.lambda2, hyper.lambda3, hyper.lambda4
+    k = A.shape[0]
+    return (1.0 + l1 + l2) * np.eye(k) + l3 * (A @ A.T) + l4 * (B @ B.T)
 
 
 def descent_constants(A_next, B_next, C, X, Y, hyper: Hyperparams):
@@ -339,25 +360,61 @@ def descent_constants(A_next, B_next, C, X, Y, hyper: Hyperparams):
 
     Returns (m_A, m_B, m_C):
 
-    - m_A = smallest eigenvalue of ``lambda3 C^T C + X^T X``
-    - m_B = smallest eigenvalue of ``lambda4 C^T C + lambda1 Y^T Y``
+    - m_A = ``lambda_min(lambda3 C C^T) + lambda_min(X X^T)``, the
+      smallest eigenvalue of the A-step Hessian ``Z -> lambda3 C C^T Z + Z X X^T``
+    - m_B = ``lambda_min(lambda4 C C^T) + lambda_min(lambda1 Y Y^T)``
     - m_C = smallest eigenvalue of
       ``(1 + lambda1 + lambda2) I + lambda3 A A^T + lambda4 B B^T``
       evaluated at the freshly updated A and B.
 
-    Each full iteration then obeys
+    m_A and m_B are clipped at 0 against roundoff.  Each full iteration
+    then obeys
     ``f_next - f <= -(m_A/2)||dA||^2 - (m_B/2)||dB||^2 - (m_C/2)||dC||^2``
     up to roundoff, since every block update is an exact minimizer of a
     quadratic with at least that curvature.
     """
-    l1, l2, l3, l4 = hyper.lambda1, hyper.lambda2, hyper.lambda3, hyper.lambda4
-    m_a = _min_sq_singular(math.sqrt(l3) * C, X)
-    m_b = _min_sq_singular(math.sqrt(l4) * C, math.sqrt(l1) * Y)
-    k = A_next.shape[0]
-    M = (1.0 + l1 + l2) * np.eye(k) + l3 * (A_next @ A_next.T) \
-        + l4 * (B_next @ B_next.T)
-    m_c = float(np.linalg.eigvalsh(M)[0])
-    return m_a, m_b, m_c
+    l1, l3, l4 = hyper.lambda1, hyper.lambda3, hyper.lambda4
+    if C.shape[1] != X.shape[1] or C.shape[1] != Y.shape[1]:
+        raise ShapeMismatchError(
+            f"C, X and Y disagree on sample count: "
+            f"{C.shape[1]}, {X.shape[1]}, {Y.shape[1]}"
+        )
+    CC = C @ C.T
+    m_a = np.linalg.eigvalsh(l3 * CC)[0] + np.linalg.eigvalsh(X @ X.T)[0]
+    m_b = np.linalg.eigvalsh(l4 * CC)[0] + np.linalg.eigvalsh(l1 * (Y @ Y.T))[0]
+    m_c = float(np.linalg.eigvalsh(_c_hessian(A_next, B_next, hyper))[0])
+    return max(float(m_a), 0.0), max(float(m_b), 0.0), m_c
+
+
+def _gram_factor(X, Y, H, xx, yy):
+    """Rows ``(Xc, Yc, Hc)`` of a p x p factor ``Zc`` with
+    ``Zc Zc^T = Z Z^T`` for ``Z = [X; Y; H]`` (H may be None).
+
+    ``xx = X X^T`` and ``yy = Y Y^T`` are passed in because the caller
+    already has them.  The Gram is assembled block by block, so no n-wide
+    stack of the data is ever formed, and ``Zc = V sqrt(Lambda)`` from
+    its eigendecomposition ``V Lambda V^T``.  Eigenvalues below
+    ``p * eps * lambda_max`` are roundoff in a singular Gram and are set
+    to 0: kept, they add directions the data does not have, which shifts
+    a near-zero loss by far more than roundoff.
+    """
+    m, d = X.shape[0], Y.shape[0]
+    p = m + d + (0 if H is None else H.shape[0])
+    # eigh reads the lower triangle only, so only that is filled
+    G = np.zeros((p, p))
+    G[:m, :m] = xx
+    G[m:m + d, :m] = Y @ X.T
+    G[m:m + d, m:m + d] = yy
+    if H is not None:
+        G[m + d:, :m] = H @ X.T
+        G[m + d:, m:m + d] = H @ Y.T
+        G[m + d:, m + d:] = H @ H.T
+    values, Zc = np.linalg.eigh(G)
+    del G
+    values[values <= values[-1] * len(values) * np.finfo(float).eps] = 0.0
+    Zc *= np.sqrt(values)
+    Xc, Yc, Hc = Zc[:m], Zc[m:m + d], (None if H is None else Zc[m + d:])
+    return Xc, Yc, Hc
 
 
 def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingTrace]:
@@ -371,6 +428,16 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
     Initialization draws A, B, C (in that order) from a seeded Gaussian
     with standard deviation 0.01, so identical inputs reproduce the run
     bitwise.  The ``fpl`` variant bypasses the loop entirely.
+
+    When the sample count n exceeds ``p = m + d`` (``+ k`` when the
+    effective lambda2 is positive), iterations from the second on run on
+    a p x p factor of the fixed data (see the module docstring), so their
+    cost does not grow with n.  Computed directly on the n-wide data:
+    ``losses[0]``, the updates, step norms and descent constants of
+    iteration 1, and the returned C with the last entry ``losses[-1]``.
+    Computed on the factor: the other losses (``losses[1]`` included)
+    and the step norms and descent constants of iterations 2 and later.
+    With ``n <= p`` every entry is computed directly.
 
     Returns the model together with a TrainingTrace of losses, block
     step norms, descent constants and any ridge-regularization warnings.
@@ -390,7 +457,7 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
 
     eff = hyper.effective()
     H = None
-    if hyper.variant in _H_VARIANTS:
+    if eff.lambda2 > 0:
         H = build_class_matrix(dataset.labels_seen, hyper.k, dataset.seen_classes).H
 
     rng = np.random.default_rng(hyper.seed)
@@ -398,34 +465,62 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
     B = 0.01 * rng.standard_normal((hyper.k, dataset.d))
     C = 0.01 * rng.standard_normal((hyper.k, dataset.n_seen))
 
+    # the right Grams of the two Sylvester steps are fixed: eigendecompose
+    # them once
+    xx, yy = X @ X.T, Y @ Y.T
+    y_gram = eff.lambda1 * yy
+    x_eig, y_eig = symmetric_eigen(xx, "X X^T"), symmetric_eigen(y_gram, "Y Y^T")
+    p = dataset.m + dataset.d + (0 if H is None else hyper.k)
+    # the data the loop works on: the n-wide matrices, then their factor
+    Xw, Yw, Hw = X, Y, H
+
     f_prev = loss(A, B, C, X, Y, H, eff)
     trace = TrainingTrace(
         losses=[f_prev], delta_norms=[], descent_constants=[], converged_at=None
     )
     for t in range(1, hyper.t_max + 1):
+        CC = C @ C.T
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            A_next = update_A(C, X, eff.lambda3, eff.ridge_eps)
-            B_next = update_B(C, Y, eff.lambda1, eff.lambda4, eff.ridge_eps)
+            A_next, m_a = _solve_block(
+                eff.lambda3 * CC, xx, x_eig,
+                (1.0 + eff.lambda3) * (C @ Xw.T), eff.ridge_eps, "A",
+            )
+            B_next, m_b = _solve_block(
+                eff.lambda4 * CC, y_gram, y_eig,
+                (eff.lambda1 + eff.lambda4) * (C @ Yw.T), eff.ridge_eps, "B",
+            )
         for w in caught:
             trace.warnings.append(f"iteration {t}: {w.message}")
-        constants = descent_constants(A_next, B_next, C, X, Y, eff)
-        C_next = update_C(A_next, B_next, X, Y, H, eff)
+        m_c = float(np.linalg.eigvalsh(_c_hessian(A_next, B_next, eff))[0])
+        C_next = update_C(A_next, B_next, Xw, Yw, Hw, eff)
         deltas = (
             float(np.linalg.norm(A_next - A)),
             float(np.linalg.norm(B_next - B)),
             float(np.linalg.norm(C_next - C)),
         )
         A, B, C = A_next, B_next, C_next
-        f_t = loss(A, B, C, X, Y, H, eff)
+        if t == 1 and dataset.n_seen > p:
+            # from here on C = W Z lies in the row space of Z = [X; Y; H],
+            # so the factor carries every Gram and norm of the objective;
+            # the n-wide C goes first, to keep the allocation peak down
+            C = C_next = None
+            Xw, Yw, Hw = _gram_factor(X, Y, H, xx, yy)
+            C = update_C(A, B, Xw, Yw, Hw, eff)
+        f_t = loss(A, B, C, Xw, Yw, Hw, eff)
         trace.losses.append(f_t)
         trace.delta_norms.append(deltas)
-        trace.descent_constants.append(constants)
+        trace.descent_constants.append((m_a, m_b, m_c))
         if abs(f_t - f_prev) / (1.0 + f_prev) < hyper.tol:
             trace.converged_at = t
             break
         f_prev = f_t
 
+    if Xw is not X:
+        # back on the n-wide data, so that the model and losses[-1] are
+        # exactly what loss() gives
+        C = update_C(A, B, X, Y, H, eff)
+        trace.losses[-1] = loss(A, B, C, X, Y, H, eff)
     model = JcmsplModel(A=A, B=B, C=C, variant=hyper.variant, hyper=hyper)
     return model, trace
 

@@ -189,6 +189,21 @@ def test_oracle_agreement_sweep():
         assert np.linalg.norm(Z1 - Z2) <= 1e-8 * max(np.linalg.norm(Z2), 1e-30)
 
 
+def test_precomputed_eigendecompositions_give_the_same_solution():
+    rng = np.random.default_rng(18)
+    R = random_psd(rng, 4, shift=0.1)
+    S = random_psd(rng, 6, rank=3)
+    T = rng.standard_normal((4, 6))
+    Z = sylvester_solve(R, S, T)
+    assert np.array_equal(sylvester_solve(R, symmetric_eigen(S), T), Z)
+    assert np.array_equal(
+        sylvester_solve(symmetric_eigen(R), symmetric_eigen(S), T), Z)
+    with pytest.raises(DimensionMismatchError):
+        sylvester_solve(R, symmetric_eigen(S), T[:, :5])
+    with pytest.raises(NonUniqueError):
+        sylvester_solve(symmetric_eigen(np.zeros((4, 4))), symmetric_eigen(S), T)
+
+
 def test_oracle_size_limit():
     with pytest.raises(TooLargeError):
         sylvester_oracle(np.eye(25), np.eye(25), np.ones((25, 25)))

@@ -1,9 +1,10 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
 
-from jcmspl.dataset import SynthSpec, synth_generate
+from jcmspl.dataset import SynthSpec, ZslDataset, expand_prototypes, synth_generate
 from jcmspl.errors import (
     InvalidHyperparamsError,
     NonUniqueError,
@@ -304,18 +305,31 @@ def test_descent_constants_examples():
     assert abs(m_a - 5.0) <= 1e-12
 
 
-def test_descent_constants_zero_when_rank_deficient():
-    # more samples than stacked rows forces a zero smallest eigenvalue
+def hessian_min_eigenvalue(left, right):
+    # smallest eigenvalue of the operator Z -> left Z + Z right, built as
+    # a dense Kronecker matrix
+    r, s = left.shape[0], right.shape[0]
+    K = np.kron(np.eye(s), left) + np.kron(right.T, np.eye(r))
+    return np.linalg.eigvalsh(K)[0]
+
+
+def test_descent_constants_are_block_hessian_moduli():
+    # more samples than stacked rows, where each block Hessian still has
+    # a positive smallest eigenvalue
     rng = np.random.default_rng(15)
-    hyper = Hyperparams(k=2)
+    hyper = Hyperparams(k=2, lambda1=0.7, lambda3=1.3, lambda4=0.4)
     C = rng.standard_normal((2, 9))
     X = rng.standard_normal((3, 9))
     Y = rng.standard_normal((2, 9))
     m_a, m_b, m_c = descent_constants(
         rng.standard_normal((2, 3)), rng.standard_normal((2, 2)), C, X, Y, hyper
     )
-    assert m_a == 0.0
-    assert m_b == 0.0
+    expected_a = hessian_min_eigenvalue(hyper.lambda3 * C @ C.T, X @ X.T)
+    expected_b = hessian_min_eigenvalue(hyper.lambda4 * C @ C.T,
+                                        hyper.lambda1 * Y @ Y.T)
+    assert expected_a > 0.1 and expected_b > 0.1
+    assert abs(m_a - expected_a) <= 1e-10 * expected_a
+    assert abs(m_b - expected_b) <= 1e-10 * expected_b
     assert m_c >= 1.0
 
 
@@ -435,3 +449,148 @@ def test_trace_csv_round_trip(tmp_path):
     assert len(rows) == len(trace.losses) + 1
     assert float(rows[1][1]) == trace.losses[0]
     assert float(rows[-1][1]) == trace.losses[-1]
+
+
+def direct_fit(dataset, hyper):
+    """Reference loop: every iteration on the n-wide data, as ``fit`` ran
+    before it switched to the Gram factor.  Returns (A, B, C, losses,
+    iterations, ridge_warned)."""
+    X = dataset.visual_seen
+    Y = expand_prototypes(dataset.prototypes, dataset.labels_seen)
+    eff = hyper.effective()
+    H = None
+    if hyper.variant in ("full", "jcmspl0"):
+        H = build_class_matrix(dataset.labels_seen, hyper.k, dataset.seen_classes).H
+    rng = np.random.default_rng(hyper.seed)
+    A = 0.01 * rng.standard_normal((hyper.k, dataset.m))
+    B = 0.01 * rng.standard_normal((hyper.k, dataset.d))
+    C = 0.01 * rng.standard_normal((hyper.k, dataset.n_seen))
+    f_prev = loss(A, B, C, X, Y, H, eff)
+    losses = [f_prev]
+    ridge_warned = False
+    for _ in range(hyper.t_max):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            A = update_A(C, X, eff.lambda3, eff.ridge_eps)
+            B = update_B(C, Y, eff.lambda1, eff.lambda4, eff.ridge_eps)
+        ridge_warned = ridge_warned or bool(caught)
+        C = update_C(A, B, X, Y, H, eff)
+        f_t = loss(A, B, C, X, Y, H, eff)
+        losses.append(f_t)
+        if abs(f_t - f_prev) / (1.0 + f_prev) < hyper.tol:
+            break
+        f_prev = f_t
+    return A, B, C, losses, len(losses) - 1, ridge_warned
+
+
+LOOP_VARIANTS = ("full", "jcmspl1", "jcmspl0", "ipl")
+
+
+@pytest.mark.parametrize("noise", [0.05, 0.0])
+@pytest.mark.parametrize("variant", LOOP_VARIANTS)
+def test_fit_is_bit_identical_to_direct_loop_when_n_at_most_p(variant, noise):
+    # n = 20 samples against p = m + d = 24 rows: nothing to compress
+    dataset, _ = synth_generate(
+        SynthSpec(m=16, d=8, k=12, num_seen_classes=4, num_unseen_classes=2,
+                  samples_per_class=5, noise_sigma=noise, seed=1)
+    )
+    hyper = Hyperparams(k=5, seed=2, variant=variant)
+    model, trace = fit(dataset, hyper)
+    A, B, C, losses, _, _ = direct_fit(dataset, hyper)
+    assert np.array_equal(model.A, A)
+    assert np.array_equal(model.B, B)
+    assert np.array_equal(model.C, C)
+    assert trace.losses == losses
+
+
+@pytest.mark.parametrize("noise", [0.05, 0.0])
+@pytest.mark.parametrize("variant", LOOP_VARIANTS)
+def test_fit_on_gram_factor_agrees_with_direct_loop(variant, noise):
+    # default synth: n = 500 against p = 110 (90 without the H rows)
+    dataset, _ = synth_generate(SynthSpec(noise_sigma=noise))
+    hyper = Hyperparams(k=40, variant=variant)
+    model, trace = fit(dataset, hyper)
+    A, B, C, losses, iterations, ridge_warned = direct_fit(dataset, hyper)
+    assert trace.iterations == iterations
+    for f, f_ref in zip(trace.losses, losses):
+        assert abs(f - f_ref) <= 1e-12 * (1.0 + f_ref)
+    assert trace.losses[-1] == loss(
+        model.A, model.B, model.C, dataset.visual_seen,
+        expand_prototypes(dataset.prototypes, dataset.labels_seen),
+        build_class_matrix(dataset.labels_seen, hyper.k, dataset.seen_classes).H,
+        hyper.effective(),
+    )
+    # ridge and noiseless runs are too ill-conditioned in A and B for a
+    # roundoff-level bound: there a 1-ulp change to X moves the direct
+    # loop's A by about 3e-6
+    if not ridge_warned and noise > 0:
+        assert np.linalg.norm(model.A - A) <= 1e-10 * np.linalg.norm(A)
+        assert np.linalg.norm(model.B - B) <= 1e-10 * np.linalg.norm(B)
+
+
+def test_n_wide_work_happens_a_fixed_number_of_times(monkeypatch):
+    from jcmspl import trainer
+
+    dataset, _ = synth_generate(SynthSpec())
+    n = dataset.n_seen
+    iterations = []
+    for t_max in (1, 3, 100):
+        wide = {"loss": 0, "update_C": 0}
+
+        def counting(name, original, x_position):
+            def wrapper(*args):
+                wide[name] += args[x_position].shape[1] == n
+                return original(*args)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer, "loss", counting("loss", trainer.loss, 3))
+            patch.setattr(trainer, "update_C",
+                          counting("update_C", trainer.update_C, 2))
+            _, trace = fit(dataset, Hyperparams(k=40, t_max=t_max))
+        iterations.append(trace.iterations)
+        assert wide == {"loss": 2, "update_C": 2}
+    assert iterations[0] < iterations[1] < iterations[2]
+
+
+def test_fit_records_the_moduli_of_its_first_iteration():
+    dataset, _ = small_benchmark(noise=0.05)
+    hyper = Hyperparams(k=6, seed=3, lambda1=0.7, lambda3=1.3, lambda4=0.4)
+    model, trace = fit(dataset, Hyperparams(**{**hyper.__dict__, "t_max": 1}))
+    rng = np.random.default_rng(hyper.seed)
+    rng.standard_normal((hyper.k, dataset.m))
+    rng.standard_normal((hyper.k, dataset.d))
+    C0 = 0.01 * rng.standard_normal((hyper.k, dataset.n_seen))
+    Y = expand_prototypes(dataset.prototypes, dataset.labels_seen)
+    expected = descent_constants(model.A, model.B, C0, dataset.visual_seen, Y, hyper)
+    assert min(expected) > 0
+    assert np.allclose(trace.descent_constants[0], expected, rtol=1e-10, atol=0)
+
+
+def test_fit_descent_inequality_holds_for_small_sample_counts():
+    # n = 4 is below k + m, where the moduli used to be overstated
+    rng = np.random.default_rng(17)
+    worst = -np.inf
+    for _ in range(200):
+        dataset = ZslDataset(
+            visual_seen=rng.standard_normal((6, 4)),
+            labels_seen=np.array([0, 0, 1, 1]),
+            visual_unseen=rng.standard_normal((6, 2)),
+            labels_unseen=np.array([2, 2]),
+            prototypes=rng.standard_normal((5, 3)),
+            seen_classes=np.array([0, 1]),
+            unseen_classes=np.array([2]),
+        )
+        hyper = Hyperparams(k=4, seed=int(rng.integers(1 << 30)),
+                            lambda1=float(rng.uniform(0.1, 2.0)),
+                            lambda2=float(rng.uniform(0.1, 2.0)),
+                            lambda3=float(rng.uniform(0.1, 2.0)),
+                            lambda4=float(rng.uniform(0.1, 2.0)))
+        _, trace = fit(dataset, hyper)
+        slack = 1e-8 * (1.0 + trace.losses[1])
+        for t in range(1, len(trace.losses)):
+            dA, dB, dC = trace.delta_norms[t - 1]
+            mA, mB, mC = trace.descent_constants[t - 1]
+            bound = -0.5 * (mA * dA**2 + mB * dB**2 + mC * dC**2)
+            worst = max(worst, (trace.losses[t] - trace.losses[t - 1] - bound) / slack)
+    assert worst <= 1.0
