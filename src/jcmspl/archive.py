@@ -5,6 +5,12 @@ the hyperparameter snapshot, a dataset fingerprint (dimensions plus a
 SHA-256 over the raw dataset bytes), then the A/B/C matrices as
 presence flag, u64 row/column counts and row-major float64 payload.
 Matrices survive a save/load round trip bit for bit.
+
+``load_model`` raises only ``ArchiveError`` (or ``MissingFileError``)
+for a malformed file: truncation, trailing bytes, a string that is not
+UTF-8, an unknown variant, rejected hyperparameters, a presence flag
+other than 0/1, a negative shape, a non-finite payload entry, or a
+joint variant without B.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import ZslDataset
-from .errors import ArchiveError, MissingFileError
-from .trainer import Hyperparams, JcmsplModel
+from .errors import ArchiveError, InvalidHyperparamsError, MissingFileError
+from .trainer import VARIANTS, Hyperparams, JcmsplModel
 
 MAGIC = b"JCMS"
 FORMAT_VERSION = 1
@@ -124,33 +130,39 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
+    def _advance(self, size: int) -> int:
+        """Claim the next ``size`` bytes; return their offset."""
+        start = self.pos
+        if start + size > len(self.data):
             raise ArchiveError("archive truncated")
-        out = struct.unpack_from(fmt, self.data, self.pos)
         self.pos += size
-        return out
+        return start
+
+    def take(self, fmt: str):
+        return struct.unpack_from(fmt, self.data, self._advance(struct.calcsize(fmt)))
 
     def take_str(self) -> str:
         (length,) = self.take("<I")
-        if self.pos + length > len(self.data):
-            raise ArchiveError("archive truncated")
-        raw = self.data[self.pos : self.pos + length]
-        self.pos += length
-        return raw.decode("utf-8")
+        start = self._advance(length)
+        try:
+            return self.data[start : self.pos].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ArchiveError(f"archive string is not valid UTF-8: {exc}") from exc
 
     def take_matrix(self):
         (flag,) = self.take("<B")
         if flag == 0:
             return None
+        if flag != 1:
+            raise ArchiveError(f"bad matrix presence flag {flag} (expected 0 or 1)")
         rows, cols = self.take("<qq")
+        if rows < 0 or cols < 0:
+            raise ArchiveError(f"negative matrix shape ({rows}, {cols})")
         count = rows * cols
-        size = 8 * count
-        if self.pos + size > len(self.data):
-            raise ArchiveError("archive truncated")
-        M = np.frombuffer(self.data, dtype="<f8", count=count, offset=self.pos)
-        self.pos += size
+        offset = self._advance(8 * count)
+        M = np.frombuffer(self.data, dtype="<f8", count=count, offset=offset)
+        if not np.all(np.isfinite(M)):
+            raise ArchiveError("matrix payload contains non-finite entries")
         return M.reshape(rows, cols).copy()
 
 
@@ -168,20 +180,29 @@ def load_model(path) -> ModelArchive:
             f"unsupported archive version {version} (expected {FORMAT_VERSION})"
         )
     variant = reader.take_str()
+    if variant not in VARIANTS:
+        raise ArchiveError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     l1, l2, l3, l4, k, t_max, tol, seed, ridge_eps = reader.take("<4dqqdqd")
     hyper_variant = reader.take_str()
-    hyper = Hyperparams(
-        k=int(k), lambda1=l1, lambda2=l2, lambda3=l3, lambda4=l4,
-        t_max=int(t_max), tol=tol, seed=int(seed),
-        variant=hyper_variant, ridge_eps=ridge_eps,
-    )
+    try:
+        hyper = Hyperparams(
+            k=int(k), lambda1=l1, lambda2=l2, lambda3=l3, lambda4=l4,
+            t_max=int(t_max), tol=tol, seed=int(seed),
+            variant=hyper_variant, ridge_eps=ridge_eps,
+        )
+    except InvalidHyperparamsError as exc:
+        raise ArchiveError(f"archive holds invalid hyperparameters: {exc}") from exc
     dims = reader.take("<6q")
     sha = reader.take_str()
     fingerprint = DatasetFingerprint(*[int(v) for v in dims], sha256=sha)
     A = reader.take_matrix()
     B = reader.take_matrix()
     C = reader.take_matrix()
+    if reader.pos != len(reader.data):
+        raise ArchiveError(f"{len(reader.data) - reader.pos} trailing bytes after the C matrix")
     if A is None:
         raise ArchiveError("archive has no A matrix")
+    if B is None and variant != "fpl":
+        raise ArchiveError(f"{variant} archive has no B matrix")
     model = JcmsplModel(A=A, B=B, C=C, variant=variant, hyper=hyper)
     return ModelArchive(model=model, fingerprint=fingerprint, version=int(version))

@@ -5,10 +5,22 @@ Subcommands: ``train`` (fit a model from a manifest), ``eval``
 (train and score the variant ladder) and ``synth`` (generate the
 planted-model benchmark).
 
-Exit codes: 0 success, 2 invalid configuration, 3 data errors,
-4 numerical failures during training, 5 model/dataset mismatches at
-evaluation time.  All outputs are deterministic: the same flags on the
-same inputs reproduce every file byte for byte.
+Exit codes come from one table, ``EXIT_CODES``, keyed by error class;
+``main`` looks an error up along its ``__mro__``, so the most specific
+class wins:
+
+- 0 success;
+- 2 invalid configuration: bad hyperparameters, synth spec, top-K,
+  holdout fraction or flag combination;
+- 3 data errors: a missing or malformed manifest, CSV file or model
+  archive, and any OS error on an input or output path;
+- 4 numerical failures during training (trainer and linear-algebra
+  errors);
+- 5 model/dataset mismatches at evaluation time (dimension mismatches
+  and recognizer errors).
+
+All outputs are deterministic: the same flags on the same inputs
+reproduce every file byte for byte.
 """
 
 from __future__ import annotations
@@ -31,18 +43,18 @@ from .dataset import (
     synth_generate,
 )
 from .errors import (
-    AllZeroNormError,
     ArchiveError,
     DatasetError,
     DimensionMismatchError,
-    EmptyCandidatesError,
     InvalidFractionError,
     InvalidHyperparamsError,
     InvalidKError,
     InvalidSpecError,
     JcmsplError,
+    LinalgError,
     OutOfRangeError,
-    UnsupportedVariantError,
+    RecognizerError,
+    TrainerError,
 )
 from .recognizer import (
     DIRECTIONS,
@@ -76,10 +88,37 @@ PRESETS = {
 ABLATION_ORDER = ("fpl", "ipl", "jcmspl0", "jcmspl1", "full")
 
 
-class CommandError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+class UsageError(Exception):
+    """A flag combination the argument parser cannot reject by itself."""
+
+
+# Error class -> exit code.  exit_code() takes the entry of the most
+# specific class along the error's __mro__: InvalidSpecError (a
+# DatasetError) gives 2, DimensionMismatchError (a LinalgError) gives 5, and
+# the bare base JcmsplError keeps the code train gave any error from fit.
+# ValueError has no entry: argparse guards every flag that raises it, and
+# the readers convert their own parse errors to DatasetError.
+EXIT_CODES = {
+    UsageError: EXIT_CONFIG,
+    InvalidHyperparamsError: EXIT_CONFIG,
+    InvalidSpecError: EXIT_CONFIG,
+    InvalidKError: EXIT_CONFIG,
+    InvalidFractionError: EXIT_CONFIG,
+    OutOfRangeError: EXIT_CONFIG,
+    DatasetError: EXIT_DATA,
+    ArchiveError: EXIT_DATA,
+    OSError: EXIT_DATA,
+    JcmsplError: EXIT_TRAIN,
+    TrainerError: EXIT_TRAIN,
+    LinalgError: EXIT_TRAIN,
+    DimensionMismatchError: EXIT_EVAL,
+    RecognizerError: EXIT_EVAL,
+}
+
+
+def exit_code(exc: BaseException) -> int:
+    """Exit code of the most specific class of ``exc`` in ``EXIT_CODES``."""
+    return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
 
 
 def _build_hyper(args, variant: str) -> Hyperparams:
@@ -93,28 +132,22 @@ def _build_hyper(args, variant: str) -> Hyperparams:
     k = args.k
     if k is None:
         if variant != "fpl":
-            raise CommandError(EXIT_CONFIG, "--k is required (no default exists)")
+            raise UsageError("--k is required (no default exists)")
         k = 1
-    try:
-        return Hyperparams(
-            k=k,
-            t_max=args.t_max,
-            tol=args.tol,
-            seed=args.seed,
-            variant=variant,
-            ridge_eps=args.ridge_eps,
-            **values,
-        )
-    except InvalidHyperparamsError as exc:
-        raise CommandError(EXIT_CONFIG, str(exc)) from exc
+    return Hyperparams(
+        k=k,
+        t_max=args.t_max,
+        tol=args.tol,
+        seed=args.seed,
+        variant=variant,
+        ridge_eps=args.ridge_eps,
+        **values,
+    )
 
 
 def _load_normalized(manifest, mode: str) -> tuple[ZslDataset, ZslDataset]:
     """Load a manifest; return (raw, feature-normalized) datasets."""
-    try:
-        raw = load_manifest(manifest)
-    except DatasetError as exc:
-        raise CommandError(EXIT_DATA, str(exc)) from exc
+    raw = load_manifest(manifest)
     if mode == "none":
         return raw, raw
     prepared = dataclasses.replace(
@@ -126,16 +159,9 @@ def _load_normalized(manifest, mode: str) -> tuple[ZslDataset, ZslDataset]:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    try:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise CommandError(EXIT_DATA, f"cannot write {path}: {exc}") from exc
-
-
-def _hyper_dict(hyper: Hyperparams) -> dict:
-    return dataclasses.asdict(hyper)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def cmd_train(args) -> int:
@@ -143,17 +169,14 @@ def cmd_train(args) -> int:
     raw, dataset = _load_normalized(args.manifest, args.normalize)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        model, trace = fit(dataset, hyper)
-    except JcmsplError as exc:
-        raise CommandError(EXIT_TRAIN, str(exc)) from exc
+    model, trace = fit(dataset, hyper)
     fingerprint = fingerprint_dataset(raw)
     save_model(out / "model.bin", model, fingerprint)
     write_trace_csv(trace, out / "trace.csv")
     eff = hyper.effective()
     summary = {
         "variant": hyper.variant,
-        "hyperparams": _hyper_dict(hyper),
+        "hyperparams": dataclasses.asdict(hyper),
         "effective_lambdas": {
             "lambda1": eff.lambda1,
             "lambda2": eff.lambda2,
@@ -180,14 +203,10 @@ def cmd_train(args) -> int:
 
 
 def _load_model_checked(model_path, dataset: ZslDataset):
-    try:
-        archive = load_model(model_path)
-    except (ArchiveError, DatasetError) as exc:
-        raise CommandError(EXIT_DATA, str(exc)) from exc
+    archive = load_model(model_path)
     fp = archive.fingerprint
     if fp.m != dataset.m or fp.d != dataset.d:
-        raise CommandError(
-            EXIT_EVAL,
+        raise DimensionMismatchError(
             f"model was trained for dimensions m={fp.m}, d={fp.d}; "
             f"dataset has m={dataset.m}, d={dataset.d}",
         )
@@ -203,40 +222,30 @@ def cmd_eval(args) -> int:
     raw, dataset = _load_normalized(args.manifest, args.normalize)
     model = _load_model_checked(args.model, raw)
     if args.gzsl and args.direction == "s2v":
-        raise CommandError(EXIT_CONFIG, "generalized scoring is defined for v2s only")
+        raise UsageError("generalized scoring is defined for v2s only")
     if args.gzsl and args.hit_k is not None:
-        raise CommandError(EXIT_CONFIG, "--hit-k cannot be combined with --gzsl")
-    try:
-        if args.gzsl:
-            report = eval_generalized(
+        raise UsageError("--hit-k cannot be combined with --gzsl")
+    if args.gzsl:
+        report = eval_generalized(
+            model,
+            dataset,
+            holdout_fraction=args.holdout,
+            seed=args.seed,
+            distance=args.distance,
+        )
+    else:
+        report = eval_standard(
+            model, dataset, direction=args.direction, distance=args.distance
+        )
+        if args.hit_k is not None:
+            frac = eval_hit_at_k(
                 model,
                 dataset,
-                holdout_fraction=args.holdout,
-                seed=args.seed,
+                args.hit_k,
+                direction=args.direction,
                 distance=args.distance,
             )
-        else:
-            report = eval_standard(
-                model, dataset, direction=args.direction, distance=args.distance
-            )
-            if args.hit_k is not None:
-                frac = eval_hit_at_k(
-                    model,
-                    dataset,
-                    args.hit_k,
-                    direction=args.direction,
-                    distance=args.distance,
-                )
-                report = dataclasses.replace(report, hit_at_k=(args.hit_k, frac))
-    except (InvalidKError, InvalidFractionError, OutOfRangeError, ValueError) as exc:
-        raise CommandError(EXIT_CONFIG, str(exc)) from exc
-    except (
-        UnsupportedVariantError,
-        DimensionMismatchError,
-        EmptyCandidatesError,
-        AllZeroNormError,
-    ) as exc:
-        raise CommandError(EXIT_EVAL, str(exc)) from exc
+            report = dataclasses.replace(report, hit_at_k=(args.hit_k, frac))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -279,46 +288,36 @@ def cmd_ablate(args) -> int:
         }
         try:
             hyper = _build_hyper(args, variant)
-            try:
-                model, trace = fit(dataset, hyper)
-            except JcmsplError as exc:
-                raise CommandError(EXIT_TRAIN, str(exc)) from exc
+            model, trace = fit(dataset, hyper)
             row["loss"] = trace.losses[-1]
             row["iters"] = trace.iterations
-            try:
-                row["acc_v2s"] = eval_standard(
-                    model, dataset, direction="v2s", distance=args.distance
+            row["acc_v2s"] = eval_standard(
+                model, dataset, direction="v2s", distance=args.distance
+            ).overall_accuracy
+            if variant != "fpl":
+                row["acc_s2v"] = eval_standard(
+                    model, dataset, direction="s2v", distance=args.distance
                 ).overall_accuracy
-                if variant != "fpl":
-                    row["acc_s2v"] = eval_standard(
-                        model, dataset, direction="s2v", distance=args.distance
-                    ).overall_accuracy
-            except JcmsplError as exc:
-                raise CommandError(EXIT_EVAL, str(exc)) from exc
             save_model(out / f"model_{variant}.bin", model, fingerprint)
-        except CommandError as exc:
+        except tuple(EXIT_CODES) as exc:
             row["error"] = str(exc)
             if first_failure == EXIT_OK:
-                first_failure = exc.code
+                first_failure = exit_code(exc)
             print(f"jcmspl ablate: {variant}: {exc}", file=sys.stderr)
         rows.append(row)
 
-    csv_path = out / "ablation.csv"
-    try:
-        with open(csv_path, "w") as fh:
-            fh.write("variant,loss,iters,acc_v2s,acc_s2v\n")
-            for row in rows:
-                cells = [row["variant"]]
-                for key, fmt in (
-                    ("loss", "%.17g"),
-                    ("iters", "%d"),
-                    ("acc_v2s", "%.17g"),
-                    ("acc_s2v", "%.17g"),
-                ):
-                    cells.append("" if row[key] is None else fmt % row[key])
-                fh.write(",".join(cells) + "\n")
-    except OSError as exc:
-        raise CommandError(EXIT_DATA, f"cannot write {csv_path}: {exc}") from exc
+    with open(out / "ablation.csv", "w") as fh:
+        fh.write("variant,loss,iters,acc_v2s,acc_s2v\n")
+        for row in rows:
+            cells = [row["variant"]]
+            for key, fmt in (
+                ("loss", "%.17g"),
+                ("iters", "%d"),
+                ("acc_v2s", "%.17g"),
+                ("acc_s2v", "%.17g"),
+            ):
+                cells.append("" if row[key] is None else fmt % row[key])
+            fh.write(",".join(cells) + "\n")
     _write_json(out / "ablation.json", {"dataset": fingerprint.to_dict(), "rows": rows})
     for row in rows:
         acc = "-" if row["acc_v2s"] is None else f"{row['acc_v2s']:.6f}"
@@ -327,26 +326,20 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
-        spec = SynthSpec(
-            m=args.m,
-            d=args.d,
-            k=args.k,
-            num_seen_classes=args.cs,
-            num_unseen_classes=args.cu,
-            samples_per_class=args.spc,
-            noise_sigma=args.noise,
-            seed=args.seed,
-        )
-    except InvalidSpecError as exc:
-        raise CommandError(EXIT_CONFIG, str(exc)) from exc
+    spec = SynthSpec(
+        m=args.m,
+        d=args.d,
+        k=args.k,
+        num_seen_classes=args.cs,
+        num_unseen_classes=args.cu,
+        samples_per_class=args.spc,
+        noise_sigma=args.noise,
+        seed=args.seed,
+    )
     dataset, planted = synth_generate(spec)
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        save_manifest(dataset, out / "manifest.json")
-    except OSError as exc:
-        raise CommandError(EXIT_DATA, f"cannot write to {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
+    save_manifest(dataset, out / "manifest.json")
     planted_model = JcmsplModel(
         A=planted.A_true,
         B=planted.B_true,
@@ -435,9 +428,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CommandError as err:
-        print(f"jcmspl {args.command}: error: {err}", file=sys.stderr)
-        return err.code
+    except tuple(EXIT_CODES) as exc:
+        print(f"jcmspl {args.command}: error: {exc}", file=sys.stderr)
+        return exit_code(exc)
 
 
 if __name__ == "__main__":

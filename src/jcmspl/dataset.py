@@ -30,25 +30,31 @@ from .errors import (
     UnknownClassIdError,
 )
 
-MANIFEST_KEYS = (
+FILE_KEYS = (
     "visual_seen",
     "labels_seen",
     "visual_unseen",
     "labels_unseen",
     "prototypes",
-    "seen_classes",
-    "unseen_classes",
 )
+MANIFEST_KEYS = FILE_KEYS + ("seen_classes", "unseen_classes")
 
 NORMALIZE_MODES = ("none", "l2_columns")
 
 
-def read_matrix(path) -> np.ndarray:
-    """Read a headerless comma-separated numeric matrix."""
+def _loadtxt(path, what: str, **kwargs) -> np.ndarray:
     path = Path(path)
     if not path.is_file():
-        raise MissingFileError(f"matrix file not found: {path}")
-    return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        raise MissingFileError(f"{what} file not found: {path}")
+    try:
+        return np.loadtxt(path, **kwargs)
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+        raise DatasetError(f"cannot parse {what} file {path}: {exc}") from exc
+
+
+def read_matrix(path) -> np.ndarray:
+    """Read a headerless comma-separated numeric matrix."""
+    return _loadtxt(path, "matrix", delimiter=",", dtype=np.float64, ndmin=2)
 
 
 def write_matrix(path, M) -> None:
@@ -57,10 +63,7 @@ def write_matrix(path, M) -> None:
 
 
 def read_labels(path) -> np.ndarray:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFileError(f"label file not found: {path}")
-    return np.loadtxt(path, dtype=np.int64, ndmin=1)
+    return _loadtxt(path, "label", dtype=np.int64, ndmin=1)
 
 
 def write_labels(path, labels) -> None:
@@ -197,24 +200,38 @@ def load_manifest(path) -> ZslDataset:
     ``visual_unseen``, ``labels_unseen`` and ``prototypes`` (CSV paths,
     relative to the manifest) plus the ``seen_classes`` and
     ``unseen_classes`` id lists (inline arrays or paths to label files).
+    Every malformed manifest raises a ``DatasetError``.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingFileError(f"manifest not found: {path}")
+    # ValueError covers JSONDecodeError and UnicodeDecodeError; json
+    # recurses once per nesting level
     try:
-        with open(path) as fh:
-            spec = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
+        spec = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ManifestError(f"manifest is not valid UTF-8 JSON: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise ManifestError(f"manifest must be a JSON object, got {type(spec).__name__}")
     missing = [key for key in MANIFEST_KEYS if key not in spec]
     if missing:
         raise ManifestError(f"manifest missing keys: {missing}")
+    for key in FILE_KEYS:
+        if not isinstance(spec[key], str):
+            raise ManifestError(
+                f"manifest entry {key!r} must be a file path, got {type(spec[key]).__name__}"
+            )
     base = path.parent
 
     def _ids(key):
         value = spec[key]
         if isinstance(value, str):
             return read_labels(base / value)
+        if not (isinstance(value, list) and all(type(v) in (int, float) for v in value)):
+            raise ManifestError(
+                f"manifest entry {key!r} must be a label file path or a list of "
+                "integer class ids"
+            )
         return value
 
     return ZslDataset(

@@ -12,6 +12,7 @@ from jcmspl.dataset import SynthSpec, synth_generate
 from jcmspl.errors import ArchiveError
 from jcmspl.recognizer import eval_standard
 from jcmspl.trainer import Hyperparams, JcmsplModel, fit
+from malformed import ARCHIVE_HOLES, VARIANT_AT
 
 
 def small_dataset():
@@ -109,3 +110,25 @@ def test_rejects_truncation(tmp_path):
         clipped.write_bytes(raw[:cut])
         with pytest.raises(ArchiveError):
             load_model(clipped)
+
+
+@pytest.mark.parametrize("case", sorted(ARCHIVE_HOLES))
+def test_rejects_malformed_archive(tmp_path, case):
+    ds, model = trained_model()
+    path = tmp_path / "model.bin"
+    save_model(path, model, fingerprint_dataset(ds))
+    path.write_bytes(ARCHIVE_HOLES[case](path.read_bytes()))
+    with pytest.raises(ArchiveError):
+        load_model(path)
+
+
+def test_rejects_joint_variant_without_b(tmp_path):
+    # one byte turns an fpl archive (no B) into an ipl one
+    ds, model = trained_model("fpl")
+    path = tmp_path / "fpl.bin"
+    save_model(path, model, fingerprint_dataset(ds))
+    raw = path.read_bytes()
+    assert raw[VARIANT_AT:VARIANT_AT + 3] == b"fpl"
+    path.write_bytes(raw[:VARIANT_AT] + b"i" + raw[VARIANT_AT + 1:])
+    with pytest.raises(ArchiveError):
+        load_model(path)

@@ -1,10 +1,16 @@
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jcmspl.cli import ABLATION_ORDER, main
+from jcmspl import errors
+from jcmspl.cli import ABLATION_ORDER, exit_code, main
+from jcmspl.dataset import FILE_KEYS
+from malformed import ARCHIVE_HOLES, CSV_HOLES, MANIFEST_HOLES
 
 
 def run(argv):
@@ -212,3 +218,122 @@ def test_argparse_rejects_unknown_direction(synth_dir, trained_dir, tmp_path):
              "--manifest", str(synth_dir / "manifest.json"),
              "--out", str(tmp_path), "--direction", "sideways"])
     assert exc.value.code == 2
+
+
+def test_every_package_error_has_an_exit_code():
+    classes = [obj for obj in vars(errors).values()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__]
+    assert errors.JcmsplError in classes and errors.ArchiveError in classes
+    for cls in classes:
+        assert exit_code(cls("x")) in {2, 3, 4, 5}, cls
+    # the most specific class along the __mro__ wins
+    assert exit_code(errors.InvalidSpecError("x")) == 2  # a DatasetError
+    assert exit_code(errors.InvalidHyperparamsError("x")) == 2  # a TrainerError
+    assert exit_code(errors.InvalidKError("x")) == 2  # a RecognizerError
+    assert exit_code(errors.MissingFileError("x")) == 3
+    assert exit_code(errors.TooFewRowsError("x")) == 4
+    assert exit_code(errors.NotPositiveDefiniteError("x")) == 4
+    assert exit_code(errors.DimensionMismatchError("x")) == 5  # a LinalgError
+    assert exit_code(errors.UnsupportedVariantError("x")) == 5
+    assert exit_code(IsADirectoryError("x")) == 3
+
+
+def assert_data_error(rc, capsys, command):
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith(f"jcmspl {command}: error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("case", sorted(ARCHIVE_HOLES))
+def test_malformed_archive_exits_3(synth_dir, trained_dir, tmp_path, capsys, case):
+    model = tmp_path / "model.bin"
+    model.write_bytes(ARCHIVE_HOLES[case]((trained_dir / "model.bin").read_bytes()))
+    rc = run(["eval", "--model", str(model),
+              "--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path)])
+    assert_data_error(rc, capsys, "eval")
+
+
+@pytest.mark.parametrize("case", sorted(CSV_HOLES) + sorted(MANIFEST_HOLES))
+def test_malformed_dataset_exits_3(synth_dir, tmp_path, capsys, case):
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    manifest = data / "manifest.json"
+    if case in CSV_HOLES:
+        name, corrupt = CSV_HOLES[case]
+        (data / name).write_text(corrupt((data / name).read_text()))
+    else:
+        manifest.write_bytes(MANIFEST_HOLES[case](json.loads(manifest.read_text())))
+    rc = run(["train", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+              "--k", "6", "--t-max", "2"])
+    assert_data_error(rc, capsys, "train")
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+def test_out_path_blocked_by_a_file_exits_3(synth_dir, trained_dir, tmp_path, capsys,
+                                            command, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    manifest = str(synth_dir / "manifest.json")
+    argv = {
+        "train": ["train", "--manifest", manifest, "--k", "6", "--t-max", "2"],
+        "eval": ["eval", "--model", str(trained_dir / "model.bin"), "--manifest", manifest],
+        "ablate": ["ablate", "--manifest", manifest, "--k", "6", "--t-max", "2"],
+    }[command]
+    rc = run(argv + ["--out", str(out)])
+    assert_data_error(rc, capsys, command)
+
+
+# derandomized, so every run of the suite draws the same examples
+FUZZ = settings(max_examples=30, deadline=None, database=None, derandomize=True)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def eval_rc(model, manifest, out):
+    return run(["eval", "--model", str(model), "--manifest", str(manifest),
+                "--out", str(out)])
+
+
+@FUZZ
+@given(edits=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)),
+                      min_size=1, max_size=4))
+def test_fuzzed_archive_exits_0_3_or_5(synth_dir, trained_dir, fuzz_dir, edits):
+    raw = bytearray((trained_dir / "model.bin").read_bytes())
+    for pos, value in edits:
+        raw[pos % len(raw)] = value
+    model = fuzz_dir / "edited.bin"
+    model.write_bytes(bytes(raw))
+    assert eval_rc(model, synth_dir / "manifest.json", fuzz_dir) in {0, 3, 5}
+
+
+@FUZZ
+@given(cut=st.integers(min_value=0))
+def test_truncated_archive_exits_3(synth_dir, trained_dir, fuzz_dir, cut):
+    raw = (trained_dir / "model.bin").read_bytes()
+    model = fuzz_dir / "cut.bin"
+    model.write_bytes(raw[:cut % len(raw)])
+    assert eval_rc(model, synth_dir / "manifest.json", fuzz_dir) == 3
+
+
+CSV_TOKENS = [b"", b"0", b"7", b".", b",", b"-", b"e", b"\n", b" ", b"nan", b"1e999", b"\xff"]
+
+
+@FUZZ
+@given(key=st.sampled_from(FILE_KEYS),
+       edits=st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(CSV_TOKENS)),
+                      min_size=1, max_size=4))
+def test_fuzzed_csv_exits_0_3_or_5(synth_dir, fuzz_dir, key, edits):
+    data = fuzz_dir / "data"
+    shutil.copytree(synth_dir, data, dirs_exist_ok=True)  # undoes the last example
+    raw = (data / f"{key}.csv").read_bytes()
+    for pos, token in edits:
+        pos %= len(raw)
+        raw = raw[:pos] + token + raw[pos + 1:]
+    (data / f"{key}.csv").write_bytes(raw)
+    rc = eval_rc(synth_dir / "planted_model.bin", data / "manifest.json", fuzz_dir)
+    assert rc in {0, 3, 5}

@@ -13,6 +13,7 @@ from jcmspl.dataset import (
     synth_generate,
 )
 from jcmspl.errors import (
+    DatasetError,
     InvalidSpecError,
     ManifestError,
     MissingFileError,
@@ -21,6 +22,7 @@ from jcmspl.errors import (
     UnknownClassIdError,
 )
 from jcmspl.recognizer import classify
+from malformed import CSV_HOLES, MANIFEST_HOLES
 
 
 def tiny_dataset():
@@ -130,6 +132,24 @@ def test_malformed_manifest(tmp_path):
     bad.write_text(json.dumps({"visual_seen": "x.csv"}))
     with pytest.raises(ManifestError):
         load_manifest(bad)
+
+
+@pytest.mark.parametrize("case", sorted(CSV_HOLES))
+def test_malformed_csv_is_a_dataset_error_naming_the_file(tmp_path, case):
+    manifest = save_manifest(tiny_dataset(), tmp_path / "manifest.json")
+    name, corrupt = CSV_HOLES[case]
+    path = tmp_path / name
+    path.write_text(corrupt(path.read_text()))
+    with pytest.raises(DatasetError, match=name):
+        load_manifest(manifest)
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_HOLES))
+def test_malformed_manifest_content(tmp_path, case):
+    manifest = save_manifest(tiny_dataset(), tmp_path / "manifest.json")
+    manifest.write_bytes(MANIFEST_HOLES[case](json.loads(manifest.read_text())))
+    with pytest.raises(ManifestError):
+        load_manifest(manifest)
 
 
 def test_expand_prototypes_replicates_columns():
