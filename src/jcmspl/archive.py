@@ -9,8 +9,9 @@ Matrices survive a save/load round trip bit for bit.
 ``load_model`` raises only ``ArchiveError`` (or ``MissingFileError``)
 for a malformed file: truncation, trailing bytes, a string that is not
 UTF-8, an unknown variant, rejected hyperparameters, a presence flag
-other than 0/1, a negative shape, a non-finite payload entry, or a
-joint variant without B.
+other than 0/1, a negative shape, a non-finite payload entry, a
+joint variant without B, or an A or B whose shape disagrees with k and
+the fingerprint's m and d.
 """
 
 from __future__ import annotations
@@ -166,6 +167,20 @@ class _Reader:
         return M.reshape(rows, cols).copy()
 
 
+def _check_dimensions(A, B, variant, k, fingerprint) -> None:
+    """A and B must have the shapes that k and the fingerprint's m and d
+    give them: A is d x m for fpl (which has no B), else k x m and B k x d."""
+    m, d = fingerprint.m, fingerprint.d
+    expected = {"A": (d, m)} if variant == "fpl" else {"A": (k, m), "B": (k, d)}
+    for name, M in (("A", A), ("B", B)):
+        if name in expected and M.shape != expected[name]:
+            raise ArchiveError(
+                f"{variant} archive holds a {M.shape[0]}x{M.shape[1]} {name}, but "
+                f"k={k} and the fingerprint's m={m}, d={d} give "
+                f"{expected[name][0]}x{expected[name][1]}"
+            )
+
+
 def load_model(path) -> ModelArchive:
     path = Path(path)
     if not path.is_file():
@@ -204,5 +219,6 @@ def load_model(path) -> ModelArchive:
         raise ArchiveError("archive has no A matrix")
     if B is None and variant != "fpl":
         raise ArchiveError(f"{variant} archive has no B matrix")
+    _check_dimensions(A, B, variant, hyper.k, fingerprint)
     model = JcmsplModel(A=A, B=B, C=C, variant=variant, hyper=hyper)
     return ModelArchive(model=model, fingerprint=fingerprint, version=int(version))

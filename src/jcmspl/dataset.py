@@ -186,6 +186,13 @@ def _as_label_vector(a, name):
     if arr.ndim != 1:
         raise ShapeMismatchError(f"{name} must be 1-D, got ndim={arr.ndim}")
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        # an id beyond int64 (a JSON number may be any size) arrives as a
+        # float or a Python int, which the cast below would wrap
+        outside = np.flatnonzero((arr >= 2.0**63) | (arr < -(2.0**63)))
+        if outside.size:
+            raise DatasetError(
+                f"{name} holds {arr[outside[0]]}, outside the 64-bit integer range"
+            )
         rounded = np.rint(np.asarray(arr, dtype=np.float64))
         if not np.array_equal(rounded, np.asarray(arr, dtype=np.float64)):
             raise DatasetError(f"{name} must contain integers")

@@ -111,6 +111,10 @@ class AllZeroNormError(RecognizerError):
     pass
 
 
+class NonFiniteDistanceError(RecognizerError):
+    """A query-candidate distance is NaN or infinite, so no ranking exists."""
+
+
 class InvalidKError(RecognizerError):
     pass
 

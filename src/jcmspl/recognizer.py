@@ -23,6 +23,7 @@ from .errors import (
     EmptyCandidatesError,
     InvalidFractionError,
     InvalidKError,
+    NonFiniteDistanceError,
     OutOfRangeError,
     UnsupportedVariantError,
 )
@@ -106,7 +107,9 @@ def distance_matrix(queries, candidates, distance: str = "cosine") -> np.ndarray
     ``1 - cos``; zero-norm candidate columns get +inf distance (with a
     warning) so they are never selected, and a zero-norm query scores
     distance 1 against every finite candidate.  All-zero candidate sets
-    are rejected.
+    are rejected, and so is any other distance that is not finite, which
+    a non-finite entry or one too large for float64 in either input
+    gives: ranking NaN would pick the first candidate.
     """
     _check_distance(distance)
     Q = np.asarray(queries, dtype=np.float64)
@@ -119,30 +122,46 @@ def distance_matrix(queries, candidates, distance: str = "cosine") -> np.ndarray
         raise DimensionMismatchError(
             f"queries have dimension {Q.shape[0]}, candidates {C.shape[0]}"
         )
-    if distance == "euclidean":
-        sq = (
-            np.sum(Q * Q, axis=0)[:, None]
-            + np.sum(C * C, axis=0)[None, :]
-            - 2.0 * (Q.T @ C)
-        )
-        return np.sqrt(np.maximum(sq, 0.0))
-    qn = np.linalg.norm(Q, axis=0)
-    cn = np.linalg.norm(C, axis=0)
-    dead = cn == 0.0
-    if np.all(dead):
-        raise AllZeroNormError("every candidate column has zero norm")
-    if np.any(dead):
-        warnings.warn(
-            f"{int(dead.sum())} zero-norm candidate column(s) skipped",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    sim = (Q.T @ C) / np.outer(np.where(qn == 0.0, 1.0, qn), np.where(dead, 1.0, cn))
+    # overflow and NaN are reported once, as the error below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if distance == "euclidean":
+            sq = (
+                np.sum(Q * Q, axis=0)[:, None]
+                + np.sum(C * C, axis=0)[None, :]
+                - 2.0 * (Q.T @ C)
+            )
+            dist = np.sqrt(np.maximum(sq, 0.0))
+            _check_finite(dist)
+            return dist
+        qn = np.linalg.norm(Q, axis=0)
+        cn = np.linalg.norm(C, axis=0)
+        dead = cn == 0.0
+        if np.all(dead):
+            raise AllZeroNormError("every candidate column has zero norm")
+        if np.any(dead):
+            warnings.warn(
+                f"{int(dead.sum())} zero-norm candidate column(s) skipped",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        scale = np.outer(np.where(qn == 0.0, 1.0, qn), np.where(dead, 1.0, cn))
+        _check_finite(scale)
+        sim = (Q.T @ C) / scale
     sim[:, dead] = -np.inf
     dist = 1.0 - sim
     dist[qn == 0.0, :] = 1.0
+    _check_finite(dist[:, ~dead])
     dist[:, dead] = np.inf
     return dist
+
+
+def _check_finite(values) -> None:
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise NonFiniteDistanceError(
+            f"{bad} distance term(s) are not finite: a query or candidate "
+            "holds a non-finite entry or one too large for float64"
+        )
 
 
 def classify(query, candidates, distance: str = "cosine") -> int:

@@ -18,13 +18,19 @@ operands are Gram matrices of fixed size (independent of the sample
 count), ``C`` via one positive definite solve.  Iterating the three
 exact updates drives the objective monotonically downward.
 
-From the first C step on, ``C = W Z`` for the stacked fixed data
-``Z = [X; Y; H]`` (H only when lambda2 > 0, p rows in all) and some
-k x p matrix W, so the objective and every update depend on the data
-only through the Gram ``Z Z^T``.  ``fit`` therefore trains on a p x p
-factor ``Zc`` with ``Zc Zc^T = Z Z^T``: then ``Z = Zc Q^T`` for some Q
-with orthonormal columns, which preserves every norm and Gram in the
-objective, and an iteration costs the same whatever the sample count.
+Every C the loop meets is ``C = W Z`` for the stacked rows
+``Z = [X; Y; H; C0]`` (H only when lambda2 > 0; C0 the random initial
+C; p rows in all) and some k x p matrix W: C0 trivially, every later C
+because the C step maps the fixed data linearly.  So the objective and
+every update depend on the data only through the Gram ``Z Z^T``.
+``fit`` therefore trains on a factor ``Zc`` with ``Zc Zc^T = Z Z^T``,
+one column per nonzero eigenvalue of that Gram: then ``Z = Zc Q^T`` for
+some Q with orthonormal columns, which preserves every norm and Gram in
+the objective, and an iteration costs the same whatever the sample
+count.  Since ``[Y; H]`` is a per-class matrix times the one-hot of the
+labels, its Gram blocks come from per-class sums.  The n-wide data is
+read once for the Grams and class sums, and once after the loop for the
+returned C and the final loss.
 """
 
 from __future__ import annotations
@@ -152,29 +158,44 @@ class TrainingTrace:
         return len(self.delta_norms)
 
 
+def _block_indicators(k: int, num_classes: int) -> np.ndarray:
+    """The k x c matrix whose column j is the 0/1 indicator of the row
+    block of class j (see ``build_class_matrix``)."""
+    if k < num_classes:
+        raise TooFewRowsError(
+            f"k ({k}) must be >= number of seen classes ({num_classes})"
+        )
+    indicators = np.zeros((k, num_classes))
+    for j, (start, stop) in enumerate(block_partition(k, num_classes)):
+        indicators[start:stop, j] = 1.0
+    return indicators
+
+
+def _class_positions(labels, classes) -> np.ndarray:
+    """Index into ``classes`` of each label (the last one, should a class
+    id repeat); UnknownClassIdError names the first label not there."""
+    order = np.argsort(classes, kind="stable")
+    ranked = classes[order]
+    at = np.searchsorted(ranked, labels, side="right") - 1
+    found = ranked[np.maximum(at, 0)] == labels
+    if not np.all(found):
+        raise UnknownClassIdError(f"label {labels[np.argmin(found)]} is not a seen class")
+    return order[at]
+
+
 def build_class_matrix(labels_seen, k: int, seen_classes) -> ClassSpecificMatrix:
     """Build the k x n block class-indicator matrix.
 
     The k rows are split into ``len(seen_classes)`` contiguous blocks in
     seen-class order (base size k // c, remainder rows one each to the
     earliest classes).  Column i is the 0/1 indicator of the block of
-    ``labels_seen[i]``.
+    ``labels_seen[i]``, gathered from the k x c per-class indicators.
     """
     labels = np.asarray(labels_seen, dtype=np.int64)
-    classes = [int(c) for c in np.asarray(seen_classes, dtype=np.int64)]
-    if k < len(classes):
-        raise TooFewRowsError(
-            f"k ({k}) must be >= number of seen classes ({len(classes)})"
-        )
-    block_rows = {
-        cid: bounds for cid, bounds in zip(classes, block_partition(k, len(classes)))
-    }
-    H = np.zeros((k, labels.shape[0]))
-    for i, label in enumerate(labels):
-        if int(label) not in block_rows:
-            raise UnknownClassIdError(f"label {label} is not a seen class")
-        start, stop = block_rows[int(label)]
-        H[start:stop, i] = 1.0
+    classes = np.asarray(seen_classes, dtype=np.int64)
+    indicators = _block_indicators(k, len(classes))
+    block_rows = dict(zip(classes.tolist(), block_partition(k, len(classes))))
+    H = indicators.take(_class_positions(labels, classes), axis=1)
     return ClassSpecificMatrix(H=H, block_rows=block_rows)
 
 
@@ -386,35 +407,58 @@ def descent_constants(A_next, B_next, C, X, Y, hyper: Hyperparams):
     return max(float(m_a), 0.0), max(float(m_b), 0.0), m_c
 
 
-def _gram_factor(X, Y, H, xx, yy):
-    """Rows ``(Xc, Yc, Hc)`` of a p x p factor ``Zc`` with
-    ``Zc Zc^T = Z Z^T`` for ``Z = [X; Y; H]`` (H may be None).
+def _class_sums(M, positions, num_classes: int) -> np.ndarray:
+    """Per-class column sums of ``M``: column j sums the columns i with
+    ``positions[i] == j``, so ``M E^T`` for the c x n one-hot E, which is
+    never formed."""
+    return np.stack([np.bincount(positions, weights=row, minlength=num_classes)
+                     for row in M])
 
-    ``xx = X X^T`` and ``yy = Y Y^T`` are passed in because the caller
-    already has them.  The Gram is assembled block by block, so no n-wide
-    stack of the data is ever formed, and ``Zc = V sqrt(Lambda)`` from
-    its eigendecomposition ``V Lambda V^T``.  Eigenvalues below
-    ``p * eps * lambda_max`` are roundoff in a singular Gram and are set
-    to 0: kept, they add directions the data does not have, which shifts
-    a near-zero loss by far more than roundoff.
+
+def _stacked_gram(X, C0, V, positions, xx, yy) -> np.ndarray:
+    """Lower triangle of the Gram ``Z Z^T`` of ``Z = [X; Y; H; C0]``.
+
+    ``[Y; H] = V E`` for the per-class rows ``V`` (prototypes, then the
+    block indicators when there are H rows) and the one-hot E of
+    ``positions``, so every block that involves Y or H comes from
+    per-class sums of X and C0 and the class counts, except ``Y Y^T``:
+    it and ``xx = X X^T`` are passed in because the caller already has
+    them.  Of the rest, only ``C0 X^T``, ``C0 C0^T`` and the class sums
+    read n-wide data.
     """
-    m, d = X.shape[0], Y.shape[0]
-    p = m + d + (0 if H is None else H.shape[0])
+    m, k = X.shape[0], C0.shape[0]
+    d = yy.shape[0]
+    q, num_classes = V.shape
+    counts = np.bincount(positions, minlength=num_classes)
     # eigh reads the lower triangle only, so only that is filled
-    G = np.zeros((p, p))
+    G = np.zeros((m + q + k, m + q + k))
     G[:m, :m] = xx
-    G[m:m + d, :m] = Y @ X.T
+    G[m:m + q, :m] = V @ _class_sums(X, positions, num_classes).T
+    G[m:m + q, m:m + q] = (V * counts) @ V.T
     G[m:m + d, m:m + d] = yy
-    if H is not None:
-        G[m + d:, :m] = H @ X.T
-        G[m + d:, m:m + d] = H @ Y.T
-        G[m + d:, m + d:] = H @ H.T
-    values, Zc = np.linalg.eigh(G)
-    del G
-    values[values <= values[-1] * len(values) * np.finfo(float).eps] = 0.0
-    Zc *= np.sqrt(values)
-    Xc, Yc, Hc = Zc[:m], Zc[m:m + d], (None if H is None else Zc[m + d:])
-    return Xc, Yc, Hc
+    G[m + q:, :m] = C0 @ X.T
+    G[m + q:, m:m + q] = _class_sums(C0, positions, num_classes) @ V.T
+    G[m + q:, m + q:] = C0 @ C0.T
+    return G
+
+
+def _gram_factor(G, m: int, d: int, q: int):
+    """Rows ``(Xc, Yc, Hc, Cc)`` of a factor ``Zc`` with ``Zc Zc^T = G``
+    for the Gram of ``[X; Y; H; C0]`` (m, d, q - d and k rows; ``Hc`` is
+    None when q == d).
+
+    ``Zc = U sqrt(Lambda)`` from the eigendecomposition ``U Lambda U^T``
+    of G, keeping only the eigenvalues above ``p * eps * lambda_max``, so
+    ``Zc`` is rank-wide: the rest are 0 or roundoff in a singular Gram,
+    and kept they would add directions the data does not have, which
+    shifts a near-zero loss by far more than roundoff.
+    """
+    values, vectors = np.linalg.eigh(G)
+    keep = values > values[-1] * len(values) * np.finfo(float).eps
+    Zc = vectors[:, keep]
+    Zc *= np.sqrt(values[keep])
+    Hc = Zc[m + d:m + q] if q > d else None
+    return Zc[:m], Zc[m:m + d], Hc, Zc[m + q:]
 
 
 def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingTrace]:
@@ -429,15 +473,15 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
     with standard deviation 0.01, so identical inputs reproduce the run
     bitwise.  The ``fpl`` variant bypasses the loop entirely.
 
-    When the sample count n exceeds ``p = m + d`` (``+ k`` when the
-    effective lambda2 is positive), iterations from the second on run on
-    a p x p factor of the fixed data (see the module docstring), so their
-    cost does not grow with n.  Computed directly on the n-wide data:
-    ``losses[0]``, the updates, step norms and descent constants of
-    iteration 1, and the returned C with the last entry ``losses[-1]``.
-    Computed on the factor: the other losses (``losses[1]`` included)
-    and the step norms and descent constants of iterations 2 and later.
-    With ``n <= p`` every entry is computed directly.
+    When the sample count n exceeds the ``p = m + d + k`` rows of
+    ``[X; Y; C0]`` (``+ k`` for H when the effective lambda2 is positive),
+    the whole loop, ``losses[0]`` included, runs on a rank-wide factor of
+    those rows (see the module docstring), so no iteration's cost grows
+    with n.  Read from the n-wide data: the Grams ``X X^T``, ``Y Y^T``,
+    ``C0 X^T``, ``C0 C0^T`` and the per-class sums of X and C0, once,
+    before the loop; then, after it, the returned C and the last entry
+    ``losses[-1]``, which are exactly what ``loss()`` gives.  With
+    ``n <= p`` every entry is computed directly on the n-wide data.
 
     Returns the model together with a TrainingTrace of losses, block
     step norms, descent constants and any ridge-regularization warnings.
@@ -456,9 +500,14 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
         return JcmsplModel(A=A, B=None, C=None, variant="fpl", hyper=hyper), trace
 
     eff = hyper.effective()
+    positions = _class_positions(dataset.labels_seen, dataset.seen_classes)
+    # per-class rows V with [Y; H] = V E for the one-hot E of the labels
+    V = dataset.prototypes[:, dataset.seen_classes]
     H = None
     if eff.lambda2 > 0:
-        H = build_class_matrix(dataset.labels_seen, hyper.k, dataset.seen_classes).H
+        indicators = _block_indicators(hyper.k, dataset.c_seen)
+        H = indicators.take(positions, axis=1)
+        V = np.vstack([V, indicators])
 
     rng = np.random.default_rng(hyper.seed)
     A = 0.01 * rng.standard_normal((hyper.k, dataset.m))
@@ -470,11 +519,19 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
     xx, yy = X @ X.T, Y @ Y.T
     y_gram = eff.lambda1 * yy
     x_eig, y_eig = symmetric_eigen(xx, "X X^T"), symmetric_eigen(y_gram, "Y Y^T")
-    p = dataset.m + dataset.d + (0 if H is None else hyper.k)
-    # the data the loop works on: the n-wide matrices, then their factor
+    # the data the loop works on: the n-wide matrices or their factor
     Xw, Yw, Hw = X, Y, H
+    if dataset.n_seen > dataset.m + V.shape[0] + hyper.k:
+        # C0 and every later C lie in the row space of [X; Y; H; C0], so
+        # the factor carries every Gram and norm the loop needs; the
+        # n-wide C0 goes before the eigendecomposition, to keep the
+        # allocation peak down
+        G = _stacked_gram(X, C, V, positions, xx, yy)
+        C = None
+        Xw, Yw, Hw, C = _gram_factor(G, dataset.m, dataset.d, V.shape[0])
+        del G
 
-    f_prev = loss(A, B, C, X, Y, H, eff)
+    f_prev = loss(A, B, C, Xw, Yw, Hw, eff)
     trace = TrainingTrace(
         losses=[f_prev], delta_norms=[], descent_constants=[], converged_at=None
     )
@@ -500,13 +557,6 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
             float(np.linalg.norm(C_next - C)),
         )
         A, B, C = A_next, B_next, C_next
-        if t == 1 and dataset.n_seen > p:
-            # from here on C = W Z lies in the row space of Z = [X; Y; H],
-            # so the factor carries every Gram and norm of the objective;
-            # the n-wide C goes first, to keep the allocation peak down
-            C = C_next = None
-            Xw, Yw, Hw = _gram_factor(X, Y, H, xx, yy)
-            C = update_C(A, B, Xw, Yw, Hw, eff)
         f_t = loss(A, B, C, Xw, Yw, Hw, eff)
         trace.losses.append(f_t)
         trace.delta_norms.append(deltas)

@@ -12,10 +12,13 @@ import struct
 
 VARIANT_AT = 4 + 4 + 4  # magic, format version, variant string length
 T_MAX_AT = VARIANT_AT + len("full") + 4 * 8 + 8  # four lambdas, then k
-A_FLAG_AT = (
+FINGERPRINT_AT = (
     VARIANT_AT + len("full")
     + struct.calcsize("<4dqqdqd")
     + 4 + len("full")  # hyperparameter variant
+)  # m, d, n_seen, n_unseen, c_seen, c_unseen
+A_FLAG_AT = (
+    FINGERPRINT_AT
     + struct.calcsize("<6q")  # fingerprint dimensions
     + 4 + 64  # fingerprint SHA-256 hex digest
 )
@@ -34,6 +37,10 @@ ARCHIVE_HOLES = {
     "negative_shape": _patch(A_FLAG_AT + 1, struct.pack("<q", -1)),
     "non_finite_payload": _patch(A_FLAG_AT + 17, struct.pack("<d", math.inf)),
     "trailing_bytes": lambda raw: raw + b"\x00",
+    # the training data had m = 16 ...
+    "fingerprint_disagrees_with_a": _patch(FINGERPRINT_AT, struct.pack("<q", 17)),
+    # and d = 8
+    "fingerprint_disagrees_with_b": _patch(FINGERPRINT_AT + 8, struct.pack("<q", 9)),
 }
 
 # (file written by save_manifest, text -> corrupted text)
@@ -52,3 +59,16 @@ MANIFEST_HOLES = {
     "not_an_object": lambda spec: b"5",
     "nested_too_deep": lambda spec: b"[" * 100_000,
 }
+
+# an inline class id beyond int64: its JSON text, and how the error names
+# it once parsed (JSON's 1e400 is the float inf)
+ID_RANGE_HOLES = {
+    "float_beyond_int64": ("1e400", "inf"),
+    "int_beyond_int64": ("99999999999999999999999", "99999999999999999999999"),
+}
+
+
+def with_first_seen_class_id(spec, text):
+    """Manifest bytes whose first seen class id is the JSON text ``text``."""
+    raw = json.dumps({**spec, "seen_classes": ["@"] + spec["seen_classes"][1:]})
+    return raw.replace('"@"', text).encode()

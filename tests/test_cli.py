@@ -8,9 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jcmspl import errors
+from jcmspl.archive import load_model, save_model
 from jcmspl.cli import ABLATION_ORDER, exit_code, main
 from jcmspl.dataset import FILE_KEYS
-from malformed import ARCHIVE_HOLES, CSV_HOLES, MANIFEST_HOLES
+from malformed import (
+    ARCHIVE_HOLES,
+    CSV_HOLES,
+    ID_RANGE_HOLES,
+    MANIFEST_HOLES,
+    with_first_seen_class_id,
+)
 
 
 def run(argv):
@@ -158,6 +165,20 @@ def test_eval_dimension_mismatch(synth_dir, trained_dir, tmp_path):
     assert rc == 5
 
 
+def test_eval_overflowing_embedding_exits_5(synth_dir, trained_dir, tmp_path, capsys):
+    # finite, but B^T A x overflows the cosine norms: NaN distances that
+    # argmin would rank as the first candidate
+    archive = load_model(trained_dir / "model.bin")
+    archive.model.A[0, 0] = 1e300
+    model = save_model(tmp_path / "model.bin", archive.model, archive.fingerprint)
+    rc = eval_rc(model, synth_dir / "manifest.json", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert rc == 5, err
+    assert err.startswith("jcmspl eval: error: ") and err.count("\n") == 1, err
+    assert "not finite" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_missing_manifest_is_a_data_error(tmp_path):
     rc = run(["train", "--manifest", str(tmp_path / "nope.json"),
               "--out", str(tmp_path), "--k", "4"])
@@ -242,6 +263,7 @@ def assert_data_error(rc, capsys, command):
     err = capsys.readouterr().err
     assert rc == 3, err
     assert err.startswith(f"jcmspl {command}: error: ") and err.count("\n") == 1, err
+    return err
 
 
 @pytest.mark.parametrize("case", sorted(ARCHIVE_HOLES))
@@ -266,6 +288,19 @@ def test_malformed_dataset_exits_3(synth_dir, tmp_path, capsys, case):
     rc = run(["train", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
               "--k", "6", "--t-max", "2"])
     assert_data_error(rc, capsys, "train")
+
+
+@pytest.mark.parametrize("case", sorted(ID_RANGE_HOLES))
+def test_class_id_beyond_int64_exits_3_naming_it(synth_dir, tmp_path, capsys, case):
+    text, shown = ID_RANGE_HOLES[case]
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    manifest = data / "manifest.json"
+    manifest.write_bytes(with_first_seen_class_id(json.loads(manifest.read_text()), text))
+    rc = run(["train", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+              "--k", "6", "--t-max", "2"])
+    err = assert_data_error(rc, capsys, "train")
+    assert f"seen_classes holds {shown}, outside" in err
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])

@@ -22,7 +22,12 @@ from jcmspl.errors import (
     UnknownClassIdError,
 )
 from jcmspl.recognizer import classify
-from malformed import CSV_HOLES, MANIFEST_HOLES
+from malformed import (
+    CSV_HOLES,
+    ID_RANGE_HOLES,
+    MANIFEST_HOLES,
+    with_first_seen_class_id,
+)
 
 
 def tiny_dataset():
@@ -150,6 +155,24 @@ def test_malformed_manifest_content(tmp_path, case):
     manifest.write_bytes(MANIFEST_HOLES[case](json.loads(manifest.read_text())))
     with pytest.raises(ManifestError):
         load_manifest(manifest)
+
+
+@pytest.mark.parametrize("case", sorted(ID_RANGE_HOLES))
+def test_class_id_beyond_int64_is_named(tmp_path, case):
+    text, shown = ID_RANGE_HOLES[case]
+    manifest = save_manifest(tiny_dataset(), tmp_path / "manifest.json")
+    spec = json.loads(manifest.read_text())
+    manifest.write_bytes(with_first_seen_class_id(spec, text))
+    with pytest.raises(DatasetError, match=f"seen_classes holds {shown}, outside"):
+        load_manifest(manifest)
+
+
+def test_expand_prototypes_takes_integral_float_and_boolean_labels():
+    # the int64 range check must leave the other label casts alone
+    protos = np.array([[1.0, 10.0]])
+    assert np.array_equal(expand_prototypes(protos, [True, False]), [[10.0, 1.0]])
+    labels = np.array([1.0, 0.0], dtype=np.float32)
+    assert np.array_equal(expand_prototypes(protos, labels), [[10.0, 1.0]])
 
 
 def test_expand_prototypes_replicates_columns():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from jcmspl.errors import (
     EmptyCandidatesError,
     InvalidFractionError,
     InvalidKError,
+    NonFiniteDistanceError,
     OutOfRangeError,
     UnsupportedVariantError,
 )
@@ -106,6 +109,29 @@ def test_distance_matrix_shapes_and_zero_query():
     assert D.shape == (2, 1)
     assert D[0, 0] == 1.0  # zero-norm query scores neutral distance
     assert abs(D[1, 0]) <= 1e-12
+
+
+@pytest.mark.parametrize("distance", ["cosine", "euclidean"])
+@pytest.mark.parametrize("where", ["queries", "candidates"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e300])
+def test_distance_matrix_rejects_non_finite_distances(distance, where, value):
+    # 1e300 is finite, but its square and the cosine norms overflow
+    Q = np.array([[1.0, 0.5], [0.0, 2.0]])
+    C = np.array([[1.0, 0.0, 3.0], [0.0, 1.0, 1.0]])
+    (Q if where == "queries" else C)[0, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteDistanceError):
+            distance_matrix(Q, C, distance)
+
+
+def test_distance_matrix_rejects_a_norm_product_beyond_float64():
+    # each norm is finite, and so is the inner product: only the product
+    # of the norms, the cosine's denominator, overflows
+    Q = np.array([[1e200], [0.0]])
+    C = np.array([[0.0], [1e200]])
+    with pytest.raises(NonFiniteDistanceError):
+        distance_matrix(Q, C, "cosine")
 
 
 def unseen_only_dataset(prototypes, X_u, labels_u, unseen, seen_proto_col):

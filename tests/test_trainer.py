@@ -4,7 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from jcmspl.dataset import SynthSpec, ZslDataset, expand_prototypes, synth_generate
+from jcmspl.dataset import (
+    SynthSpec,
+    ZslDataset,
+    block_partition,
+    expand_prototypes,
+    synth_generate,
+)
 from jcmspl.errors import (
     InvalidHyperparamsError,
     NonUniqueError,
@@ -100,6 +106,29 @@ def test_build_class_matrix_errors():
         build_class_matrix([0, 1, 2], 2, [0, 1, 2])
     with pytest.raises(UnknownClassIdError):
         build_class_matrix([0, 7], 4, [0, 1])
+
+
+def class_matrix_by_loop(labels, k, classes):
+    """Reference: H built one sample at a time from the block table."""
+    block_rows = dict(zip(classes, block_partition(k, len(classes))))
+    H = np.zeros((k, len(labels)))
+    for i, label in enumerate(labels):
+        start, stop = block_rows[label]
+        H[start:stop, i] = 1.0
+    return H
+
+
+def test_build_class_matrix_matches_a_per_sample_loop():
+    # repeated class ids included: the last repeat owns the label
+    rng = np.random.default_rng(18)
+    for _ in range(50):
+        classes = rng.integers(-5, 20, size=int(rng.integers(1, 8))).tolist()
+        k = len(classes) + int(rng.integers(0, 6))
+        labels = rng.choice(classes, size=int(rng.integers(0, 30))).tolist()
+        out = build_class_matrix(labels, k, classes)
+        assert np.array_equal(out.H, class_matrix_by_loop(labels, k, classes))
+    with pytest.raises(UnknownClassIdError, match="label 9 is"):
+        build_class_matrix([0, 9, 8], 4, [0, 1])
 
 
 def test_class_matrix_column_structure():
@@ -489,7 +518,8 @@ LOOP_VARIANTS = ("full", "jcmspl1", "jcmspl0", "ipl")
 @pytest.mark.parametrize("noise", [0.05, 0.0])
 @pytest.mark.parametrize("variant", LOOP_VARIANTS)
 def test_fit_is_bit_identical_to_direct_loop_when_n_at_most_p(variant, noise):
-    # n = 20 samples against p = m + d = 24 rows: nothing to compress
+    # n = 20 samples against the 29 rows of [X; Y; C0] (34 with H):
+    # nothing to compress
     dataset, _ = synth_generate(
         SynthSpec(m=16, d=8, k=12, num_seen_classes=4, num_unseen_classes=2,
                   samples_per_class=5, noise_sigma=noise, seed=1)
@@ -506,7 +536,8 @@ def test_fit_is_bit_identical_to_direct_loop_when_n_at_most_p(variant, noise):
 @pytest.mark.parametrize("noise", [0.05, 0.0])
 @pytest.mark.parametrize("variant", LOOP_VARIANTS)
 def test_fit_on_gram_factor_agrees_with_direct_loop(variant, noise):
-    # default synth: n = 500 against p = 110 (90 without the H rows)
+    # default synth: n = 500 against the 150 rows of [X; Y; H; C0] (110
+    # without H)
     dataset, _ = synth_generate(SynthSpec(noise_sigma=noise))
     hyper = Hyperparams(k=40, variant=variant)
     model, trace = fit(dataset, hyper)
@@ -549,12 +580,45 @@ def test_n_wide_work_happens_a_fixed_number_of_times(monkeypatch):
                           counting("update_C", trainer.update_C, 2))
             _, trace = fit(dataset, Hyperparams(k=40, t_max=t_max))
         iterations.append(trace.iterations)
-        assert wide == {"loss": 2, "update_C": 2}
+        assert wide == {"loss": 1, "update_C": 1}
     assert iterations[0] < iterations[1] < iterations[2]
 
 
-def test_fit_records_the_moduli_of_its_first_iteration():
-    dataset, _ = small_benchmark(noise=0.05)
+@pytest.mark.parametrize("variant", LOOP_VARIANTS)
+def test_training_factor_is_rank_wide_and_reproduces_the_gram(monkeypatch, variant):
+    from jcmspl import trainer
+
+    dataset, _ = synth_generate(SynthSpec())
+    hyper = Hyperparams(k=40, variant=variant, t_max=2)
+    factors, original = [], trainer._gram_factor
+
+    def capture(*args):
+        factors.append(original(*args))
+        return factors[-1]
+
+    monkeypatch.setattr(trainer, "_gram_factor", capture)
+    fit(dataset, hyper)
+    (Xc, Yc, Hc, Cc), = factors
+    Zc = np.vstack([M for M in (Xc, Yc, Hc, Cc) if M is not None])
+    with_h = hyper.effective().lambda2 > 0
+    assert (Hc is not None) == with_h
+    assert np.all(np.linalg.norm(Zc, axis=0) > 0)
+    assert Zc.shape[1] <= dataset.m + dataset.c_seen + (hyper.k if with_h else 0) + hyper.k
+
+    # the Gram of [X; Y; H; C0], formed from the n-wide rows
+    rng = np.random.default_rng(hyper.seed)
+    rng.standard_normal((hyper.k, dataset.m))
+    rng.standard_normal((hyper.k, dataset.d))
+    C0 = 0.01 * rng.standard_normal((hyper.k, dataset.n_seen))
+    rows = [dataset.visual_seen, expand_prototypes(dataset.prototypes, dataset.labels_seen)]
+    if with_h:
+        rows.append(build_class_matrix(dataset.labels_seen, hyper.k, dataset.seen_classes).H)
+    Z = np.vstack(rows + [C0])
+    G = Z @ Z.T
+    assert np.linalg.norm(Zc @ Zc.T - G) <= 1e-12 * np.linalg.norm(G)
+
+
+def check_first_iteration_moduli(dataset):
     hyper = Hyperparams(k=6, seed=3, lambda1=0.7, lambda3=1.3, lambda4=0.4)
     model, trace = fit(dataset, Hyperparams(**{**hyper.__dict__, "t_max": 1}))
     rng = np.random.default_rng(hyper.seed)
@@ -565,6 +629,20 @@ def test_fit_records_the_moduli_of_its_first_iteration():
     expected = descent_constants(model.A, model.B, C0, dataset.visual_seen, Y, hyper)
     assert min(expected) > 0
     assert np.allclose(trace.descent_constants[0], expected, rtol=1e-10, atol=0)
+
+
+def test_fit_records_the_moduli_of_its_first_iteration():
+    # n = 32 against the 36 rows of [X; Y; H; C0]: the direct loop
+    check_first_iteration_moduli(small_benchmark(noise=0.05)[0])
+
+
+def test_fit_records_the_moduli_of_its_first_iteration_on_the_factor():
+    # n = 48 against the same 36 rows: the loop runs on the factor
+    dataset, _ = synth_generate(
+        SynthSpec(m=16, d=8, k=12, num_seen_classes=4, num_unseen_classes=2,
+                  samples_per_class=12, noise_sigma=0.05, seed=1)
+    )
+    check_first_iteration_moduli(dataset)
 
 
 def test_fit_descent_inequality_holds_for_small_sample_counts():
