@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,15 +42,7 @@ class DatasetFingerprint:
     sha256: str
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "d": self.d,
-            "n_seen": self.n_seen,
-            "n_unseen": self.n_unseen,
-            "c_seen": self.c_seen,
-            "c_unseen": self.c_unseen,
-            "sha256": self.sha256,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -95,13 +95,10 @@ class ZslDataset:
     unseen_classes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "visual_seen", _as_feature_matrix(self.visual_seen, "visual_seen"))
-        object.__setattr__(self, "visual_unseen", _as_feature_matrix(self.visual_unseen, "visual_unseen"))
-        object.__setattr__(self, "prototypes", _as_feature_matrix(self.prototypes, "prototypes"))
-        object.__setattr__(self, "labels_seen", _as_label_vector(self.labels_seen, "labels_seen"))
-        object.__setattr__(self, "labels_unseen", _as_label_vector(self.labels_unseen, "labels_unseen"))
-        object.__setattr__(self, "seen_classes", _as_label_vector(self.seen_classes, "seen_classes"))
-        object.__setattr__(self, "unseen_classes", _as_label_vector(self.unseen_classes, "unseen_classes"))
+        for name in ("visual_seen", "visual_unseen", "prototypes"):
+            object.__setattr__(self, name, _as_feature_matrix(getattr(self, name), name))
+        for name in ("labels_seen", "labels_unseen", "seen_classes", "unseen_classes"):
+            object.__setattr__(self, name, _as_label_vector(getattr(self, name), name))
         self._validate()
 
     def _validate(self):
@@ -262,20 +259,13 @@ def save_manifest(dataset: ZslDataset, manifest_path) -> Path:
     manifest_path = Path(manifest_path)
     out_dir = manifest_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_matrix(out_dir / "visual_seen.csv", dataset.visual_seen)
-    write_labels(out_dir / "labels_seen.csv", dataset.labels_seen)
-    write_matrix(out_dir / "visual_unseen.csv", dataset.visual_unseen)
-    write_labels(out_dir / "labels_unseen.csv", dataset.labels_unseen)
-    write_matrix(out_dir / "prototypes.csv", dataset.prototypes)
-    spec = {
-        "visual_seen": "visual_seen.csv",
-        "labels_seen": "labels_seen.csv",
-        "visual_unseen": "visual_unseen.csv",
-        "labels_unseen": "labels_unseen.csv",
-        "prototypes": "prototypes.csv",
-        "seen_classes": dataset.seen_classes.tolist(),
-        "unseen_classes": dataset.unseen_classes.tolist(),
-    }
+    spec = {}
+    for key in FILE_KEYS:
+        spec[key] = f"{key}.csv"
+        write = write_labels if key.startswith("labels") else write_matrix
+        write(out_dir / spec[key], getattr(dataset, key))
+    for key in ("seen_classes", "unseen_classes"):
+        spec[key] = getattr(dataset, key).tolist()
     with open(manifest_path, "w") as fh:
         json.dump(spec, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -339,6 +329,8 @@ class SynthSpec:
                 raise InvalidSpecError(f"{name} must be a positive integer, got {value!r}")
         if self.noise_sigma < 0 or not math.isfinite(self.noise_sigma):
             raise InvalidSpecError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
+        if not 0 <= self.seed < 2**63:  # the planted model's archive stores it
+            raise InvalidSpecError(f"seed must be in [0, 2**63), got {self.seed!r}")
         total = self.num_seen_classes + self.num_unseen_classes
         if self.k < total:
             raise InvalidSpecError(

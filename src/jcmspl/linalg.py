@@ -94,12 +94,23 @@ def symmetric_eigen(M, name: str = "M") -> SymmetricEigen:
     return SymmetricEigen(values=values, vectors=vectors)
 
 
+def _pair_sums(ev_r, ev_s):
+    """The eigenvalue-pair sums ``ev_r[i] + ev_s[j]``, or None when one is
+    at most ``1e-12 * (max|ev_r| + max|ev_s|)`` (or that scale is 0): then
+    the Sylvester equation has no unique solution at working precision."""
+    denom = np.add.outer(ev_r, ev_s)
+    scale = np.max(np.abs(ev_r)) + np.max(np.abs(ev_s))
+    if scale == 0.0 or np.min(np.abs(denom)) <= DEGENERATE_PAIR_RTOL * scale:
+        return None
+    return denom
+
+
 def sylvester_unique_check(R, S) -> bool:
     """Return True when ``R Z + Z S = T`` has a unique solution for every T.
 
     Uniqueness holds exactly when no eigenvalue of ``R`` is the negative
-    of an eigenvalue of ``S``.  Eigenvalue sums are compared against
-    ``1e-12 * (||R||_F + ||S||_F)``.
+    of an eigenvalue of ``S``.  Eigenvalue-pair sums are judged by the
+    rule ``sylvester_solve`` applies.
     """
     R = as_matrix(R, "R")
     S = as_matrix(S, "S")
@@ -107,8 +118,7 @@ def sylvester_unique_check(R, S) -> bool:
     _require_square(S, "S")
     ev_r = np.linalg.eigvalsh(0.5 * (R + R.T))
     ev_s = np.linalg.eigvalsh(0.5 * (S + S.T))
-    tol = DEGENERATE_PAIR_RTOL * (np.linalg.norm(R) + np.linalg.norm(S))
-    return bool(np.min(np.abs(np.add.outer(ev_r, ev_s))) > tol)
+    return _pair_sums(ev_r, ev_s) is not None
 
 
 def sylvester_solve(R, S, T) -> np.ndarray:
@@ -147,9 +157,8 @@ def sylvester_solve(R, S, T) -> np.ndarray:
         raise DimensionMismatchError(
             f"T must have shape ({r}, {s}), got {T.shape}"
         )
-    denom = np.add.outer(eig_r.values, eig_s.values)
-    scale = np.max(np.abs(eig_r.values)) + np.max(np.abs(eig_s.values))
-    if scale == 0.0 or np.min(np.abs(denom)) <= DEGENERATE_PAIR_RTOL * scale:
+    denom = _pair_sums(eig_r.values, eig_s.values)
+    if denom is None:
         raise NonUniqueError(
             "eigenvalue-pair sum vanishes; Sylvester equation has no "
             "unique solution"

@@ -12,7 +12,7 @@ is defined.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,18 +66,10 @@ class EvalReport:
                 )
 
     def to_dict(self) -> dict:
-        return {
-            "overall_accuracy": self.overall_accuracy,
-            "per_class_mean_accuracy": self.per_class_mean_accuracy,
-            "direction": self.direction,
-            "distance": self.distance,
-            "hit_at_k": None
-            if self.hit_at_k is None
-            else {"k": self.hit_at_k[0], "fraction": self.hit_at_k[1]},
-            "acc_s": self.acc_s,
-            "acc_u": self.acc_u,
-            "hm": self.hm,
-        }
+        fields = asdict(self)
+        if self.hit_at_k is not None:
+            fields["hit_at_k"] = {"k": self.hit_at_k[0], "fraction": self.hit_at_k[1]}
+        return fields
 
 
 def _check_fraction(value, name):
@@ -289,6 +281,8 @@ def gzsl_holdout_indices(labels_seen, seen_classes, fraction: float, seed: int):
     """
     if not (0.0 < fraction < 1.0):
         raise InvalidFractionError(f"fraction must be in (0, 1), got {fraction}")
+    if seed < 0:
+        raise OutOfRangeError(f"seed must be >= 0, got {seed}")
     labels = np.asarray(labels_seen, dtype=np.int64)
     rng = np.random.default_rng(seed)
     picked = []

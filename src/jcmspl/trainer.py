@@ -93,6 +93,10 @@ class Hyperparams:
             raise InvalidHyperparamsError(f"k must be a positive integer, got {self.k!r}")
         if self.t_max < 1:
             raise InvalidHyperparamsError(f"t_max must be >= 1, got {self.t_max}")
+        for name in ("k", "t_max", "seed"):  # signed 64-bit fields of the archive
+            value = getattr(self, name)
+            if not 0 <= value < 2**63:
+                raise InvalidHyperparamsError(f"{name} must be in [0, 2**63), got {value}")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise InvalidHyperparamsError(f"tol must be positive, got {self.tol}")
         for name in ("lambda1", "lambda2", "lambda3", "lambda4", "ridge_eps"):
@@ -274,14 +278,17 @@ def _solve_block(M, N, N_eig: SymmetricEigen, T, ridge_eps, block):
     """Solve ``M Z + Z N = T`` given the eigendecomposition of the fixed
     Gram ``N``.
 
-    Returns Z and the strong-convexity modulus of the block subproblem,
-    ``lambda_min(M) + lambda_min(N)`` clipped at 0, read off the two
-    eigendecompositions the solve uses.
+    Returns Z, the strong-convexity modulus of the block subproblem,
+    ``lambda_min(M) + lambda_min(N)`` clipped at 0, and the ridge message,
+    or None when the pair is nonsingular.  A singular pair is solved as
+    ``(M + eps/2 I) Z + Z (N + eps/2 I) = T``, whose Grams have the same
+    eigenvectors and eigenvalues shifted by ``eps/2``: nothing is
+    decomposed again.
     """
     M_eig = symmetric_eigen(M, "M")
     modulus = max(float(M_eig.values[0] + N_eig.values[0]), 0.0)
     try:
-        return sylvester_solve(M_eig, N_eig, T), modulus
+        return sylvester_solve(M_eig, N_eig, T), modulus, None
     except NonUniqueError:
         if ridge_eps <= 0:
             raise
@@ -290,14 +297,19 @@ def _solve_block(M, N, N_eig: SymmetricEigen, T, ridge_eps, block):
         if scale <= 0:
             scale = 1.0
         eps = ridge_eps * scale
-        warnings.warn(
-            f"{block}-update Gram pair is singular; applying ridge eps={eps:.3e}",
-            RidgeWarning,
-            stacklevel=3,
-        )
-        M_r = M + 0.5 * eps * np.eye(M.shape[0])
-        N_r = N + 0.5 * eps * np.eye(N.shape[0])
-        return sylvester_solve(M_r, N_r, T), modulus
+        M_r = SymmetricEigen(M_eig.values + 0.5 * eps, M_eig.vectors)
+        N_r = SymmetricEigen(N_eig.values + 0.5 * eps, N_eig.vectors)
+        message = f"{block}-update Gram pair is singular; applying ridge eps={eps:.3e}"
+        return sylvester_solve(M_r, N_r, T), modulus, message
+
+
+def _solve_update(M, N, T, ridge_eps, block) -> np.ndarray:
+    """Z of ``_solve_block``, whose ridge message becomes a RidgeWarning
+    at the caller of ``update_A`` or ``update_B``."""
+    Z, _, message = _solve_block(M, N, symmetric_eigen(N, "N"), T, ridge_eps, block)
+    if message is not None:
+        warnings.warn(message, RidgeWarning, stacklevel=3)
+    return Z
 
 
 def update_A(C, X, lambda3, ridge_eps: float = 0.0) -> np.ndarray:
@@ -308,15 +320,13 @@ def update_A(C, X, lambda3, ridge_eps: float = 0.0) -> np.ndarray:
     positive ``ridge_eps`` falls back to a damped solve (with a
     RidgeWarning), otherwise NonUniqueError propagates.
     """
-    M, N, T = a_update_operands(C, X, lambda3)
-    return _solve_block(M, N, symmetric_eigen(N, "N"), T, ridge_eps, "A")[0]
+    return _solve_update(*a_update_operands(C, X, lambda3), ridge_eps, "A")
 
 
 def update_B(C, Y, lambda1, lambda4, ridge_eps: float = 0.0) -> np.ndarray:
     """Exact minimizer over B: solves
     ``lambda4 C C^T B + B (lambda1 Y Y^T) = (lambda1 + lambda4) C Y^T``."""
-    M, N, T = b_update_operands(C, Y, lambda1, lambda4)
-    return _solve_block(M, N, symmetric_eigen(N, "N"), T, ridge_eps, "B")[0]
+    return _solve_update(*b_update_operands(C, Y, lambda1, lambda4), ridge_eps, "B")
 
 
 def update_C(A, B, X, Y, H, hyper: Hyperparams) -> np.ndarray:
@@ -537,18 +547,15 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
     )
     for t in range(1, hyper.t_max + 1):
         CC = C @ C.T
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            A_next, m_a = _solve_block(
-                eff.lambda3 * CC, xx, x_eig,
-                (1.0 + eff.lambda3) * (C @ Xw.T), eff.ridge_eps, "A",
-            )
-            B_next, m_b = _solve_block(
-                eff.lambda4 * CC, y_gram, y_eig,
-                (eff.lambda1 + eff.lambda4) * (C @ Yw.T), eff.ridge_eps, "B",
-            )
-        for w in caught:
-            trace.warnings.append(f"iteration {t}: {w.message}")
+        A_next, m_a, ridge_a = _solve_block(
+            eff.lambda3 * CC, xx, x_eig,
+            (1.0 + eff.lambda3) * (C @ Xw.T), eff.ridge_eps, "A",
+        )
+        B_next, m_b, ridge_b = _solve_block(
+            eff.lambda4 * CC, y_gram, y_eig,
+            (eff.lambda1 + eff.lambda4) * (C @ Yw.T), eff.ridge_eps, "B",
+        )
+        trace.warnings += [f"iteration {t}: {r}" for r in (ridge_a, ridge_b) if r]
         m_c = float(np.linalg.eigvalsh(_c_hessian(A_next, B_next, eff))[0])
         C_next = update_C(A_next, B_next, Xw, Yw, Hw, eff)
         deltas = (

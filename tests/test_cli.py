@@ -196,6 +196,39 @@ def test_config_errors(synth_dir, tmp_path):
                 "--spc", "8"]) == 2
 
 
+def assert_config_error(rc, capsys, command):
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith(f"jcmspl {command}: error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--seed", "-1"), ("--seed", str(10**20)), ("--t-max", str(10**20)), ("--k", str(10**20)),
+])
+def test_train_flags_outside_int64_exit_2(synth_dir, tmp_path, capsys, flag, value):
+    argv = ["train", "--manifest", str(synth_dir / "manifest.json"),
+            "--out", str(tmp_path / "out"), "--k", "6", "--t-max", "2"]
+    rc = run(argv + [flag, value])
+    assert flag.lstrip("-").replace("-", "_") in assert_config_error(rc, capsys, "train")
+    assert not (tmp_path / "out" / "model.bin").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**63)])
+def test_synth_seed_outside_int64_exits_2(tmp_path, capsys, seed):
+    rc = run(["synth", "--out", str(tmp_path / "out"), "--seed", seed])
+    assert "seed" in assert_config_error(rc, capsys, "synth")
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_gzsl_negative_seed_exits_2(synth_dir, trained_dir, tmp_path, capsys):
+    rc = run(["eval", "--model", str(trained_dir / "model.bin"),
+              "--manifest", str(synth_dir / "manifest.json"),
+              "--out", str(tmp_path), "--gzsl", "--seed", "-1"])
+    assert "seed" in assert_config_error(rc, capsys, "eval")
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_preset_sets_lambdas_and_flags_override(synth_dir, tmp_path):
     rc = run(["train", "--manifest", str(synth_dir / "manifest.json"),
               "--out", str(tmp_path), "--k", "6", "--t-max", "3",

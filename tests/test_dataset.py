@@ -256,3 +256,10 @@ def test_synth_spec_validation():
         SynthSpec(noise_sigma=-0.1)
     with pytest.raises(InvalidSpecError):
         SynthSpec(samples_per_class=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63, 10**20])
+def test_synth_spec_rejects_seeds_outside_int64(seed):
+    with pytest.raises(InvalidSpecError, match="seed"):
+        SynthSpec(seed=seed)
+    assert SynthSpec(seed=2**63 - 1).seed == 2**63 - 1

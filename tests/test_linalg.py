@@ -145,6 +145,15 @@ def test_unique_check_cases():
     assert sylvester_unique_check(np.diag([0.0, 1.0]), np.diag([2.0, 3.0])) is True
 
 
+def test_unique_check_uses_the_solver_rule():
+    # the pair sum 5e-12 is above 1e-12 * (max|eig R| + max|eig S|) = 2e-12,
+    # the solver's threshold, though below 1e-12 * (||R||_F + ||S||_F)
+    R, S = np.eye(100), np.array([[-1.0 + 5e-12]])
+    assert sylvester_unique_check(R, S) is True
+    Z = sylvester_solve(R, S, np.ones((100, 1)))
+    assert np.allclose(R @ Z + Z @ S, 1.0, rtol=0, atol=1e-3)
+
+
 def test_unique_check_matches_solver_acceptance():
     rng = np.random.default_rng(21)
     for _ in range(20):

@@ -291,6 +291,11 @@ def test_gzsl_holdout_is_seeded_and_stratified():
         gzsl_holdout_indices(labels, [3, 5, 8], 1.0, seed=0)
 
 
+def test_gzsl_holdout_rejects_a_negative_seed():
+    with pytest.raises(OutOfRangeError, match="seed"):
+        gzsl_holdout_indices(np.repeat([3, 5], 10), [3, 5], 0.2, seed=-1)
+
+
 def test_eval_generalized_perfect_and_deterministic():
     ds, planted = synth_generate(SynthSpec(noise_sigma=0.0))
     model = planted_as_model(planted)

@@ -1,9 +1,12 @@
 import csv
+import dataclasses
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from jcmspl.cli import PRESETS
 from jcmspl.dataset import (
     SynthSpec,
     ZslDataset,
@@ -18,6 +21,7 @@ from jcmspl.errors import (
     TooFewRowsError,
     UnknownClassIdError,
 )
+from jcmspl.linalg import sylvester_unique_check
 from jcmspl.trainer import (
     Hyperparams,
     RidgeWarning,
@@ -76,6 +80,16 @@ def test_hyperparams_validation():
         Hyperparams(k=3, tol=0.0)
     with pytest.raises(InvalidHyperparamsError):
         Hyperparams(k=3, t_max=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", -1), ("seed", 2**63), ("k", 2**63), ("t_max", 10**20),
+])
+def test_hyperparams_reject_values_outside_the_archive_range(field, value):
+    # seed, k and t_max are written to the archive as signed 64-bit ints
+    with pytest.raises(InvalidHyperparamsError, match=field):
+        Hyperparams(**{"k": 3, field: value})
+    Hyperparams(**{"k": 3, field: 2**63 - 1})
 
 
 def test_variant_forcing():
@@ -284,6 +298,70 @@ def test_update_ridge_fallback():
     assert np.all(np.isfinite(A))
 
 
+@pytest.mark.parametrize("block", ["A", "B"])
+def test_ridge_solve_satisfies_the_shifted_equation(block):
+    # default synth: X X^T has rank 40 < m = 50 and Y Y^T rank 10 < d = 20,
+    # and lambda3 = lambda4 = 0 zeroes the left Gram, so both pairs are
+    # singular and the solve must take the ridge
+    dataset, _ = synth_generate(SynthSpec())
+    C = np.random.default_rng(5).standard_normal((40, dataset.n_seen))
+    Y = expand_prototypes(dataset.prototypes, dataset.labels_seen)
+    with pytest.warns(RidgeWarning, match=f"{block}-update Gram pair is singular") as caught:
+        if block == "A":
+            M, N, T = a_update_operands(C, dataset.visual_seen, 0.0)
+            Z = update_A(C, dataset.visual_seen, 0.0, ridge_eps=1e-8)
+        else:
+            M, N, T = b_update_operands(C, Y, 1.0, 0.0)
+            Z = update_B(C, Y, 1.0, 0.0, ridge_eps=1e-8)
+    assert caught[0].filename == __file__  # reported at the caller
+    assert not sylvester_unique_check(M, N)
+    eps = 1e-8 * (np.trace(M) + np.trace(N)) / (M.shape[0] + N.shape[0])
+    M_r = M + 0.5 * eps * np.eye(M.shape[0])
+    N_r = N + 0.5 * eps * np.eye(N.shape[0])
+    residual = np.linalg.norm(M_r @ Z + Z @ N_r - T)
+    scale = (np.linalg.norm(M_r, 2) + np.linalg.norm(N_r, 2)) * np.linalg.norm(Z) \
+        + np.linalg.norm(T)
+    print(f"{block}: eps={eps:.3e}, backward error {residual / scale:.1e}")
+    assert residual <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("variant", ["jcmspl0", "ipl"])
+def test_ridge_fit_records_its_events_without_issuing_warnings(variant):
+    dataset, _ = synth_generate(SynthSpec())
+    hyper = Hyperparams(k=40, variant=variant)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, trace = fit(dataset, hyper)
+    *_, iterations, ridge = direct_fit(dataset, hyper)
+    print(f"{variant}: {len(trace.warnings)} ridge events in {trace.iterations} iterations")
+    assert trace.iterations == iterations
+    assert trace.warnings == ridge
+    assert len(ridge) == 2 * iterations  # both blocks, every iteration
+    for t, (a, b) in enumerate(zip(ridge[::2], ridge[1::2]), start=1):
+        assert re.fullmatch(rf"iteration {t}: A-update Gram pair is singular; "
+                            r"applying ridge eps=\d\.\d{3}e[-+]\d\d", a)
+        assert b.startswith(f"iteration {t}: B-update Gram pair is singular; ")
+
+
+@pytest.mark.parametrize("variant", ["full", "jcmspl0"])
+def test_fit_decomposes_each_gram_once(monkeypatch, variant):
+    # X X^T, Y Y^T and the factor's Gram once, the left Gram of each block
+    # once per iteration; the ridge (every jcmspl0 iteration) shifts the
+    # eigenvalues it already has and decomposes nothing
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    dataset, _ = synth_generate(SynthSpec())
+    _, trace = fit(dataset, Hyperparams(k=40, variant=variant))
+    assert bool(trace.warnings) == (variant == "jcmspl0")
+    assert len(calls) == 3 + 2 * trace.iterations
+
+
 def test_fpl_examples():
     rng = np.random.default_rng(12)
     Y = rng.standard_normal((3, 4))
@@ -483,7 +561,8 @@ def test_trace_csv_round_trip(tmp_path):
 def direct_fit(dataset, hyper):
     """Reference loop: every iteration on the n-wide data, as ``fit`` ran
     before it switched to the Gram factor.  Returns (A, B, C, losses,
-    iterations, ridge_warned)."""
+    iterations, ridge_warned), where ridge_warned lists the RidgeWarnings
+    of the block updates in the ``trace.warnings`` format of ``fit``."""
     X = dataset.visual_seen
     Y = expand_prototypes(dataset.prototypes, dataset.labels_seen)
     eff = hyper.effective()
@@ -496,13 +575,13 @@ def direct_fit(dataset, hyper):
     C = 0.01 * rng.standard_normal((hyper.k, dataset.n_seen))
     f_prev = loss(A, B, C, X, Y, H, eff)
     losses = [f_prev]
-    ridge_warned = False
-    for _ in range(hyper.t_max):
+    ridge_warned = []
+    for t in range(1, hyper.t_max + 1):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             A = update_A(C, X, eff.lambda3, eff.ridge_eps)
             B = update_B(C, Y, eff.lambda1, eff.lambda4, eff.ridge_eps)
-        ridge_warned = ridge_warned or bool(caught)
+        ridge_warned += [f"iteration {t}: {w.message}" for w in caught]
         C = update_C(A, B, X, Y, H, eff)
         f_t = loss(A, B, C, X, Y, H, eff)
         losses.append(f_t)
@@ -557,6 +636,76 @@ def test_fit_on_gram_factor_agrees_with_direct_loop(variant, noise):
     if not ridge_warned and noise > 0:
         assert np.linalg.norm(model.A - A) <= 1e-10 * np.linalg.norm(A)
         assert np.linalg.norm(model.B - B) <= 1e-10 * np.linalg.norm(B)
+
+
+def with_ulp_noise(dataset, seed):
+    """``dataset`` with every visual feature and prototype entry moved by
+    one ulp up or down, the direction drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+
+    def nudge(M):
+        up = rng.integers(0, 2, size=M.shape).astype(bool)
+        return np.where(up, np.nextafter(M, np.inf), np.nextafter(M, -np.inf))
+
+    return dataclasses.replace(dataset, visual_seen=nudge(dataset.visual_seen),
+                               prototypes=nudge(dataset.prototypes))
+
+
+def fit_distances(losses, A, B, ref):
+    """Worst trace-loss gap over ``1 + f`` and the relative A and B gaps
+    of a run (losses, A, B) from the ``direct_fit`` result ``ref``."""
+    A_ref, B_ref, _, losses_ref, _, _ = ref
+    return (
+        max(abs(f - f_ref) / (1.0 + f_ref) for f, f_ref in zip(losses, losses_ref)),
+        np.linalg.norm(A - A_ref) / np.linalg.norm(A_ref),
+        np.linalg.norm(B - B_ref) / np.linalg.norm(B_ref),
+    )
+
+
+NON_UNIT_LAMBDAS = {
+    **PRESETS,
+    "random": {"lambda1": 0.7, "lambda2": 2.3, "lambda3": 0.31, "lambda4": 3.7},
+}
+# (lambda set, variant, noise); the jcmspl0 and ipl cases take the ridge
+# on every iteration
+FLOOR_CASES = [
+    ("awa", "jcmspl1", 0.05),
+    ("awa", "jcmspl0", 0.05),
+    ("cub", "ipl", 0.05),
+    ("sun", "jcmspl1", 0.05),
+    ("imnet", "full", 0.05),
+    ("random", "full", 0.05),
+    ("random", "jcmspl0", 0.0),
+]
+
+
+@pytest.mark.parametrize("lambdas,variant,noise", FLOOR_CASES)
+def test_fit_agrees_with_direct_loop_within_its_perturbation_floor(lambdas, variant, noise):
+    # Beyond unit lambda the fixed bounds of the test above cannot hold:
+    # the direct loop itself moves by more under a 1-ulp change to its
+    # data.  That spread (the larger of two seeded nudges) is the floor;
+    # fit must stay within a small multiple of it, plus the fixed bounds.
+    # The nudge covers the prototypes too, since the factor rounds
+    # products of Y as well as of X.  t_max = 12 keeps the three direct
+    # loops short: the awa and imnet fits run to 100 and 23 iterations.
+    dataset, _ = synth_generate(SynthSpec(noise_sigma=noise))
+    hyper = Hyperparams(k=40, variant=variant, t_max=12, **NON_UNIT_LAMBDAS[lambdas])
+    model, trace = fit(dataset, hyper)
+    ref = direct_fit(dataset, hyper)
+    iterations, ridge = ref[4:]
+    floor = np.zeros(3)
+    for seed in (0, 1):
+        A, B, _, losses, nudged_iterations, _ = direct_fit(with_ulp_noise(dataset, seed), hyper)
+        assert nudged_iterations == iterations
+        floor = np.maximum(floor, fit_distances(losses, A, B, ref))
+    assert trace.iterations == iterations
+    gap = fit_distances(trace.losses, model.A, model.B, ref)
+    print(f"{lambdas} {variant} noise={noise}: iterations={iterations} "
+          f"ridge={len(ridge)} floor (loss, A, B) = "
+          + ", ".join(f"{v:.1e}" for v in floor)
+          + "; fit gap = " + ", ".join(f"{v:.1e}" for v in gap))
+    for value, floor_value, fixed in zip(gap, floor, (1e-12, 1e-10, 1e-10)):
+        assert value <= 10.0 * floor_value + fixed
 
 
 def test_n_wide_work_happens_a_fixed_number_of_times(monkeypatch):
