@@ -15,7 +15,8 @@ class wins:
 - 3 data errors: a missing or malformed manifest, CSV file or model
   archive, and any OS error on an input or output path;
 - 4 numerical failures during training (trainer and linear-algebra
-  errors);
+  errors), and ``MemoryError``: an allocation no memory can hold, such
+  as the k x c block indicators of ``--k 1000000000000000`` (71 PiB);
 - 5 model/dataset mismatches at evaluation time (dimension mismatches
   and recognizer errors).
 
@@ -111,6 +112,7 @@ EXIT_CODES = {
     JcmsplError: EXIT_TRAIN,
     TrainerError: EXIT_TRAIN,
     LinalgError: EXIT_TRAIN,
+    MemoryError: EXIT_TRAIN,
     DimensionMismatchError: EXIT_EVAL,
     RecognizerError: EXIT_EVAL,
 }

@@ -198,25 +198,47 @@ def sylvester_oracle(R, S, T) -> np.ndarray:
     return z.reshape((r, s), order="F")
 
 
-def solve_spd(M, rhs) -> np.ndarray:
-    """Solve ``M X = rhs`` for symmetric positive definite ``M``.
+@dataclass(frozen=True)
+class CholeskyFactor:
+    """Lower Cholesky factor of a symmetric positive definite matrix, in
+    the ``(c, lower)`` form of ``scipy.linalg.cho_factor``."""
 
-    Uses a Cholesky factorization; a failed factorization is reported as
-    ``NotPositiveDefiniteError``.  ``rhs`` may be a vector or a matrix of
-    stacked right-hand-side columns.
+    factor: tuple
+
+
+def cholesky_factor(M, name: str = "M") -> CholeskyFactor:
+    """Factor a symmetric positive definite matrix.
+
+    Symmetry is checked up to relative roundoff and the input is
+    symmetrized first; a failed factorization is reported as
+    ``NotPositiveDefiniteError``.
     """
-    M = as_matrix(M, "M")
-    _require_square(M, "M")
-    Ms = _require_symmetric(M, "M")
-    b = np.asarray(rhs, dtype=np.float64)
-    if not np.all(np.isfinite(b)):
-        raise NonFiniteError("rhs contains non-finite entries")
-    if b.shape[0] != M.shape[0]:
-        raise DimensionMismatchError(
-            f"rhs must have {M.shape[0]} rows, got {b.shape[0]}"
-        )
+    M = as_matrix(M, name)
+    _require_square(M, name)
+    Ms = _require_symmetric(M, name)
     try:
-        factor = scipy.linalg.cho_factor(Ms, lower=True)
+        return CholeskyFactor(scipy.linalg.cho_factor(Ms, lower=True))
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
-    return scipy.linalg.cho_solve(factor, b)
+
+
+def solve_spd(M, rhs, overwrite_rhs: bool = False) -> np.ndarray:
+    """Solve ``M X = rhs`` for symmetric positive definite ``M``.
+
+    ``M`` is a matrix, factored by ``cholesky_factor``, or the
+    ``CholeskyFactor`` of one when the caller solves many right-hand
+    sides against it.  ``rhs`` may be a vector or a matrix of stacked
+    right-hand-side columns; it must be finite.  With ``overwrite_rhs``
+    the solve is done in place: ``rhs`` must then be an F-contiguous
+    float64 array, and it holds the solution on return.
+    """
+    chol = M if isinstance(M, CholeskyFactor) else cholesky_factor(M, "M")
+    b = np.asarray(rhs, dtype=np.float64)
+    if overwrite_rhs and not (b is rhs and b.flags.f_contiguous):
+        raise ValueError("an in-place solve needs an F-contiguous float64 rhs")
+    if not np.all(np.isfinite(b)):
+        raise NonFiniteError("rhs contains non-finite entries")
+    size = chol.factor[0].shape[0]
+    if b.shape[0] != size:
+        raise DimensionMismatchError(f"rhs must have {size} rows, got {b.shape[0]}")
+    return scipy.linalg.cho_solve(chol.factor, b, overwrite_b=overwrite_rhs)

@@ -29,8 +29,11 @@ some Q with orthonormal columns, which preserves every norm and Gram in
 the objective, and an iteration costs the same whatever the sample
 count.  Since ``[Y; H]`` is a per-class matrix times the one-hot of the
 labels, its Gram blocks come from per-class sums.  The n-wide data is
-read once for the Grams and class sums, and once after the loop for the
-returned C and the final loss.
+read once for the Grams and class sums, and once after the loop, in one
+sweep over blocks of ``CHUNK`` columns, for the returned C and the final
+loss: each block's ``A X`` serves both the C step and the five
+residuals, and no temporary is wider than a block.  ``loss`` sums
+over the same blocks, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -52,9 +55,18 @@ from .errors import (
     TooFewRowsError,
     UnknownClassIdError,
 )
-from .linalg import SymmetricEigen, solve_spd, sylvester_solve, symmetric_eigen
+from .linalg import (
+    SymmetricEigen,
+    cholesky_factor,
+    solve_spd,
+    sylvester_solve,
+    symmetric_eigen,
+)
 
 VARIANTS = ("full", "jcmspl1", "jcmspl0", "ipl", "fpl")
+# columns per block of the n-wide passes (``loss`` and the final pass of
+# ``fit``): their temporaries are at most max(m, d, k) x CHUNK
+CHUNK = 1024
 
 
 class RidgeWarning(RuntimeWarning):
@@ -232,21 +244,55 @@ def _check_joint_shapes(A, B, C, X, Y, H, hyper):
             raise ShapeMismatchError(f"H must be ({k}, {n}), got {H.shape}")
 
 
+def _column_blocks(n: int) -> list[slice]:
+    return [slice(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK)]
+
+
+def _residual_norms(first, A, B, C, X, Y, H, hyper: Hyperparams) -> list[float]:
+    """The squared norms of the five residuals of the objective on one
+    column block, in the order of its terms (0.0 for the H term when
+    lambda2 is zero).  The caller passes the ``first``, that of
+    ``A X - C``, and so decides how long its ``A X`` lives."""
+    return [
+        first,
+        _fro2_minus(B @ Y, C),
+        _fro2(C - H) if hyper.lambda2 > 0 else 0.0,
+        _fro2_minus(A.T @ C, X),
+        _fro2_minus(B.T @ C, Y),
+    ]
+
+
+def _add_norms(totals, block) -> list[float]:
+    return [total + value for total, value in zip(totals, block)]
+
+
+def _objective(norms, hyper: Hyperparams) -> float:
+    """The objective from the five squared residual norms."""
+    value = 0.5 * norms[0]
+    value += 0.5 * hyper.lambda1 * norms[1]
+    if hyper.lambda2 > 0:
+        value += 0.5 * hyper.lambda2 * norms[2]
+    value += 0.5 * hyper.lambda3 * norms[3]
+    value += 0.5 * hyper.lambda4 * norms[4]
+    return value
+
+
 def loss(A, B, C, X, Y, H, hyper: Hyperparams) -> float:
     """Evaluate the five-term joint objective at (A, B, C).
 
     Uses the lambda values exactly as given in ``hyper``; variant
     zeroing is the caller's concern.  ``H`` may be None when lambda2 is
-    zero.
+    zero.  Each residual is summed over blocks of ``CHUNK`` columns, the
+    blocks of ``fit``'s final pass, so no temporary is n wide.
     """
     _check_joint_shapes(A, B, C, X, Y, H, hyper)
-    value = 0.5 * _fro2_minus(A @ X, C)
-    value += 0.5 * hyper.lambda1 * _fro2_minus(B @ Y, C)
-    if hyper.lambda2 > 0:
-        value += 0.5 * hyper.lambda2 * _fro2(C - H)
-    value += 0.5 * hyper.lambda3 * _fro2_minus(A.T @ C, X)
-    value += 0.5 * hyper.lambda4 * _fro2_minus(B.T @ C, Y)
-    return value
+    norms = [0.0] * 5
+    for j in _column_blocks(C.shape[1]):
+        Hj = H[:, j] if hyper.lambda2 > 0 else None
+        first = _fro2_minus(A @ X[:, j], C[:, j])
+        norms = _add_norms(norms, _residual_norms(
+            first, A, B, C[:, j], X[:, j], Y[:, j], Hj, hyper))
+    return _objective(norms, hyper)
 
 
 def loss_gradients(A, B, C, X, Y, H, hyper: Hyperparams):
@@ -334,6 +380,11 @@ def update_C(A, B, X, Y, H, hyper: Hyperparams) -> np.ndarray:
 
     ``((1 + l1 + l2) I + l3 A A^T + l4 B B^T) C
         = l2 H + (1 + l3) A X + (l1 + l4) B Y``.
+
+    The right-hand side is formed and solved one column block of
+    ``loss`` at a time, with one Cholesky factor for all blocks: a
+    product's rounding can depend on its width, so ``fit``'s final pass,
+    which works on the same blocks, returns exactly this C.
     """
     l1, l2, l3, l4 = hyper.lambda1, hyper.lambda2, hyper.lambda3, hyper.lambda4
     k = A.shape[0]
@@ -341,17 +392,62 @@ def update_C(A, B, X, Y, H, hyper: Hyperparams) -> np.ndarray:
         raise ShapeMismatchError(f"A and B disagree on k: {k} vs {B.shape[0]}")
     if l2 > 0 and H is None:
         raise ShapeMismatchError("H is required when lambda2 > 0")
-    # the n-wide right-hand side is accumulated in place
-    rhs = A @ X
-    rhs *= 1.0 + l3
+    chol = cholesky_factor(_c_hessian(A, B, hyper), "M")
+    C = np.empty((k, X.shape[1]), order="F")
+    for j in _column_blocks(X.shape[1]):
+        Hj = H[:, j] if l2 > 0 else None
+        _solve_c_block(chol, A @ X[:, j], B, Y[:, j], Hj, hyper, C[:, j])
+    return C
+
+
+def _solve_c_block(chol, AX, B, Y, H, hyper: Hyperparams, out) -> None:
+    """Solve the C step for one column block into ``out``, an F-contiguous
+    block of C, from ``AX = A X`` of the block, which is left as it is.
+
+    The right-hand side ``l2 H + (1 + l3) A X + (l1 + l4) B Y`` is
+    accumulated in ``out`` and solved there, so beside AX the block takes
+    one temporary.  F order is what a Cholesky solve works in, and a C of
+    one block is laid out as a single solve would return it.
+    """
+    l1, l2, l3, l4 = hyper.lambda1, hyper.lambda2, hyper.lambda3, hyper.lambda4
+    np.multiply(AX, 1.0 + l3, out=out)
     term = B @ Y
     term *= l1 + l4
-    rhs += term
+    out += term
     if l2 > 0:
         np.multiply(H, l2, out=term)
-        rhs += term
+        out += term
     del term
-    return solve_spd(_c_hessian(A, B, hyper), rhs)
+    solve_spd(chol, out, overwrite_rhs=True)
+
+
+def _final_pass(A, B, dataset: ZslDataset, positions, indicators, hyper: Hyperparams):
+    """``(C, f)``: the C step on the n-wide data and the objective there,
+    in one sweep over the column blocks of ``loss``.
+
+    C is bit-identical to ``update_C`` and f to ``loss`` at C, with the
+    n-wide Y and H of ``expand_prototypes`` and ``build_class_matrix``.
+    Each block's ``A X`` serves both the C step and the residuals.  Its
+    Y columns are gathered as ``expand_prototypes`` gathers them, since a
+    product with a differently laid out Y rounds differently; its H
+    columns as booleans, which hold the 0/1 entries exactly in an eighth
+    of the memory.
+    """
+    X = dataset.visual_seen
+    chol = cholesky_factor(_c_hessian(A, B, hyper), "M")
+    flags = indicators.astype(bool) if hyper.lambda2 > 0 else None
+    C = np.empty((A.shape[0], X.shape[1]), order="F")
+    norms = [0.0] * 5
+    for j in _column_blocks(X.shape[1]):
+        Y = expand_prototypes(dataset.prototypes, dataset.labels_seen[j])
+        H = flags[:, positions[j]] if flags is not None else None
+        AX = A @ X[:, j]
+        _solve_c_block(chol, AX, B, Y, H, hyper, C[:, j])
+        first = _fro2_minus(AX, C[:, j])
+        del AX
+        norms = _add_norms(norms, _residual_norms(
+            first, A, B, C[:, j], X[:, j], Y, H, hyper))
+    return C, _objective(norms, hyper)
 
 
 def fpl_fit(X, Y, ridge_eps: float = 0.0) -> np.ndarray:
@@ -490,8 +586,13 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
     with n.  Read from the n-wide data: the Grams ``X X^T``, ``Y Y^T``,
     ``C0 X^T``, ``C0 C0^T`` and the per-class sums of X and C0, once,
     before the loop; then, after it, the returned C and the last entry
-    ``losses[-1]``, which are exactly what ``loss()`` gives.  With
-    ``n <= p`` every entry is computed directly on the n-wide data.
+    ``losses[-1]``, which are exactly what ``update_C`` and ``loss()``
+    give.  That final pass runs over blocks of ``CHUNK`` columns, forms
+    each block's ``A X`` once for the C step and the loss, and gathers
+    the Y and H columns of each block as it goes, so beside the returned
+    C no n-wide matrix is allocated after the Grams (the n-wide Y is
+    dropped once ``Y Y^T`` is formed, and the n-wide H never built).
+    With ``n <= p`` every entry is computed directly on the n-wide data.
 
     Returns the model together with a TrainingTrace of losses, block
     step norms, descent constants and any ridge-regularization warnings.
@@ -513,25 +614,30 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
     positions = _class_positions(dataset.labels_seen, dataset.seen_classes)
     # per-class rows V with [Y; H] = V E for the one-hot E of the labels
     V = dataset.prototypes[:, dataset.seen_classes]
-    H = None
+    indicators = None
     if eff.lambda2 > 0:
         indicators = _block_indicators(hyper.k, dataset.c_seen)
-        H = indicators.take(positions, axis=1)
         V = np.vstack([V, indicators])
+    factored = dataset.n_seen > dataset.m + V.shape[0] + hyper.k
+    # the right Grams of the two Sylvester steps are fixed: eigendecompose
+    # them once
+    xx, yy = X @ X.T, Y @ Y.T
+    H = None
+    if factored:
+        Y = None  # the final pass gathers its blocks of Y and H
+    elif indicators is not None:
+        H = indicators.take(positions, axis=1)
 
     rng = np.random.default_rng(hyper.seed)
     A = 0.01 * rng.standard_normal((hyper.k, dataset.m))
     B = 0.01 * rng.standard_normal((hyper.k, dataset.d))
     C = 0.01 * rng.standard_normal((hyper.k, dataset.n_seen))
 
-    # the right Grams of the two Sylvester steps are fixed: eigendecompose
-    # them once
-    xx, yy = X @ X.T, Y @ Y.T
     y_gram = eff.lambda1 * yy
     x_eig, y_eig = symmetric_eigen(xx, "X X^T"), symmetric_eigen(y_gram, "Y Y^T")
     # the data the loop works on: the n-wide matrices or their factor
     Xw, Yw, Hw = X, Y, H
-    if dataset.n_seen > dataset.m + V.shape[0] + hyper.k:
+    if factored:
         # C0 and every later C lie in the row space of [X; Y; H; C0], so
         # the factor carries every Gram and norm the loop needs; the
         # n-wide C0 goes before the eigendecomposition, to keep the
@@ -573,11 +679,12 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
             break
         f_prev = f_t
 
-    if Xw is not X:
+    if factored:
         # back on the n-wide data, so that the model and losses[-1] are
-        # exactly what loss() gives
-        C = update_C(A, B, X, Y, H, eff)
-        trace.losses[-1] = loss(A, B, C, X, Y, H, eff)
+        # exactly what update_C and loss() give; what only the loop used
+        # goes first, to keep the allocation peak down
+        del Xw, Yw, Hw, C, xx, yy, y_gram, x_eig, y_eig
+        C, trace.losses[-1] = _final_pass(A, B, dataset, positions, indicators, eff)
     model = JcmsplModel(A=A, B=B, C=C, variant=hyper.variant, hyper=hyper)
     return model, trace
 

@@ -292,6 +292,21 @@ def test_every_package_error_has_an_exit_code():
     assert exit_code(IsADirectoryError("x")) == 3
 
 
+def test_train_with_an_unallocatable_k_exits_4(tmp_path, capsys):
+    # k = 10**15 is inside the archive's int64 range, but the k x c block
+    # indicators alone would take 71 PiB: numpy refuses the request at
+    # once, allocating nothing
+    assert run(["synth", "--out", str(tmp_path / "data")]) == 0
+    capsys.readouterr()
+    rc = run(["train", "--manifest", str(tmp_path / "data" / "manifest.json"),
+              "--out", str(tmp_path / "out"), "--k", "1000000000000000"])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err.startswith("jcmspl train: error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "model.bin").exists()
+
+
 def assert_data_error(rc, capsys, command):
     err = capsys.readouterr().err
     assert rc == 3, err

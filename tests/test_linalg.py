@@ -11,6 +11,7 @@ from jcmspl.errors import (
     TooLargeError,
 )
 from jcmspl.linalg import (
+    cholesky_factor,
     solve_spd,
     sylvester_oracle,
     sylvester_solve,
@@ -236,3 +237,23 @@ def test_solve_spd_residual():
 def test_solve_spd_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         solve_spd(np.diag([1.0, -1.0]), np.ones(2))
+    with pytest.raises(NotPositiveDefiniteError):
+        cholesky_factor(np.diag([1.0, -1.0]))
+
+
+def test_solve_spd_with_one_factor_per_block_and_in_place():
+    rng = np.random.default_rng(3)
+    M = random_psd(rng, 6, shift=0.5)
+    rhs = rng.standard_normal((6, 9))
+    whole = solve_spd(M, rhs)
+    chol = cholesky_factor(M)
+    blocks = np.asfortranarray(rhs)
+    for j in (slice(0, 4), slice(4, 9)):
+        block = blocks[:, j]
+        assert solve_spd(chol, block, overwrite_rhs=True) is block
+    assert np.linalg.norm(blocks - whole) <= 1e-12 * np.linalg.norm(whole)
+    # an in-place solve cannot write into a copy
+    with pytest.raises(ValueError):
+        solve_spd(chol, np.ascontiguousarray(rhs), overwrite_rhs=True)
+    with pytest.raises(NonFiniteError):
+        solve_spd(chol, np.full((6, 1), np.nan))

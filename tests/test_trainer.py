@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from jcmspl.errors import (
 )
 from jcmspl.linalg import sylvester_unique_check
 from jcmspl.trainer import (
+    CHUNK,
     Hyperparams,
     RidgeWarning,
     a_update_operands,
@@ -715,22 +717,83 @@ def test_n_wide_work_happens_a_fixed_number_of_times(monkeypatch):
     n = dataset.n_seen
     iterations = []
     for t_max in (1, 3, 100):
-        wide = {"loss": 0, "update_C": 0}
+        calls = {"loss": 0, "update_C": 0, "_final_pass": 0}
 
-        def counting(name, original, x_position):
+        def counting(name, x_position):
+            original = getattr(trainer, name)
+
             def wrapper(*args):
-                wide[name] += args[x_position].shape[1] == n
+                # loss and update_C count when they get the n-wide X
+                calls[name] += x_position is None or args[x_position].shape[1] == n
                 return original(*args)
             return wrapper
 
         with monkeypatch.context() as patch:
-            patch.setattr(trainer, "loss", counting("loss", trainer.loss, 3))
-            patch.setattr(trainer, "update_C",
-                          counting("update_C", trainer.update_C, 2))
+            patch.setattr(trainer, "loss", counting("loss", 3))
+            patch.setattr(trainer, "update_C", counting("update_C", 2))
+            patch.setattr(trainer, "_final_pass", counting("_final_pass", None))
             _, trace = fit(dataset, Hyperparams(k=40, t_max=t_max))
         iterations.append(trace.iterations)
-        assert wide == {"loss": 1, "update_C": 1}
+        assert calls == {"loss": 0, "update_C": 0, "_final_pass": 1}
     assert iterations[0] < iterations[1] < iterations[2]
+
+
+def unblocked_loss(A, B, C, X, Y, H, hyper):
+    """The five-term objective of the module docstring, each residual
+    formed over all n columns at once."""
+    def fro2(E):
+        return float(np.sum(E * E))
+
+    return 0.5 * (fro2(A @ X - C) + hyper.lambda1 * fro2(B @ Y - C)
+                  + hyper.lambda2 * fro2(C - H) + hyper.lambda3 * fro2(X - A.T @ C)
+                  + hyper.lambda4 * fro2(Y - B.T @ C))
+
+
+@pytest.mark.parametrize("variant", LOOP_VARIANTS)
+def test_final_pass_is_exact_across_column_blocks(variant):
+    # n = 2500: two whole column blocks and a short one, whose products
+    # round by their own width
+    dataset, _ = synth_generate(
+        SynthSpec(m=16, d=8, k=12, num_seen_classes=5, num_unseen_classes=2,
+                  samples_per_class=500, seed=3)
+    )
+    assert 2 * CHUNK < dataset.n_seen < 3 * CHUNK
+    hyper = Hyperparams(k=12, seed=1, variant=variant, t_max=20)
+    eff = hyper.effective()
+    model, trace = fit(dataset, hyper)
+    A, B = model.A, model.B
+    X = dataset.visual_seen
+    Y = expand_prototypes(dataset.prototypes, dataset.labels_seen)
+    H = build_class_matrix(dataset.labels_seen, hyper.k, dataset.seen_classes).H
+    C = update_C(A, B, X, Y, H, eff)
+    assert np.array_equal(model.C, C)
+    f = loss(A, B, model.C, X, Y, H, eff)
+    assert trace.losses[-1] == f
+    assert abs(f - unblocked_loss(A, B, C, X, Y, H, eff)) <= 1e-12 * (1.0 + f)
+    # the C step solved over all n columns at once
+    l1, l2, l3, l4 = eff.lambda1, eff.lambda2, eff.lambda3, eff.lambda4
+    M = (1.0 + l1 + l2) * np.eye(hyper.k) + l3 * (A @ A.T) + l4 * (B @ B.T)
+    C_ref = np.linalg.solve(M, l2 * H + (1.0 + l3) * (A @ X) + (l1 + l4) * (B @ Y))
+    assert np.linalg.norm(C - C_ref) <= 1e-12 * np.linalg.norm(C_ref)
+
+
+@pytest.mark.parametrize("variant", LOOP_VARIANTS)
+def test_fit_allocates_less_than_the_feature_matrix(variant):
+    # tall data (m = 128 against d = 8 and k = 12): an m x n temporary
+    # alone is X.nbytes, while C, the one n-wide matrix fit returns, is a
+    # tenth of it
+    dataset, _ = synth_generate(
+        SynthSpec(m=128, d=8, k=12, num_seen_classes=8, num_unseen_classes=2,
+                  samples_per_class=500)
+    )
+    tracemalloc.start()
+    try:
+        fit(dataset, Hyperparams(k=12, variant=variant))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"{variant}: peak {peak / dataset.visual_seen.nbytes:.2f} X.nbytes")
+    assert peak < dataset.visual_seen.nbytes
 
 
 @pytest.mark.parametrize("variant", LOOP_VARIANTS)
