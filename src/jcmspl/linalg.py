@@ -66,11 +66,13 @@ class SymmetricEigen:
     """Eigendecomposition of a symmetric matrix.
 
     ``values`` are ascending; column ``vectors[:, i]`` pairs with
-    ``values[i]`` and the columns are orthonormal.
+    ``values[i]`` and the columns are orthonormal.  ``vectors`` None
+    stands for the identity basis: the matrix is ``diag(values)``, as a
+    fixed Gram is once the data is rotated into its eigenbasis.
     """
 
     values: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
 
 
 def symmetric_eigen(M, name: str = "M") -> SymmetricEigen:
@@ -133,7 +135,8 @@ def sylvester_solve(R, S, T) -> np.ndarray:
     R, S : array_like or SymmetricEigen
         Symmetric coefficient matrices, or their eigendecompositions when
         the caller already has them (a coefficient that stays fixed over
-        many solves is then factorized only once).
+        many solves is then factorized only once).  A decomposition with
+        ``vectors`` None is diagonal, and its side is not rotated.
     T : array_like, shape (r, s)
         Right-hand side.
 
@@ -163,8 +166,17 @@ def sylvester_solve(R, S, T) -> np.ndarray:
             "eigenvalue-pair sum vanishes; Sylvester equation has no "
             "unique solution"
         )
-    T_rot = eig_r.vectors.T @ T @ eig_s.vectors
-    return eig_r.vectors @ (T_rot / denom) @ eig_s.vectors.T
+    U, V = eig_r.vectors, eig_s.vectors
+    if U is not None:
+        T = U.T @ T
+    if V is not None:
+        T = T @ V
+    Z = T / denom
+    if U is not None:
+        Z = U @ Z
+    if V is not None:
+        Z = Z @ V.T
+    return Z
 
 
 def sylvester_oracle(R, S, T) -> np.ndarray:

@@ -31,9 +31,18 @@ count.  Since ``[Y; H]`` is a per-class matrix times the one-hot of the
 labels, its Gram blocks come from per-class sums.  The n-wide data is
 read once for the Grams and class sums, and once after the loop, in one
 sweep over blocks of ``CHUNK`` columns, for the returned C and the final
-loss: each block's ``A X`` serves both the C step and the five
-residuals, and no temporary is wider than a block.  ``loss`` sums
-over the same blocks, so the two agree bit for bit.
+loss.
+
+An iteration decomposes one matrix, ``C C^T``: the left Grams of the A
+and B steps are its multiples ``lambda3 C C^T`` and ``lambda4 C C^T``.
+The right Grams ``X X^T`` and ``lambda1 Y Y^T`` are fixed, and on the
+factor the loop runs in their eigenbases (A and B times those bases,
+the factor's X and Y rows rotated to match), where they are diagonal
+and each Sylvester solve rotates one side only.  Every C step, in the
+loop and after it, is fused with the loss that follows it: each block's
+``A X`` serves both the C step and the five residuals, and no temporary
+is wider than a block.  ``update_C`` and ``loss`` work on the same
+blocks, so they agree with it bit for bit.
 """
 
 from __future__ import annotations
@@ -248,6 +257,13 @@ def _column_blocks(n: int) -> list[slice]:
     return [slice(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK)]
 
 
+def _blocks(X, Y, H):
+    """``(j, X_j, Y_j, H_j)`` for each column block j of ``loss`` (H_j None
+    when H is)."""
+    for j in _column_blocks(X.shape[1]):
+        yield j, X[:, j], Y[:, j], H[:, j] if H is not None else None
+
+
 def _residual_norms(first, A, B, C, X, Y, H, hyper: Hyperparams) -> list[float]:
     """The squared norms of the five residuals of the objective on one
     column block, in the order of its terms (0.0 for the H term when
@@ -287,11 +303,9 @@ def loss(A, B, C, X, Y, H, hyper: Hyperparams) -> float:
     """
     _check_joint_shapes(A, B, C, X, Y, H, hyper)
     norms = [0.0] * 5
-    for j in _column_blocks(C.shape[1]):
-        Hj = H[:, j] if hyper.lambda2 > 0 else None
-        first = _fro2_minus(A @ X[:, j], C[:, j])
-        norms = _add_norms(norms, _residual_norms(
-            first, A, B, C[:, j], X[:, j], Y[:, j], Hj, hyper))
+    for j, Xj, Yj, Hj in _blocks(X, Y, H if hyper.lambda2 > 0 else None):
+        first = _fro2_minus(A @ Xj, C[:, j])
+        norms = _add_norms(norms, _residual_norms(first, A, B, C[:, j], Xj, Yj, Hj, hyper))
     return _objective(norms, hyper)
 
 
@@ -320,9 +334,13 @@ def b_update_operands(C, Y, lambda1, lambda4):
     return lambda4 * (C @ C.T), lambda1 * (Y @ Y.T), (lambda1 + lambda4) * (C @ Y.T)
 
 
-def _solve_block(M, N, N_eig: SymmetricEigen, T, ridge_eps, block):
-    """Solve ``M Z + Z N = T`` given the eigendecomposition of the fixed
-    Gram ``N``.
+def _scaled(eig: SymmetricEigen, factor) -> SymmetricEigen:
+    """The eigendecomposition of ``factor`` times the matrix of ``eig``."""
+    return SymmetricEigen(factor * eig.values, eig.vectors)
+
+
+def _solve_block(M_eig: SymmetricEigen, N_eig: SymmetricEigen, T, ridge_eps, block):
+    """Solve ``M Z + Z N = T`` given the eigendecompositions of both Grams.
 
     Returns Z, the strong-convexity modulus of the block subproblem,
     ``lambda_min(M) + lambda_min(N)`` clipped at 0, and the ridge message,
@@ -331,15 +349,16 @@ def _solve_block(M, N, N_eig: SymmetricEigen, T, ridge_eps, block):
     eigenvectors and eigenvalues shifted by ``eps/2``: nothing is
     decomposed again.
     """
-    M_eig = symmetric_eigen(M, "M")
     modulus = max(float(M_eig.values[0] + N_eig.values[0]), 0.0)
     try:
         return sylvester_solve(M_eig, N_eig, T), modulus, None
     except NonUniqueError:
         if ridge_eps <= 0:
             raise
-        # Tikhonov damping scaled by the mean Gram diagonal
-        scale = (np.trace(M) + np.trace(N)) / (M.shape[0] + N.shape[0])
+        # Tikhonov damping scaled by the mean Gram diagonal (the mean
+        # eigenvalue: a trace is the sum of the eigenvalues)
+        sizes = len(M_eig.values) + len(N_eig.values)
+        scale = (np.sum(M_eig.values) + np.sum(N_eig.values)) / sizes
         if scale <= 0:
             scale = 1.0
         eps = ridge_eps * scale
@@ -349,10 +368,10 @@ def _solve_block(M, N, N_eig: SymmetricEigen, T, ridge_eps, block):
         return sylvester_solve(M_r, N_r, T), modulus, message
 
 
-def _solve_update(M, N, T, ridge_eps, block) -> np.ndarray:
+def _solve_update(M_eig, N, T, ridge_eps, block) -> np.ndarray:
     """Z of ``_solve_block``, whose ridge message becomes a RidgeWarning
     at the caller of ``update_A`` or ``update_B``."""
-    Z, _, message = _solve_block(M, N, symmetric_eigen(N, "N"), T, ridge_eps, block)
+    Z, _, message = _solve_block(M_eig, symmetric_eigen(N, "N"), T, ridge_eps, block)
     if message is not None:
         warnings.warn(message, RidgeWarning, stacklevel=3)
     return Z
@@ -361,18 +380,24 @@ def _solve_update(M, N, T, ridge_eps, block) -> np.ndarray:
 def update_A(C, X, lambda3, ridge_eps: float = 0.0) -> np.ndarray:
     """Exact minimizer of the objective over A with B, C held fixed.
 
-    Solves ``lambda3 C C^T A + A X X^T = (1 + lambda3) C X^T``.  When
-    both Grams are singular the equation has no unique solution; a
+    Solves ``lambda3 C C^T A + A X X^T = (1 + lambda3) C X^T``, with the
+    eigendecomposition of ``C C^T`` scaled by lambda3, as ``fit`` does.
+    When both Grams are singular the equation has no unique solution; a
     positive ``ridge_eps`` falls back to a damped solve (with a
     RidgeWarning), otherwise NonUniqueError propagates.
     """
-    return _solve_update(*a_update_operands(C, X, lambda3), ridge_eps, "A")
+    cc_eig = symmetric_eigen(C @ C.T, "C C^T")
+    return _solve_update(_scaled(cc_eig, lambda3), X @ X.T,
+                         (1.0 + lambda3) * (C @ X.T), ridge_eps, "A")
 
 
 def update_B(C, Y, lambda1, lambda4, ridge_eps: float = 0.0) -> np.ndarray:
     """Exact minimizer over B: solves
-    ``lambda4 C C^T B + B (lambda1 Y Y^T) = (lambda1 + lambda4) C Y^T``."""
-    return _solve_update(*b_update_operands(C, Y, lambda1, lambda4), ridge_eps, "B")
+    ``lambda4 C C^T B + B (lambda1 Y Y^T) = (lambda1 + lambda4) C Y^T``,
+    with the eigendecomposition of ``C C^T`` scaled by lambda4."""
+    cc_eig = symmetric_eigen(C @ C.T, "C C^T")
+    return _solve_update(_scaled(cc_eig, lambda4), lambda1 * (Y @ Y.T),
+                         (lambda1 + lambda4) * (C @ Y.T), ridge_eps, "B")
 
 
 def update_C(A, B, X, Y, H, hyper: Hyperparams) -> np.ndarray:
@@ -394,9 +419,8 @@ def update_C(A, B, X, Y, H, hyper: Hyperparams) -> np.ndarray:
         raise ShapeMismatchError("H is required when lambda2 > 0")
     chol = cholesky_factor(_c_hessian(A, B, hyper), "M")
     C = np.empty((k, X.shape[1]), order="F")
-    for j in _column_blocks(X.shape[1]):
-        Hj = H[:, j] if l2 > 0 else None
-        _solve_c_block(chol, A @ X[:, j], B, Y[:, j], Hj, hyper, C[:, j])
+    for j, Xj, Yj, Hj in _blocks(X, Y, H if l2 > 0 else None):
+        _solve_c_block(chol, A @ Xj, B, Yj, Hj, hyper, C[:, j])
     return C
 
 
@@ -421,33 +445,44 @@ def _solve_c_block(chol, AX, B, Y, H, hyper: Hyperparams, out) -> None:
     solve_spd(chol, out, overwrite_rhs=True)
 
 
-def _final_pass(A, B, dataset: ZslDataset, positions, indicators, hyper: Hyperparams):
-    """``(C, f)``: the C step on the n-wide data and the objective there,
-    in one sweep over the column blocks of ``loss``.
+def _c_step_and_loss(A, B, K, blocks, n: int, hyper: Hyperparams):
+    """``(C, f)``: the C step at (A, B), whose matrix ``K = _c_hessian(A,
+    B)`` the caller passes, and the objective at C, in one sweep over the
+    column blocks ``(j, X_j, Y_j, H_j)`` of n columns in all.
 
-    C is bit-identical to ``update_C`` and f to ``loss`` at C, with the
-    n-wide Y and H of ``expand_prototypes`` and ``build_class_matrix``.
-    Each block's ``A X`` serves both the C step and the residuals.  Its
-    Y columns are gathered as ``expand_prototypes`` gathers them, since a
-    product with a differently laid out Y rounds differently; its H
-    columns as booleans, which hold the 0/1 entries exactly in an eighth
-    of the memory.
+    C is bit-identical to ``update_C`` and f to ``loss`` at C on the data
+    of those blocks: the same blocks, each solved and summed the same
+    way.  Each block's ``A X`` is formed once, for the C step and the
+    first residual.
     """
-    X = dataset.visual_seen
-    chol = cholesky_factor(_c_hessian(A, B, hyper), "M")
-    flags = indicators.astype(bool) if hyper.lambda2 > 0 else None
-    C = np.empty((A.shape[0], X.shape[1]), order="F")
+    chol = cholesky_factor(K, "M")
+    C = np.empty((A.shape[0], n), order="F")
     norms = [0.0] * 5
-    for j in _column_blocks(X.shape[1]):
-        Y = expand_prototypes(dataset.prototypes, dataset.labels_seen[j])
-        H = flags[:, positions[j]] if flags is not None else None
-        AX = A @ X[:, j]
+    for j, X, Y, H in blocks:
+        AX = A @ X
         _solve_c_block(chol, AX, B, Y, H, hyper, C[:, j])
         first = _fro2_minus(AX, C[:, j])
         del AX
-        norms = _add_norms(norms, _residual_norms(
-            first, A, B, C[:, j], X[:, j], Y, H, hyper))
+        norms = _add_norms(norms, _residual_norms(first, A, B, C[:, j], X, Y, H, hyper))
     return C, _objective(norms, hyper)
+
+
+def _final_pass(A, B, dataset: ZslDataset, positions, indicators, hyper: Hyperparams):
+    """``(C, f)`` of ``_c_step_and_loss`` on the n-wide data, with the Y
+    and H of ``expand_prototypes`` and ``build_class_matrix`` gathered one
+    column block at a time.
+
+    Y columns are gathered as ``expand_prototypes`` gathers them, since a
+    product with a differently laid out Y rounds differently; H columns
+    as booleans, which hold the 0/1 entries exactly in an eighth of the
+    memory.
+    """
+    X = dataset.visual_seen
+    flags = indicators.astype(bool) if hyper.lambda2 > 0 else None
+    blocks = ((j, X[:, j], expand_prototypes(dataset.prototypes, dataset.labels_seen[j]),
+               flags[:, positions[j]] if flags is not None else None)
+              for j in _column_blocks(X.shape[1]))
+    return _c_step_and_loss(A, B, _c_hessian(A, B, hyper), blocks, X.shape[1], hyper)
 
 
 def fpl_fit(X, Y, ridge_eps: float = 0.0) -> np.ndarray:
@@ -567,11 +602,21 @@ def _gram_factor(G, m: int, d: int, q: int):
     return Zc[:m], Zc[m:m + d], Hc, Zc[m + q:]
 
 
+def _into_eigenbasis(Z, W, eig: SymmetricEigen):
+    """Move one Sylvester step into the eigenbasis U of its fixed Gram,
+    whose eigendecomposition is ``eig``: the rows of W become ``U^T W``,
+    in place, and the result is ``(Z U, diag(values))``, the block and
+    the Gram in that basis."""
+    W[...] = eig.vectors.T @ W
+    return Z @ eig.vectors, SymmetricEigen(eig.values, None)
+
+
 def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingTrace]:
     """Train a model by exact block-coordinate descent.
 
     Per iteration the blocks are updated in the order A, B, C, each to
-    the exact minimizer of its subproblem.  The loop stops when the
+    the exact minimizer of its subproblem, with one eigendecomposition
+    (of ``C C^T``; see the module docstring).  The loop stops when the
     relative objective change ``|f_t - f_prev| / (1 + f_prev)`` drops
     below ``hyper.tol``, or after ``hyper.t_max`` iterations.
 
@@ -583,16 +628,19 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
     ``[X; Y; C0]`` (``+ k`` for H when the effective lambda2 is positive),
     the whole loop, ``losses[0]`` included, runs on a rank-wide factor of
     those rows (see the module docstring), so no iteration's cost grows
-    with n.  Read from the n-wide data: the Grams ``X X^T``, ``Y Y^T``,
-    ``C0 X^T``, ``C0 C0^T`` and the per-class sums of X and C0, once,
-    before the loop; then, after it, the returned C and the last entry
-    ``losses[-1]``, which are exactly what ``update_C`` and ``loss()``
-    give.  That final pass runs over blocks of ``CHUNK`` columns, forms
-    each block's ``A X`` once for the C step and the loss, and gathers
-    the Y and H columns of each block as it goes, so beside the returned
-    C no n-wide matrix is allocated after the Grams (the n-wide Y is
-    dropped once ``Y Y^T`` is formed, and the n-wide H never built).
-    With ``n <= p`` every entry is computed directly on the n-wide data.
+    with n, and in the eigenbases of ``X X^T`` and ``lambda1 Y Y^T``
+    (the factor's rows are rotated in place; A and B are rotated back
+    once after the loop).  Read from the n-wide data: the Grams
+    ``X X^T``, ``Y Y^T``, ``C0 X^T``, ``C0 C0^T`` and the per-class sums
+    of X and C0, once, before the loop; then, after it, the returned C
+    and the last entry ``losses[-1]``, which are exactly what
+    ``update_C`` and ``loss()`` give.  That final pass runs over blocks
+    of ``CHUNK`` columns and gathers the Y and H columns of each block as
+    it goes, so beside the returned C no n-wide matrix is allocated after
+    the Grams (the n-wide Y is dropped once ``Y Y^T`` is formed, and the
+    n-wide H never built).
+    With ``n <= p`` every entry is computed directly on the n-wide data
+    as ``update_A``, ``update_B``, ``update_C`` and ``loss`` compute it.
 
     Returns the model together with a TrainingTrace of losses, block
     step norms, descent constants and any ridge-regularization warnings.
@@ -633,8 +681,8 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
     B = 0.01 * rng.standard_normal((hyper.k, dataset.d))
     C = 0.01 * rng.standard_normal((hyper.k, dataset.n_seen))
 
-    y_gram = eff.lambda1 * yy
-    x_eig, y_eig = symmetric_eigen(xx, "X X^T"), symmetric_eigen(y_gram, "Y Y^T")
+    x_eig = symmetric_eigen(xx, "X X^T")
+    y_eig = symmetric_eigen(eff.lambda1 * yy, "Y Y^T")
     # the data the loop works on: the n-wide matrices or their factor
     Xw, Yw, Hw = X, Y, H
     if factored:
@@ -645,32 +693,40 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
         G = _stacked_gram(X, C, V, positions, xx, yy)
         C = None
         Xw, Yw, Hw, C = _gram_factor(G, dataset.m, dataset.d, V.shape[0])
-        del G
+        del G, xx, yy
+        # the loop runs in the fixed Grams' eigenbases: A U_x and B U_y
+        # against the rows U_x^T X and U_y^T Y, which leaves every norm
+        # and A A^T, B B^T as they are and makes X X^T and Y Y^T diagonal
+        x_basis, y_basis = x_eig.vectors, y_eig.vectors
+        A, x_eig = _into_eigenbasis(A, Xw, x_eig)
+        B, y_eig = _into_eigenbasis(B, Yw, y_eig)
 
     f_prev = loss(A, B, C, Xw, Yw, Hw, eff)
     trace = TrainingTrace(
         losses=[f_prev], delta_norms=[], descent_constants=[], converged_at=None
     )
     for t in range(1, hyper.t_max + 1):
-        CC = C @ C.T
+        # lambda3 C C^T and lambda4 C C^T share one eigendecomposition
+        cc_eig = symmetric_eigen(C @ C.T, "C C^T")
         A_next, m_a, ridge_a = _solve_block(
-            eff.lambda3 * CC, xx, x_eig,
+            _scaled(cc_eig, eff.lambda3), x_eig,
             (1.0 + eff.lambda3) * (C @ Xw.T), eff.ridge_eps, "A",
         )
         B_next, m_b, ridge_b = _solve_block(
-            eff.lambda4 * CC, y_gram, y_eig,
+            _scaled(cc_eig, eff.lambda4), y_eig,
             (eff.lambda1 + eff.lambda4) * (C @ Yw.T), eff.ridge_eps, "B",
         )
         trace.warnings += [f"iteration {t}: {r}" for r in (ridge_a, ridge_b) if r]
-        m_c = float(np.linalg.eigvalsh(_c_hessian(A_next, B_next, eff))[0])
-        C_next = update_C(A_next, B_next, Xw, Yw, Hw, eff)
+        K = _c_hessian(A_next, B_next, eff)
+        m_c = float(np.linalg.eigvalsh(K)[0])
+        C_next, f_t = _c_step_and_loss(A_next, B_next, K, _blocks(Xw, Yw, Hw),
+                                       Xw.shape[1], eff)
         deltas = (
             float(np.linalg.norm(A_next - A)),
             float(np.linalg.norm(B_next - B)),
             float(np.linalg.norm(C_next - C)),
         )
         A, B, C = A_next, B_next, C_next
-        f_t = loss(A, B, C, Xw, Yw, Hw, eff)
         trace.losses.append(f_t)
         trace.delta_norms.append(deltas)
         trace.descent_constants.append((m_a, m_b, m_c))
@@ -680,10 +736,13 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
         f_prev = f_t
 
     if factored:
-        # back on the n-wide data, so that the model and losses[-1] are
-        # exactly what update_C and loss() give; what only the loop used
-        # goes first, to keep the allocation peak down
-        del Xw, Yw, Hw, C, xx, yy, y_gram, x_eig, y_eig
+        # back to the standard basis and on the n-wide data, so that the
+        # model and losses[-1] are exactly what update_C and loss() give;
+        # what only the loop used goes first, to keep the allocation peak
+        # down
+        A, B = A @ x_basis.T, B @ y_basis.T
+        del Xw, Yw, Hw, C, C_next, A_next, B_next, cc_eig, K, x_eig, y_eig, \
+            x_basis, y_basis
         C, trace.losses[-1] = _final_pass(A, B, dataset, positions, indicators, eff)
     model = JcmsplModel(A=A, B=B, C=C, variant=hyper.variant, hyper=hyper)
     return model, trace

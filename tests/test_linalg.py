@@ -11,6 +11,7 @@ from jcmspl.errors import (
     TooLargeError,
 )
 from jcmspl.linalg import (
+    SymmetricEigen,
     cholesky_factor,
     solve_spd,
     sylvester_oracle,
@@ -212,6 +213,54 @@ def test_precomputed_eigendecompositions_give_the_same_solution():
         sylvester_solve(R, symmetric_eigen(S), T[:, :5])
     with pytest.raises(NonUniqueError):
         sylvester_solve(symmetric_eigen(np.zeros((4, 4))), symmetric_eigen(S), T)
+
+
+def test_identity_basis_right_coefficient_is_the_diagonal_solve():
+    # S = V diag(s) V^T: in V's basis the right coefficient is diag(s),
+    # given as a decomposition without vectors, and the solve skips that
+    # side's rotations
+    from jcmspl.trainer import _solve_block
+
+    rng = np.random.default_rng(19)
+    R = random_psd(rng, 4, shift=0.1)
+    S = random_psd(rng, 5, shift=0.1)
+    T = rng.standard_normal((4, 5))
+    s_eig = symmetric_eigen(S)
+    diagonal = SymmetricEigen(s_eig.values, None)
+    Z = sylvester_solve(R, diagonal, T @ s_eig.vectors)
+    dense = sylvester_solve(R, S, T) @ s_eig.vectors
+    assert np.linalg.norm(Z - dense) <= 1e-12 * np.linalg.norm(dense)
+    Z_ref = sylvester_oracle(R, np.diag(s_eig.values), T @ s_eig.vectors)
+    assert np.linalg.norm(Z - Z_ref) <= 1e-10 * np.linalg.norm(Z_ref)
+
+    # the degeneracy rule of the dense solve: a pair sum of 5e-12 is
+    # above 1e-12 * (max|eig R| + max|eig S|) = 2e-12, one of 1e-12 is not
+    for pair_sum, unique in ((5e-12, True), (1e-12, False)):
+        values = np.array([-1.0 + pair_sum])
+        for S1 in (SymmetricEigen(values, None), np.diag(values)):
+            if unique:
+                sylvester_solve(np.eye(3), S1, np.ones((3, 1)))
+            else:
+                with pytest.raises(NonUniqueError):
+                    sylvester_solve(np.eye(3), S1, np.ones((3, 1)))
+
+    # both Grams singular: the ridge shifts both spectra by eps/2, eps
+    # being ridge_eps times the mean eigenvalue, and must solve the
+    # shifted equation
+    R0 = random_psd(rng, 4, rank=2)
+    values = np.array([0.0, 0.5, 2.0, 3.0, 7.0])
+    with pytest.raises(NonUniqueError):
+        sylvester_solve(R0, SymmetricEigen(values, None), T)
+    r_eig = symmetric_eigen(R0)
+    Z, _, message = _solve_block(r_eig, SymmetricEigen(values, None), T, 1e-8, "A")
+    eps = 1e-8 * (np.sum(r_eig.values) + np.sum(values)) / 9
+    assert message == f"A-update Gram pair is singular; applying ridge eps={eps:.3e}"
+    R_r = R0 + 0.5 * eps * np.eye(4)
+    S_r = np.diag(values + 0.5 * eps)
+    residual = np.linalg.norm(R_r @ Z + Z @ S_r - T)
+    scale = (np.linalg.norm(R_r, 2) + np.linalg.norm(S_r, 2)) * np.linalg.norm(Z) \
+        + np.linalg.norm(T)
+    assert residual <= 1e-10 * scale
 
 
 def test_oracle_size_limit():

@@ -347,9 +347,10 @@ def test_ridge_fit_records_its_events_without_issuing_warnings(variant):
 
 @pytest.mark.parametrize("variant", ["full", "jcmspl0"])
 def test_fit_decomposes_each_gram_once(monkeypatch, variant):
-    # X X^T, Y Y^T and the factor's Gram once, the left Gram of each block
-    # once per iteration; the ridge (every jcmspl0 iteration) shifts the
-    # eigenvalues it already has and decomposes nothing
+    # X X^T, Y Y^T and the factor's Gram once, and C C^T, whose scalings
+    # are the left Grams of both blocks, once per iteration; the ridge
+    # (every jcmspl0 iteration) shifts the eigenvalues it already has and
+    # decomposes nothing
     calls = []
     eigh = np.linalg.eigh
 
@@ -361,7 +362,7 @@ def test_fit_decomposes_each_gram_once(monkeypatch, variant):
     dataset, _ = synth_generate(SynthSpec())
     _, trace = fit(dataset, Hyperparams(k=40, variant=variant))
     assert bool(trace.warnings) == (variant == "jcmspl0")
-    assert len(calls) == 3 + 2 * trace.iterations
+    assert len(calls) == 3 + trace.iterations
 
 
 def test_fpl_examples():
@@ -596,16 +597,25 @@ def direct_fit(dataset, hyper):
 LOOP_VARIANTS = ("full", "jcmspl1", "jcmspl0", "ipl")
 
 
-@pytest.mark.parametrize("noise", [0.05, 0.0])
-@pytest.mark.parametrize("variant", LOOP_VARIANTS)
-def test_fit_is_bit_identical_to_direct_loop_when_n_at_most_p(variant, noise):
+def bit_identity_cases():
+    # unit lambda, and the random set of the floor test below, where
+    # lambda3 != lambda4 scale the one eigendecomposition of C C^T apart
+    for lambdas in ("unit", "random"):
+        for variant in LOOP_VARIANTS:
+            for noise in (0.05, 0.0):
+                suffix = "" if lambdas == "unit" else f"-{lambdas}"
+                yield pytest.param(variant, noise, lambdas, id=f"{variant}-{noise}{suffix}")
+
+
+@pytest.mark.parametrize("variant,noise,lambdas", bit_identity_cases())
+def test_fit_is_bit_identical_to_direct_loop_when_n_at_most_p(variant, noise, lambdas):
     # n = 20 samples against the 29 rows of [X; Y; C0] (34 with H):
     # nothing to compress
     dataset, _ = synth_generate(
         SynthSpec(m=16, d=8, k=12, num_seen_classes=4, num_unseen_classes=2,
                   samples_per_class=5, noise_sigma=noise, seed=1)
     )
-    hyper = Hyperparams(k=5, seed=2, variant=variant)
+    hyper = Hyperparams(k=5, seed=2, variant=variant, **NON_UNIT_LAMBDAS.get(lambdas, {}))
     model, trace = fit(dataset, hyper)
     A, B, C, losses, _, _ = direct_fit(dataset, hyper)
     assert np.array_equal(model.A, A)
@@ -805,8 +815,10 @@ def test_training_factor_is_rank_wide_and_reproduces_the_gram(monkeypatch, varia
     factors, original = [], trainer._gram_factor
 
     def capture(*args):
-        factors.append(original(*args))
-        return factors[-1]
+        # copies: fit rotates the factor's rows in place
+        out = original(*args)
+        factors.append([None if M is None else M.copy() for M in out])
+        return out
 
     monkeypatch.setattr(trainer, "_gram_factor", capture)
     fit(dataset, hyper)
