@@ -58,6 +58,7 @@ from .errors import (
     TrainerError,
 )
 from .recognizer import (
+    DEGENERATE_RTOL,
     DIRECTIONS,
     DISTANCES,
     eval_generalized,
@@ -269,6 +270,13 @@ def cmd_eval(args) -> int:
     if report.hit_at_k is not None:
         line += f" hit@{report.hit_at_k[0]}={report.hit_at_k[1]:.6f}"
     print(line)
+    if report.degenerate_queries:
+        print(
+            f"warning: {report.degenerate_queries} query embedding(s) are roundoff "
+            f"(norm <= {DEGENERATE_RTOL:g} * ||map||_2 * ||query||); "
+            "their predictions, and the accuracy, rank noise",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

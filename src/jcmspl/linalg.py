@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtrsm
 
 from .errors import (
     DimensionMismatchError,
@@ -241,16 +242,25 @@ def solve_spd(M, rhs, overwrite_rhs: bool = False) -> np.ndarray:
     ``CholeskyFactor`` of one when the caller solves many right-hand
     sides against it.  ``rhs`` may be a vector or a matrix of stacked
     right-hand-side columns; it must be finite.  With ``overwrite_rhs``
-    the solve is done in place: ``rhs`` must then be an F-contiguous
-    float64 array, and it holds the solution on return.
+    the solve is done in place: ``rhs`` must then be an F- or
+    C-contiguous float64 array, and it holds the solution on return.
+    Its layout picks the solve: F order takes LAPACK's Cholesky solve,
+    and a C-contiguous matrix, whose transpose is F-contiguous, is solved
+    as ``X^T L L^T = rhs^T`` by two right-side BLAS triangular solves with
+    the same lower factor L (no inverse is formed).
     """
     chol = M if isinstance(M, CholeskyFactor) else cholesky_factor(M, "M")
     b = np.asarray(rhs, dtype=np.float64)
-    if overwrite_rhs and not (b is rhs and b.flags.f_contiguous):
-        raise ValueError("an in-place solve needs an F-contiguous float64 rhs")
+    if overwrite_rhs and not (b is rhs and (b.flags.f_contiguous or b.flags.c_contiguous)):
+        raise ValueError("an in-place solve needs an F- or C-contiguous float64 rhs")
     if not np.all(np.isfinite(b)):
         raise NonFiniteError("rhs contains non-finite entries")
-    size = chol.factor[0].shape[0]
-    if b.shape[0] != size:
-        raise DimensionMismatchError(f"rhs must have {size} rows, got {b.shape[0]}")
+    L = chol.factor[0]
+    if b.shape[0] != L.shape[0]:
+        raise DimensionMismatchError(f"rhs must have {L.shape[0]} rows, got {b.shape[0]}")
+    if overwrite_rhs and not b.flags.f_contiguous:
+        # W L^T = rhs^T, then X^T L = W, both in place in rhs^T
+        for trans in (1, 0):
+            dtrsm(1.0, L, b.T, side=1, lower=1, trans_a=trans, overwrite_b=1)
+        return b
     return scipy.linalg.cho_solve(chol.factor, b, overwrite_b=overwrite_rhs)

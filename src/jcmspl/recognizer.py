@@ -31,6 +31,9 @@ from .trainer import JcmsplModel
 
 DIRECTIONS = ("v2s", "s2v")
 DISTANCES = ("cosine", "euclidean")
+# an embedding is degenerate when its norm is at most this share of
+# ||M||_2 ||q||, the largest norm the model's linear map M gives the input q
+DEGENERATE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,11 @@ class EvalReport:
     ``hit_at_k`` is a (K, fraction) pair when a top-K rate was computed.
     ``acc_s``/``acc_u``/``hm`` are populated only by the generalized
     protocol; ``hm`` is always the harmonic mean of the other two.
+    ``degenerate_queries`` counts the embedded inputs (visual samples for
+    v2s, unseen prototypes for s2v) whose embedding is roundoff: norm at
+    most ``DEGENERATE_RTOL * ||M||_2 * ||q||`` for the embedding map M
+    (``B^T A``, ``A`` for fpl, ``A^T B`` for s2v) and input q.  Their
+    predictions rank noise, so a nonzero count discredits the accuracy.
     """
 
     overall_accuracy: float
@@ -50,6 +58,7 @@ class EvalReport:
     acc_s: float | None = None
     acc_u: float | None = None
     hm: float | None = None
+    degenerate_queries: int = 0
 
     def __post_init__(self):
         for name in ("overall_accuracy", "per_class_mean_accuracy"):
@@ -217,13 +226,32 @@ def _per_class_accuracies(preds, labels, class_ids):
     return accs
 
 
+def _degenerate_count(model: JcmsplModel, inputs, embedded) -> int:
+    """How many columns of ``inputs`` the model embeds to roundoff, given
+    their embeddings (see ``EvalReport``); ``||B^T A||_2`` serves both
+    directions, being ``||A^T B||_2``.  Called after the distances, which
+    reject an embedding that overflows."""
+    # a map that overflows makes every bound infinite
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = model.A if model.variant == "fpl" else model.B.T @ model.A
+        scale = np.linalg.norm(M, 2) if np.all(np.isfinite(M)) else np.inf
+        bound = DEGENERATE_RTOL * scale * np.linalg.norm(inputs, axis=0)
+        return int(np.count_nonzero(np.linalg.norm(embedded, axis=0) <= bound))
+
+
 def _unseen_distances(model, dataset, direction, distance):
+    """The distances of the unseen queries in ``direction``, and the
+    number of degenerate embeddings among them."""
     proto_u = dataset.prototypes[:, dataset.unseen_classes]
     if direction == "v2s":
-        return distance_matrix(_embed_visual(model, dataset.visual_unseen), proto_u, distance)
+        X = dataset.visual_unseen
+        embedded = _embed_visual(model, X)
+        dist = distance_matrix(embedded, proto_u, distance)
+        return dist, _degenerate_count(model, X, embedded)
     if direction == "s2v":
         anchors = _embed_semantic(model, proto_u)
-        return distance_matrix(dataset.visual_unseen, anchors, distance)
+        dist = distance_matrix(dataset.visual_unseen, anchors, distance)
+        return dist, _degenerate_count(model, proto_u, anchors)
     raise ValueError(f"unknown direction {direction!r}; use one of {DIRECTIONS}")
 
 
@@ -236,9 +264,9 @@ def eval_standard(
     """Unseen-class accuracy with candidates restricted to unseen classes.
 
     Reports both the sample-weighted overall accuracy and the mean of
-    per-class accuracies.
+    per-class accuracies, and the number of degenerate embeddings.
     """
-    dist = _unseen_distances(model, dataset, direction, distance)
+    dist, degenerate = _unseen_distances(model, dataset, direction, distance)
     preds = dataset.unseen_classes[np.argmin(dist, axis=1)]
     labels = dataset.labels_unseen
     per_class = _per_class_accuracies(preds, labels, dataset.unseen_classes)
@@ -247,6 +275,7 @@ def eval_standard(
         per_class_mean_accuracy=float(np.mean(per_class)),
         direction=direction,
         distance=distance,
+        degenerate_queries=degenerate,
     )
 
 
@@ -263,7 +292,7 @@ def eval_hit_at_k(
     c_u = dataset.c_unseen
     if not isinstance(k, (int, np.integer)) or not (1 <= k <= c_u):
         raise InvalidKError(f"K must satisfy 1 <= K <= {c_u}, got {k!r}")
-    dist = _unseen_distances(model, dataset, direction, distance)
+    dist, _ = _unseen_distances(model, dataset, direction, distance)
     order = np.argsort(dist, axis=1, kind="stable")[:, :k]
     # unseen_classes may be unsorted, so map labels to columns explicitly
     index_of = {int(c): i for i, c in enumerate(dataset.unseen_classes)}
@@ -319,12 +348,13 @@ def eval_generalized(
 
     X_hold = dataset.visual_seen[:, holdout]
     labels_hold = dataset.labels_seen[holdout]
-    dist_s = distance_matrix(_embed_visual(model, X_hold), proto_all, distance)
+    embedded_s = _embed_visual(model, X_hold)
+    dist_s = distance_matrix(embedded_s, proto_all, distance)
     preds_s = all_classes[np.argmin(dist_s, axis=1)]
 
-    dist_u = distance_matrix(
-        _embed_visual(model, dataset.visual_unseen), proto_all, distance
-    )
+    X_u = dataset.visual_unseen
+    embedded_u = _embed_visual(model, X_u)
+    dist_u = distance_matrix(embedded_u, proto_all, distance)
     preds_u = all_classes[np.argmin(dist_u, axis=1)]
     labels_u = dataset.labels_unseen
 
@@ -344,4 +374,6 @@ def eval_generalized(
         acc_s=acc_s,
         acc_u=acc_u,
         hm=harmonic_mean(acc_s, acc_u),
+        degenerate_queries=_degenerate_count(model, X_hold, embedded_s)
+        + _degenerate_count(model, X_u, embedded_u),
     )

@@ -41,8 +41,11 @@ the factor's X and Y rows rotated to match), where they are diagonal
 and each Sylvester solve rotates one side only.  Every C step, in the
 loop and after it, is fused with the loss that follows it: each block's
 ``A X`` serves both the C step and the five residuals, and no temporary
-is wider than a block.  ``update_C`` and ``loss`` work on the same
-blocks, so they agree with it bit for bit.
+is wider than a block.  C is row-major, as every product of a block
+is: each block's right-hand side is built in one contiguous buffer and
+solved there by right-side triangular solves with the step's one
+Cholesky factor.  ``update_C`` and ``loss`` work on the same blocks, so
+they agree with it bit for bit.
 """
 
 from __future__ import annotations
@@ -236,12 +239,14 @@ def _fro2_minus(P, Q) -> float:
 
 
 def _check_joint_shapes(A, B, C, X, Y, H, hyper):
+    """Raise ShapeMismatchError unless the operands fit together; with C
+    None (as ``update_C`` has it) the sample count is that of X."""
     k, m = A.shape
     if B.shape[0] != k:
         raise ShapeMismatchError(f"A and B disagree on k: {k} vs {B.shape[0]}")
-    if C.shape[0] != k:
+    if C is not None and C.shape[0] != k:
         raise ShapeMismatchError(f"A and C disagree on k: {k} vs {C.shape[0]}")
-    n = C.shape[1]
+    n = X.shape[1] if C is None else C.shape[1]
     if X.shape != (m, n):
         raise ShapeMismatchError(f"X must be ({m}, {n}), got {X.shape}")
     if Y.shape != (B.shape[1], n):
@@ -409,40 +414,41 @@ def update_C(A, B, X, Y, H, hyper: Hyperparams) -> np.ndarray:
     The right-hand side is formed and solved one column block of
     ``loss`` at a time, with one Cholesky factor for all blocks: a
     product's rounding can depend on its width, so ``fit``'s final pass,
-    which works on the same blocks, returns exactly this C.
+    which works on the same blocks, returns exactly this C (C-contiguous,
+    like every C of ``fit``).
     """
-    l1, l2, l3, l4 = hyper.lambda1, hyper.lambda2, hyper.lambda3, hyper.lambda4
-    k = A.shape[0]
-    if B.shape[0] != k:
-        raise ShapeMismatchError(f"A and B disagree on k: {k} vs {B.shape[0]}")
-    if l2 > 0 and H is None:
-        raise ShapeMismatchError("H is required when lambda2 > 0")
+    _check_joint_shapes(A, B, None, X, Y, H, hyper)
     chol = cholesky_factor(_c_hessian(A, B, hyper), "M")
-    C = np.empty((k, X.shape[1]), order="F")
-    for j, Xj, Yj, Hj in _blocks(X, Y, H if l2 > 0 else None):
-        _solve_c_block(chol, A @ Xj, B, Yj, Hj, hyper, C[:, j])
+    C = np.empty((A.shape[0], X.shape[1]))
+    for j, Xj, Yj, Hj in _blocks(X, Y, H if hyper.lambda2 > 0 else None):
+        _solve_c_block(chol, A @ Xj, B, Yj, Hj, hyper, C, j)
     return C
 
 
-def _solve_c_block(chol, AX, B, Y, H, hyper: Hyperparams, out) -> None:
-    """Solve the C step for one column block into ``out``, an F-contiguous
-    block of C, from ``AX = A X`` of the block, which is left as it is.
+def _solve_c_block(chol, AX, B, Y, H, hyper: Hyperparams, C, j) -> None:
+    """Solve the C step for column block ``j`` of the row-major C, from
+    ``AX = A X`` of the block, which is left as it is.
 
     The right-hand side ``l2 H + (1 + l3) A X + (l1 + l4) B Y`` is
-    accumulated in ``out`` and solved there, so beside AX the block takes
-    one temporary.  F order is what a Cholesky solve works in, and a C of
-    one block is laid out as a single solve would return it.
+    accumulated in one C-contiguous k x b buffer, in the layout of every
+    product it adds, solved there by ``solve_spd`` and copied into
+    ``C[:, j]``; the buffer is freed on return, before the caller's
+    residuals.  When the block is all of C, C is the buffer.
     """
     l1, l2, l3, l4 = hyper.lambda1, hyper.lambda2, hyper.lambda3, hyper.lambda4
-    np.multiply(AX, 1.0 + l3, out=out)
+    whole = AX.shape[1] == C.shape[1]
+    rhs = C if whole else np.empty(AX.shape)
+    np.multiply(AX, 1.0 + l3, out=rhs)
     term = B @ Y
     term *= l1 + l4
-    out += term
+    rhs += term
     if l2 > 0:
         np.multiply(H, l2, out=term)
-        out += term
+        rhs += term
     del term
-    solve_spd(chol, out, overwrite_rhs=True)
+    solve_spd(chol, rhs, overwrite_rhs=True)
+    if not whole:
+        C[:, j] = rhs
 
 
 def _c_step_and_loss(A, B, K, blocks, n: int, hyper: Hyperparams):
@@ -456,11 +462,11 @@ def _c_step_and_loss(A, B, K, blocks, n: int, hyper: Hyperparams):
     first residual.
     """
     chol = cholesky_factor(K, "M")
-    C = np.empty((A.shape[0], n), order="F")
+    C = np.empty((A.shape[0], n))
     norms = [0.0] * 5
     for j, X, Y, H in blocks:
         AX = A @ X
-        _solve_c_block(chol, AX, B, Y, H, hyper, C[:, j])
+        _solve_c_block(chol, AX, B, Y, H, hyper, C, j)
         first = _fro2_minus(AX, C[:, j])
         del AX
         norms = _add_norms(norms, _residual_norms(first, A, B, C[:, j], X, Y, H, hyper))

@@ -135,6 +135,21 @@ def test_eval_planted_model_is_perfect(noiseless_dir, tmp_path):
     assert report["per_class_mean_accuracy"] == 1.0
 
 
+def test_eval_warns_when_query_embeddings_are_roundoff(noiseless_dir, tmp_path, capsys):
+    # trained on the seen classes' own concept blocks, the model maps every
+    # unseen sample to roundoff; the planted model does not
+    manifest = str(noiseless_dir / "manifest.json")
+    assert run(["train", "--manifest", manifest, "--out", str(tmp_path), "--k", "12"]) == 0
+    for model, degenerate in (tmp_path / "model.bin", 16), \
+            (noiseless_dir / "planted_model.bin", 0):
+        capsys.readouterr()
+        assert run(["eval", "--model", str(model), "--manifest", manifest,
+                    "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())["report"]
+        assert report["degenerate_queries"] == degenerate
+        assert ("warning: 16 query embedding(s)" in capsys.readouterr().err) == bool(degenerate)
+
+
 def test_eval_rejects_gzsl_flag_conflicts(synth_dir, trained_dir, tmp_path):
     base = ["eval", "--model", str(trained_dir / "model.bin"),
             "--manifest", str(synth_dir / "manifest.json"),

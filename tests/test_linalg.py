@@ -301,8 +301,29 @@ def test_solve_spd_with_one_factor_per_block_and_in_place():
         block = blocks[:, j]
         assert solve_spd(chol, block, overwrite_rhs=True) is block
     assert np.linalg.norm(blocks - whole) <= 1e-12 * np.linalg.norm(whole)
-    # an in-place solve cannot write into a copy
-    with pytest.raises(ValueError):
-        solve_spd(chol, np.ascontiguousarray(rhs), overwrite_rhs=True)
+    # an in-place solve cannot write into a copy: a strided block of a
+    # row-major array, or data that is not float64
+    for rhs_in in (np.ascontiguousarray(rhs)[:, 2:5], rhs.astype(np.float32)):
+        with pytest.raises(ValueError):
+            solve_spd(chol, rhs_in, overwrite_rhs=True)
     with pytest.raises(NonFiniteError):
         solve_spd(chol, np.full((6, 1), np.nan))
+    with pytest.raises(NonFiniteError):
+        solve_spd(chol, np.full((6, 2), np.nan), overwrite_rhs=True)
+
+
+@pytest.mark.parametrize("shape", [(6, 9), (64, 1024)])
+def test_solve_spd_in_place_on_a_row_major_rhs(shape):
+    # C order is solved by right-side triangular solves on the transpose,
+    # F order by LAPACK's Cholesky solve: the same factor, the same X
+    # (64 x 1024 is a C-step block of the large benchmark fit)
+    rng = np.random.default_rng(4)
+    M = random_psd(rng, shape[0], shift=shape[0])
+    chol = cholesky_factor(M)
+    rhs = rng.standard_normal(shape)
+    by_columns = solve_spd(chol, np.asfortranarray(rhs), overwrite_rhs=True)
+    rows = rhs.copy()
+    assert solve_spd(chol, rows, overwrite_rhs=True) is rows
+    assert rows.flags.c_contiguous
+    assert np.linalg.norm(rows - by_columns) <= 1e-14 * np.linalg.norm(by_columns)
+    assert np.linalg.norm(M @ rows - rhs) <= 1e-12 * np.linalg.norm(rhs)

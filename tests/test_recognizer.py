@@ -25,7 +25,7 @@ from jcmspl.recognizer import (
     infer_semantic,
     infer_visual,
 )
-from jcmspl.trainer import Hyperparams, JcmsplModel
+from jcmspl.trainer import Hyperparams, JcmsplModel, fit
 
 
 def identity_model(n):
@@ -189,6 +189,36 @@ def test_per_class_mean_invariant_to_class_duplication():
     assert base.overall_accuracy == 0.5 and dup.overall_accuracy == 0.75
 
 
+def test_degenerate_queries_count_roundoff_embeddings():
+    # each class of the default synth owns its own concept block, so a
+    # model fit on the seen classes maps every unseen sample to roundoff,
+    # while the planted maps embed every query
+    ds, planted = synth_generate(SynthSpec(noise_sigma=0.0))
+    trained, _ = fit(ds, Hyperparams(k=40))
+    n_unseen = ds.visual_unseen.shape[1]
+    assert eval_standard(trained, ds, "v2s").degenerate_queries == n_unseen
+    assert eval_generalized(trained, ds).degenerate_queries >= n_unseen
+    model = planted_as_model(planted)
+    for direction in ("v2s", "s2v"):
+        assert eval_standard(model, ds, direction).degenerate_queries == 0, direction
+    assert eval_generalized(model, ds).degenerate_queries == 0
+
+
+def test_degenerate_queries_when_the_map_overflows():
+    # B^T A overflows in the column that every query leaves at 0, so the
+    # embeddings are finite and scored; the count has no finite bound to
+    # judge by, and takes every query
+    A = np.array([[1.0, 1e300], [0.0, 1.0]])
+    B = np.array([[1e10, 0.0], [0.0, 1.0]])
+    model = JcmsplModel(A=A, B=B, C=None, variant="full", hyper=Hyperparams(k=2))
+    protos = np.array([[9.0, 1.0, 0.0], [9.0, 0.0, 1.0]])
+    ds = unseen_only_dataset(protos, np.array([[1.0, 2.0], [0.0, 0.0]]), [1, 1], [1, 2], 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = eval_standard(model, ds)
+    assert report.overall_accuracy == 1.0 and report.degenerate_queries == 2
+
+
 def test_eval_standard_planted_perfect_both_directions():
     ds, planted = synth_generate(SynthSpec(noise_sigma=0.0))
     model = planted_as_model(planted)
@@ -326,7 +356,7 @@ def test_eval_report_serialization_fields():
     )
     payload = report.to_dict()
     assert sorted(payload) == [
-        "acc_s", "acc_u", "direction", "distance",
+        "acc_s", "acc_u", "degenerate_queries", "direction", "distance",
         "hit_at_k", "hm", "overall_accuracy", "per_class_mean_accuracy",
     ]
     assert payload["hit_at_k"] == {"k": 5, "fraction": 0.75}

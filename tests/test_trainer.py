@@ -18,6 +18,7 @@ from jcmspl.dataset import (
 from jcmspl.errors import (
     InvalidHyperparamsError,
     NonUniqueError,
+    ShapeMismatchError,
     SingularError,
     TooFewRowsError,
     UnknownClassIdError,
@@ -229,6 +230,50 @@ def test_update_C_scalar():
     hyper = Hyperparams(k=1)
     out = update_C(scalar(1), scalar(1), scalar(2), scalar(3), scalar(1), hyper)
     assert np.allclose(out, [[2.2]], atol=1e-12)
+
+
+def test_update_C_rejects_operands_that_do_not_fit():
+    rng = np.random.default_rng(12)
+    A, B, _, X, Y, H, hyper = random_instance(rng)
+    # a k x 1 H would broadcast into every column of the right-hand side
+    with pytest.raises(ShapeMismatchError):
+        update_C(A, B, X, Y, H[:, :1], hyper)
+    with pytest.raises(ShapeMismatchError):
+        update_C(A, B, X[:-1], Y, H, hyper)
+    with pytest.raises(ShapeMismatchError):
+        update_C(A, B, X, Y[:, :-1], H, hyper)
+    with pytest.raises(ShapeMismatchError):
+        update_C(A, B[:-1], X, Y, H, hyper)
+    with pytest.raises(ShapeMismatchError):
+        update_C(A, B, X, Y, None, hyper)
+    # lambda2 = 0 reads no H
+    C = update_C(A, B, X, Y, None, dataclasses.replace(hyper, lambda2=0.0))
+    assert C.shape == (4, 6)
+
+
+C_STEP_LAMBDAS = {"unit": {}, **PRESETS}
+
+
+@pytest.mark.parametrize("n", [7, 3 * CHUNK + 5])
+@pytest.mark.parametrize("lambdas", sorted(C_STEP_LAMBDAS))
+def test_update_C_solves_its_system_to_working_precision(lambdas, n):
+    # one block, and three whole blocks plus a short one, each solved on
+    # its own; the presets reach lambda3 = 1e7
+    rng = np.random.default_rng(13)
+    k, m, d = 6, 9, 4
+    A = rng.standard_normal((k, m))
+    B = rng.standard_normal((k, d))
+    X = rng.standard_normal((m, n))
+    Y = rng.standard_normal((d, n))
+    H = build_class_matrix(rng.integers(0, 3, size=n), k, [0, 1, 2]).H
+    hyper = Hyperparams(k=k, **C_STEP_LAMBDAS[lambdas])
+    l1, l2, l3, l4 = hyper.lambda1, hyper.lambda2, hyper.lambda3, hyper.lambda4
+    C = update_C(A, B, X, Y, H, hyper)
+    assert C.flags.c_contiguous
+    K = (1.0 + l1 + l2) * np.eye(k) + l3 * (A @ A.T) + l4 * (B @ B.T)
+    R = l2 * H + (1.0 + l3) * (A @ X) + (l1 + l4) * (B @ Y)
+    residual = np.linalg.norm(K @ C - R)
+    assert residual <= 1e-13 * (np.linalg.norm(K, 2) * np.linalg.norm(C) + np.linalg.norm(R))
 
 
 def test_update_stationarity_residuals():
