@@ -23,15 +23,19 @@ Every C the loop meets is ``C = W Z`` for the stacked rows
 C; p rows in all) and some k x p matrix W: C0 trivially, every later C
 because the C step maps the fixed data linearly.  So the objective and
 every update depend on the data only through the Gram ``Z Z^T``.
-``fit`` therefore trains on a factor ``Zc`` with ``Zc Zc^T = Z Z^T``,
-one column per nonzero eigenvalue of that Gram: then ``Z = Zc Q^T`` for
-some Q with orthonormal columns, which preserves every norm and Gram in
+``fit`` therefore trains on a factor ``Zc`` with ``Zc Zc^T = Z Z^T``
+and as many columns as that Gram's rank: then ``Z = Zc P^T`` for
+some P with orthonormal columns, which preserves every norm and Gram in
 the objective, and an iteration costs the same whatever the sample
-count.  Since ``[Y; H]`` is a per-class matrix times the one-hot of the
-labels, its Gram blocks come from per-class sums.  The n-wide data is
-read once for the Grams and class sums, and once after the loop, in one
-sweep over blocks of ``CHUNK`` columns, for the returned C and the final
-loss.
+count.  ``[Y; H] = V E`` for the per-class rows V and the one-hot E of
+the labels, and with the reduced QR ``V = Q R`` it is ``Q (R E)``: the
+Gram factored is that of ``[X; R E; C0]``, with at most c rows for Y
+and H, its blocks from per-class sums, and the factor's Y and H rows are Q
+times its ``R E`` rows.  A pivoted Cholesky of that Gram gives the
+factor.  The n-wide data is read once for the Grams and
+class sums, and once after the loop, in one sweep over blocks of
+``CHUNK`` columns, for the returned C and the final loss; no n-wide Y
+or H is formed.
 
 An iteration decomposes one matrix, ``C C^T``: the left Grams of the A
 and B steps are its multiples ``lambda3 C C^T`` and ``lambda4 C C^T``.
@@ -57,10 +61,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpstrf
 
 from .dataset import ZslDataset, block_partition, expand_prototypes
 from .errors import (
     InvalidHyperparamsError,
+    NonFiniteError,
     NonUniqueError,
     ShapeMismatchError,
     SingularError,
@@ -554,58 +560,74 @@ def descent_constants(A_next, B_next, C, X, Y, hyper: Hyperparams):
     return max(float(m_a), 0.0), max(float(m_b), 0.0), m_c
 
 
-def _class_sums(M, positions, num_classes: int) -> np.ndarray:
-    """Per-class column sums of ``M``: column j sums the columns i with
-    ``positions[i] == j``, so ``M E^T`` for the c x n one-hot E, which is
-    never formed."""
-    return np.stack([np.bincount(positions, weights=row, minlength=num_classes)
-                     for row in M])
+def _class_sums(rows, positions, num_classes: int) -> list[np.ndarray]:
+    """Per-class column sums of each n-wide matrix in ``rows``: column j
+    of a sum adds up the columns i with ``positions[i] == j``, so it is
+    ``M E^T`` for the c x n one-hot E, formed one ``CHUNK``-column block
+    at a time and shared by every matrix."""
+    sums = [np.zeros((M.shape[0], num_classes)) for M in rows]
+    for j in _column_blocks(len(positions)):
+        onehot = np.zeros((j.stop - j.start, num_classes))
+        onehot[np.arange(j.stop - j.start), positions[j]] = 1.0
+        for total, M in zip(sums, rows):
+            total += M[:, j] @ onehot
+    return sums
 
 
-def _stacked_gram(X, C0, V, positions, xx, yy) -> np.ndarray:
-    """Lower triangle of the Gram ``Z Z^T`` of ``Z = [X; Y; H; C0]``.
+def _stacked_gram(X, C0, R, positions) -> np.ndarray:
+    """Lower triangle of the Gram of ``[X; R E; C0]``, in Fortran order.
 
-    ``[Y; H] = V E`` for the per-class rows ``V`` (prototypes, then the
-    block indicators when there are H rows) and the one-hot E of
-    ``positions``, so every block that involves Y or H comes from
-    per-class sums of X and C0 and the class counts, except ``Y Y^T``:
-    it and ``xx = X X^T`` are passed in because the caller already has
-    them.  Of the rest, only ``C0 X^T``, ``C0 C0^T`` and the class sums
-    read n-wide data.
+    ``[Y; H] = V E`` for the per-class rows V (prototypes, then the block
+    indicators when there are H rows) and the one-hot E of
+    ``positions``; with the reduced QR ``V = Q R`` the rows ``R E`` carry
+    the same Gram as ``[Y; H]`` up to Q, in at most c rows.  Their blocks
+    come from R, the class counts and the per-class sums of X and C0;
+    only those sums, ``X X^T`` (filled in whole, both triangles, so that
+    the caller can decompose it), ``C0 X^T`` and ``C0 C0^T`` read n-wide
+    data.
     """
     m, k = X.shape[0], C0.shape[0]
-    d = yy.shape[0]
-    q, num_classes = V.shape
+    r, num_classes = R.shape
     counts = np.bincount(positions, minlength=num_classes)
-    # eigh reads the lower triangle only, so only that is filled
-    G = np.zeros((m + q + k, m + q + k))
-    G[:m, :m] = xx
-    G[m:m + q, :m] = V @ _class_sums(X, positions, num_classes).T
-    G[m:m + q, m:m + q] = (V * counts) @ V.T
-    G[m:m + d, m:m + d] = yy
-    G[m + q:, :m] = C0 @ X.T
-    G[m + q:, m:m + q] = _class_sums(C0, positions, num_classes) @ V.T
-    G[m + q:, m + q:] = C0 @ C0.T
+    x_sums, c_sums = _class_sums((X, C0), positions, num_classes)
+    # dpstrf reads the lower triangle only, so only that is filled
+    G = np.zeros((m + r + k, m + r + k), order="F")
+    G[:m, :m] = X @ X.T
+    G[m:m + r, :m] = R @ x_sums.T
+    G[m:m + r, m:m + r] = (R * counts) @ R.T
+    G[m + r:, :m] = C0 @ X.T
+    G[m + r:, m:m + r] = c_sums @ R.T
+    G[m + r:, m + r:] = C0 @ C0.T
     return G
 
 
-def _gram_factor(G, m: int, d: int, q: int):
-    """Rows ``(Xc, Yc, Hc, Cc)`` of a factor ``Zc`` with ``Zc Zc^T = G``
-    for the Gram of ``[X; Y; H; C0]`` (m, d, q - d and k rows; ``Hc`` is
-    None when q == d).
+def _gram_factor(G, m: int, Q, d: int):
+    """Rows ``(Xc, Yc, Hc, Cc)`` of a factor ``Zc`` with ``Zc Zc^T`` the
+    Gram of ``[X; Y; H; C0]`` (m, d, q - d and k rows for the q x r
+    ``Q``; ``Hc`` is None when q == d), from the Gram G of
+    ``[X; R E; C0]`` of ``_stacked_gram``, which is overwritten.
 
-    ``Zc = U sqrt(Lambda)`` from the eigendecomposition ``U Lambda U^T``
-    of G, keeping only the eigenvalues above ``p * eps * lambda_max``, so
-    ``Zc`` is rank-wide: the rest are 0 or roundoff in a singular Gram,
-    and kept they would add directions the data does not have, which
-    shifts a near-zero loss by far more than roundoff.
+    LAPACK's pivoted Cholesky ``P^T G P = L L^T`` stops at the first
+    pivot at most ``p * eps * max(diag G)``, so ``Zc = P L`` keeps only
+    its first ``rank`` columns: the rest are 0 or roundoff in a singular
+    Gram, and kept they would add directions the data does not have,
+    which shifts a near-zero loss by far more than roundoff.  The class
+    rows map back as ``[Yc; Hc] = Q Fc``, which leaves ``Zc Zc^T`` equal
+    to the Gram of ``[X; Y; H; C0]``.  ``Zc`` needs no orthogonal columns,
+    only that product.  A G with a non-finite entry (overflowed products
+    of finite data) raises NonFiniteError.
     """
-    values, vectors = np.linalg.eigh(G)
-    keep = values > values[-1] * len(values) * np.finfo(float).eps
-    Zc = vectors[:, keep]
-    Zc *= np.sqrt(values[keep])
-    Hc = Zc[m + d:m + q] if q > d else None
-    return Zc[:m], Zc[m:m + d], Hc, Zc[m + q:]
+    if not np.all(np.isfinite(G)):
+        # dpstrf would pass over a NaN pivot and an infinite tolerance
+        raise NonFiniteError("the Gram of [X; Y; H; C0] contains non-finite entries")
+    tol = len(G) * np.finfo(float).eps * np.max(np.diag(G))
+    L, piv, rank, _ = dpstrf(G, tol=tol, lower=1, overwrite_a=1)
+    Zc = np.empty((len(L), rank))
+    Zc[piv - 1] = np.tril(L[:, :rank])
+    r = Q.shape[1]
+    classes = Q @ Zc[m:m + r]
+    Hc = classes[d:] if len(Q) > d else None
+    return Zc[:m], classes[:d], Hc, Zc[m + r:]
 
 
 def _into_eigenbasis(Z, W, eig: SymmetricEigen):
@@ -636,15 +658,15 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
     those rows (see the module docstring), so no iteration's cost grows
     with n, and in the eigenbases of ``X X^T`` and ``lambda1 Y Y^T``
     (the factor's rows are rotated in place; A and B are rotated back
-    once after the loop).  Read from the n-wide data: the Grams
-    ``X X^T``, ``Y Y^T``, ``C0 X^T``, ``C0 C0^T`` and the per-class sums
-    of X and C0, once, before the loop; then, after it, the returned C
-    and the last entry ``losses[-1]``, which are exactly what
+    once after the loop).  ``X X^T`` is the exact block of the factored
+    Gram, ``Y Y^T`` the Gram of the factor's Y rows.  Read from the
+    n-wide data: ``X X^T``, ``C0 X^T``, ``C0 C0^T`` and the per-class
+    sums of X and C0, once, before the loop; then, after it, the returned
+    C and the last entry ``losses[-1]``, which are exactly what
     ``update_C`` and ``loss()`` give.  That final pass runs over blocks
     of ``CHUNK`` columns and gathers the Y and H columns of each block as
     it goes, so beside the returned C no n-wide matrix is allocated after
-    the Grams (the n-wide Y is dropped once ``Y Y^T`` is formed, and the
-    n-wide H never built).
+    the Grams, and no n-wide Y or H at all.
     With ``n <= p`` every entry is computed directly on the n-wide data
     as ``update_A``, ``update_B``, ``update_C`` and ``loss`` compute it.
 
@@ -652,9 +674,8 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
     step norms, descent constants and any ridge-regularization warnings.
     """
     X = dataset.visual_seen
-    Y = expand_prototypes(dataset.prototypes, dataset.labels_seen)
-
     if hyper.variant == "fpl":
+        Y = expand_prototypes(dataset.prototypes, dataset.labels_seen)
         A = fpl_fit(X, Y, hyper.ridge_eps)
         trace = TrainingTrace(
             losses=[0.5 * _fro2(A @ X - Y)],
@@ -673,39 +694,40 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
         indicators = _block_indicators(hyper.k, dataset.c_seen)
         V = np.vstack([V, indicators])
     factored = dataset.n_seen > dataset.m + V.shape[0] + hyper.k
-    # the right Grams of the two Sylvester steps are fixed: eigendecompose
-    # them once
-    xx, yy = X @ X.T, Y @ Y.T
-    H = None
-    if factored:
-        Y = None  # the final pass gathers its blocks of Y and H
-    elif indicators is not None:
-        H = indicators.take(positions, axis=1)
 
     rng = np.random.default_rng(hyper.seed)
     A = 0.01 * rng.standard_normal((hyper.k, dataset.m))
     B = 0.01 * rng.standard_normal((hyper.k, dataset.d))
     C = 0.01 * rng.standard_normal((hyper.k, dataset.n_seen))
 
-    x_eig = symmetric_eigen(xx, "X X^T")
-    y_eig = symmetric_eigen(eff.lambda1 * yy, "Y Y^T")
-    # the data the loop works on: the n-wide matrices or their factor
-    Xw, Yw, Hw = X, Y, H
+    # the right Grams of the two Sylvester steps are fixed: eigendecompose
+    # them once
     if factored:
-        # C0 and every later C lie in the row space of [X; Y; H; C0], so
-        # the factor carries every Gram and norm the loop needs; the
-        # n-wide C0 goes before the eigendecomposition, to keep the
-        # allocation peak down
-        G = _stacked_gram(X, C, V, positions, xx, yy)
+        # C0 and every later C lie in the row space of [X; Y; H; C0] =
+        # [X; Q R E; C0], so the factor carries every Gram and norm the
+        # loop needs; the n-wide C0 goes before the factorization, to
+        # keep the allocation peak down
+        Q, R = np.linalg.qr(V)
+        G = _stacked_gram(X, C, R, positions)
         C = None
-        Xw, Yw, Hw, C = _gram_factor(G, dataset.m, dataset.d, V.shape[0])
-        del G, xx, yy
+        # before the factorization overwrites G
+        x_eig = symmetric_eigen(G[:dataset.m, :dataset.m], "X X^T")
+        Xw, Yw, Hw, C = _gram_factor(G, dataset.m, Q, dataset.d)
+        del G, Q, R, V
+        y_eig = symmetric_eigen(eff.lambda1 * (Yw @ Yw.T), "Y Y^T")
         # the loop runs in the fixed Grams' eigenbases: A U_x and B U_y
         # against the rows U_x^T X and U_y^T Y, which leaves every norm
         # and A A^T, B B^T as they are and makes X X^T and Y Y^T diagonal
         x_basis, y_basis = x_eig.vectors, y_eig.vectors
         A, x_eig = _into_eigenbasis(A, Xw, x_eig)
         B, y_eig = _into_eigenbasis(B, Yw, y_eig)
+    else:
+        # the loop works on the n-wide matrices
+        Xw = X
+        Yw = expand_prototypes(dataset.prototypes, dataset.labels_seen)
+        Hw = indicators.take(positions, axis=1) if indicators is not None else None
+        x_eig = symmetric_eigen(X @ X.T, "X X^T")
+        y_eig = symmetric_eigen(eff.lambda1 * (Yw @ Yw.T), "Y Y^T")
 
     f_prev = loss(A, B, C, Xw, Yw, Hw, eff)
     trace = TrainingTrace(

@@ -17,6 +17,7 @@ from jcmspl.dataset import (
 )
 from jcmspl.errors import (
     InvalidHyperparamsError,
+    NonFiniteError,
     NonUniqueError,
     ShapeMismatchError,
     SingularError,
@@ -392,22 +393,54 @@ def test_ridge_fit_records_its_events_without_issuing_warnings(variant):
 
 @pytest.mark.parametrize("variant", ["full", "jcmspl0"])
 def test_fit_decomposes_each_gram_once(monkeypatch, variant):
-    # X X^T, Y Y^T and the factor's Gram once, and C C^T, whose scalings
+    # eigh of X X^T and lambda1 Y Y^T once, and of C C^T, whose scalings
     # are the left Grams of both blocks, once per iteration; the ridge
     # (every jcmspl0 iteration) shifts the eigenvalues it already has and
-    # decomposes nothing
-    calls = []
-    eigh = np.linalg.eigh
+    # decomposes nothing.  The factor's Gram takes one pivoted Cholesky
+    # (dpstrf) per fit and no eigh.
+    from jcmspl import trainer
+
+    calls, factorizations = [], []
+    eigh, dpstrf = np.linalg.eigh, trainer.dpstrf
 
     def counting(a, *args, **kwargs):
         calls.append(a.shape)
         return eigh(a, *args, **kwargs)
 
+    def counting_dpstrf(a, *args, **kwargs):
+        factorizations.append(a.shape)
+        return dpstrf(a, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(trainer, "dpstrf", counting_dpstrf)
     dataset, _ = synth_generate(SynthSpec())
     _, trace = fit(dataset, Hyperparams(k=40, variant=variant))
     assert bool(trace.warnings) == (variant == "jcmspl0")
-    assert len(calls) == 3 + trace.iterations
+    assert len(calls) == 2 + trace.iterations
+    assert len(factorizations) == 1
+
+
+@pytest.mark.parametrize("variant", ["full", "jcmspl1"])
+def test_factored_fit_forms_no_n_wide_prototypes(monkeypatch, variant):
+    # the Gram takes Y and H from per-class sums and the final pass
+    # gathers them one column block at a time
+    from jcmspl import trainer
+
+    dataset, _ = synth_generate(
+        SynthSpec(m=16, d=8, k=12, num_seen_classes=5, num_unseen_classes=2,
+                  samples_per_class=500, seed=3)
+    )
+    assert dataset.n_seen > 2 * CHUNK
+    widths, original = [], trainer.expand_prototypes
+
+    def recording(prototypes, labels):
+        widths.append(len(labels))
+        return original(prototypes, labels)
+
+    monkeypatch.setattr(trainer, "expand_prototypes", recording)
+    fit(dataset, Hyperparams(k=12, variant=variant, t_max=3))
+    assert widths and max(widths) <= CHUNK
+    assert sum(widths) == dataset.n_seen
 
 
 def test_fpl_examples():
@@ -885,6 +918,113 @@ def test_training_factor_is_rank_wide_and_reproduces_the_gram(monkeypatch, varia
     Z = np.vstack(rows + [C0])
     G = Z @ Z.T
     assert np.linalg.norm(Zc @ Zc.T - G) <= 1e-12 * np.linalg.norm(G)
+
+
+def capture_factors(monkeypatch):
+    """A list that collects a copy of every ``(Xc, Yc, Hc, Cc)`` that
+    ``fit`` gets from ``_gram_factor``: copies, since fit rotates the
+    factor's rows in place."""
+    from jcmspl import trainer
+
+    factors, original = [], trainer._gram_factor
+
+    def capture(*args):
+        out = original(*args)
+        factors.append([None if M is None else M.copy() for M in out])
+        return out
+
+    monkeypatch.setattr(trainer, "_gram_factor", capture)
+    return factors
+
+
+def check_factor_reproduces_the_gram(factor, dataset, hyper):
+    """The factor has no zero column, carries H rows exactly when the fit
+    has an H term, and reproduces the Gram of ``[X; Y; (H;) C0]`` formed
+    from the n-wide rows within 1e-12."""
+    Xc, Yc, Hc, Cc = factor
+    Zc = np.vstack([M for M in (Xc, Yc, Hc, Cc) if M is not None])
+    with_h = hyper.effective().lambda2 > 0
+    assert (Hc is not None) == with_h
+    assert np.all(np.linalg.norm(Zc, axis=0) > 0)
+    rng = np.random.default_rng(hyper.seed)
+    rng.standard_normal((hyper.k, dataset.m))
+    rng.standard_normal((hyper.k, dataset.d))
+    C0 = 0.01 * rng.standard_normal((hyper.k, dataset.n_seen))
+    rows = [dataset.visual_seen, expand_prototypes(dataset.prototypes, dataset.labels_seen)]
+    if with_h:
+        rows.append(build_class_matrix(dataset.labels_seen, hyper.k, dataset.seen_classes).H)
+    Z = np.vstack(rows + [C0])
+    G = Z @ Z.T
+    assert np.linalg.norm(Zc @ Zc.T - G) <= 1e-12 * np.linalg.norm(G)
+
+
+@pytest.mark.parametrize("variant", LOOP_VARIANTS)
+def test_factored_gram_takes_at_most_c_class_rows(monkeypatch, variant):
+    # [Y; H] = Q R E enters the Gram as the min(q, c) rows R E: on the
+    # default synth 50 + 10 + 40 rows, against the 150 (110 without H)
+    # of [X; Y; H; C0]
+    from jcmspl import trainer
+
+    sizes, original = [], trainer._stacked_gram
+
+    def recording(*args):
+        G = original(*args)
+        sizes.append(G.shape)
+        return G
+
+    monkeypatch.setattr(trainer, "_stacked_gram", recording)
+    dataset, _ = synth_generate(SynthSpec())
+    fit(dataset, Hyperparams(k=40, variant=variant, t_max=2))
+    assert sizes == [(dataset.m + dataset.c_seen + 40,) * 2]
+
+
+def without_class(dataset, cid):
+    """``dataset`` with every seen sample of class ``cid`` dropped; the
+    class stays seen, with no samples."""
+    keep = dataset.labels_seen != cid
+    return dataclasses.replace(dataset, visual_seen=dataset.visual_seen[:, keep],
+                               labels_seen=dataset.labels_seen[keep])
+
+
+@pytest.mark.parametrize("emptied", [False, True], ids=["all-classes", "one-class-emptied"])
+@pytest.mark.parametrize("noise", [0.05, 0.0])
+@pytest.mark.parametrize("variant", ["jcmspl1", "ipl"])
+def test_factored_fit_with_fewer_prototype_rows_than_classes(monkeypatch, variant, noise,
+                                                             emptied):
+    # d = 4 < c = 10 and no H: the prototype rows are not compressed, and
+    # R of the QR of the d x c prototypes is wide.  An emptied seen class
+    # keeps its prototype column with a zero count.  n = 200 (180) against
+    # the 44 rows of [X; Y; C0].
+    dataset, _ = synth_generate(
+        SynthSpec(m=24, d=4, k=16, num_seen_classes=10, num_unseen_classes=2,
+                  samples_per_class=20, noise_sigma=noise, seed=4)
+    )
+    if emptied:
+        dataset = without_class(dataset, 3)
+    assert dataset.n_seen > dataset.m + dataset.d + 16
+    hyper = Hyperparams(k=16, seed=2, variant=variant)
+    factors = capture_factors(monkeypatch)
+    model, trace = fit(dataset, hyper)
+    factor, = factors
+    check_factor_reproduces_the_gram(factor, dataset, hyper)
+    A, B, _, losses, iterations, ridge_warned = direct_fit(dataset, hyper)
+    assert trace.iterations == iterations
+    for f, f_ref in zip(trace.losses, losses):
+        assert abs(f - f_ref) <= 1e-12 * (1.0 + f_ref)
+    if not ridge_warned and noise > 0:
+        assert np.linalg.norm(model.A - A) <= 1e-10 * np.linalg.norm(A)
+        assert np.linalg.norm(model.B - B) <= 1e-10 * np.linalg.norm(B)
+
+
+@pytest.mark.parametrize("variant", ["full", "jcmspl1"])
+def test_factored_fit_rejects_a_gram_that_overflows(variant):
+    # finite prototypes whose class Gram overflows: the pivoted Cholesky
+    # would pass over a NaN pivot, so the non-finite Gram is an error
+    dataset, _ = synth_generate(SynthSpec())
+    dataset = dataclasses.replace(dataset, prototypes=1e160 * dataset.prototypes)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteError, match="Gram of"):
+        fit(dataset, Hyperparams(k=40, variant=variant, t_max=2))
 
 
 def check_first_iteration_moduli(dataset):
