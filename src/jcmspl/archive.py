@@ -4,14 +4,16 @@ Layout (all little-endian): a 4-byte magic and u32 format version,
 the hyperparameter snapshot, a dataset fingerprint (dimensions plus a
 SHA-256 over the raw dataset bytes), then the A/B/C matrices as
 presence flag, u64 row/column counts and row-major float64 payload.
-Matrices survive a save/load round trip bit for bit.
+Matrices survive a save/load round trip bit for bit.  C, when present,
+holds the k x n_seen per-sample concepts of the training data; fpl
+models and planted models carry none.
 
 ``load_model`` raises only ``ArchiveError`` (or ``MissingFileError``)
 for a malformed file: truncation, trailing bytes, a string that is not
 UTF-8, an unknown variant, rejected hyperparameters, a presence flag
 other than 0/1, a negative shape, a non-finite payload entry, a
-joint variant without B, or an A or B whose shape disagrees with k and
-the fingerprint's m and d.
+joint variant without B, or an A, B or C whose shape disagrees with k
+and the fingerprint's m, d and n_seen.
 """
 
 from __future__ import annotations
@@ -159,16 +161,18 @@ class _Reader:
         return M.reshape(rows, cols).copy()
 
 
-def _check_dimensions(A, B, variant, k, fingerprint) -> None:
-    """A and B must have the shapes that k and the fingerprint's m and d
-    give them: A is d x m for fpl (which has no B), else k x m and B k x d."""
-    m, d = fingerprint.m, fingerprint.d
+def _check_dimensions(A, B, C, variant, k, fingerprint) -> None:
+    """A, B and a present C must have the shapes that k and the
+    fingerprint's m, d and n_seen give them: A is d x m for fpl (which has
+    no B), else k x m and B k x d; C is k x n_seen."""
+    m, d, n = fingerprint.m, fingerprint.d, fingerprint.n_seen
     expected = {"A": (d, m)} if variant == "fpl" else {"A": (k, m), "B": (k, d)}
-    for name, M in (("A", A), ("B", B)):
-        if name in expected and M.shape != expected[name]:
+    expected["C"] = (k, n)
+    for name, M in (("A", A), ("B", B), ("C", C)):
+        if name in expected and M is not None and M.shape != expected[name]:
             raise ArchiveError(
                 f"{variant} archive holds a {M.shape[0]}x{M.shape[1]} {name}, but "
-                f"k={k} and the fingerprint's m={m}, d={d} give "
+                f"k={k} and the fingerprint's m={m}, d={d}, n_seen={n} give "
                 f"{expected[name][0]}x{expected[name][1]}"
             )
 
@@ -211,6 +215,6 @@ def load_model(path) -> ModelArchive:
         raise ArchiveError("archive has no A matrix")
     if B is None and variant != "fpl":
         raise ArchiveError(f"{variant} archive has no B matrix")
-    _check_dimensions(A, B, variant, hyper.k, fingerprint)
+    _check_dimensions(A, B, C, variant, hyper.k, fingerprint)
     model = JcmsplModel(A=A, B=B, C=C, variant=variant, hyper=hyper)
     return ModelArchive(model=model, fingerprint=fingerprint, version=int(version))

@@ -222,12 +222,12 @@ def _load_model_checked(model_path, dataset: ZslDataset):
 
 
 def cmd_eval(args) -> int:
-    raw, dataset = _load_normalized(args.manifest, args.normalize)
-    model = _load_model_checked(args.model, raw)
     if args.gzsl and args.direction == "s2v":
         raise UsageError("generalized scoring is defined for v2s only")
     if args.gzsl and args.hit_k is not None:
         raise UsageError("--hit-k cannot be combined with --gzsl")
+    raw, dataset = _load_normalized(args.manifest, args.normalize)
+    model = _load_model_checked(args.model, raw)
     if args.gzsl:
         report = eval_generalized(
             model,
@@ -281,6 +281,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    # the flags are checked once, before any file is read; variants differ
+    # only in the variant field
+    hyper = _build_hyper(args, "full")
     raw, dataset = _load_normalized(args.manifest, args.normalize)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -297,8 +300,7 @@ def cmd_ablate(args) -> int:
             "error": None,
         }
         try:
-            hyper = _build_hyper(args, variant)
-            model, trace = fit(dataset, hyper)
+            model, trace = fit(dataset, dataclasses.replace(hyper, variant=variant))
             row["loss"] = trace.losses[-1]
             row["iters"] = trace.iterations
             row["acc_v2s"] = eval_standard(
@@ -353,7 +355,7 @@ def cmd_synth(args) -> int:
     planted_model = JcmsplModel(
         A=planted.A_true,
         B=planted.B_true,
-        C=planted.concept_means,
+        C=None,
         variant="full",
         hyper=Hyperparams(k=spec.k, seed=spec.seed),
     )

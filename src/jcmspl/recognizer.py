@@ -173,31 +173,26 @@ def classify(query, candidates, distance: str = "cosine") -> int:
     return int(np.argmin(distance_matrix(q[:, None], candidates, distance)[0]))
 
 
-def _embed_visual(model: JcmsplModel, X) -> np.ndarray:
-    """Map visual columns into the semantic space."""
-    X = np.asarray(X, dtype=np.float64)
-    rows = X.shape[0]
-    if model.A.shape[1] != rows:
-        raise DimensionMismatchError(
-            f"model expects visual dimension {model.A.shape[1]}, got {rows}"
-        )
-    if model.variant == "fpl":
-        return model.A @ X
-    return model.B.T @ (model.A @ X)
-
-
-def _embed_semantic(model: JcmsplModel, Y) -> np.ndarray:
-    """Map semantic columns into the visual space."""
-    if model.variant == "fpl":
+def _embed(model: JcmsplModel, inputs, direction: str) -> np.ndarray:
+    """Map visual columns into the semantic space (v2s), or semantic
+    columns into the visual space (s2v)."""
+    if direction not in DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}; use one of {DIRECTIONS}")
+    if direction == "s2v" and model.variant == "fpl":
         raise UnsupportedVariantError(
             "fpl has no semantic-to-visual map; only v2s inference is defined"
         )
-    Y = np.asarray(Y, dtype=np.float64)
-    if model.B.shape[1] != Y.shape[0]:
+    inputs = np.asarray(inputs, dtype=np.float64)
+    space, M = ("visual", model.A) if direction == "v2s" else ("semantic", model.B)
+    if M.shape[1] != inputs.shape[0]:
         raise DimensionMismatchError(
-            f"model expects semantic dimension {model.B.shape[1]}, got {Y.shape[0]}"
+            f"model expects {space} dimension {M.shape[1]}, got {inputs.shape[0]}"
         )
-    return model.A.T @ (model.B @ Y)
+    if direction == "s2v":
+        return model.A.T @ (model.B @ inputs)
+    if model.variant == "fpl":
+        return model.A @ inputs
+    return model.B.T @ (model.A @ inputs)
 
 
 def infer_semantic(model: JcmsplModel, x) -> np.ndarray:
@@ -205,7 +200,7 @@ def infer_semantic(model: JcmsplModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise DimensionMismatchError(f"x must be a vector, got ndim={x.ndim}")
-    return _embed_visual(model, x[:, None])[:, 0]
+    return _embed(model, x[:, None], "v2s")[:, 0]
 
 
 def infer_visual(model: JcmsplModel, y) -> np.ndarray:
@@ -213,7 +208,7 @@ def infer_visual(model: JcmsplModel, y) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1:
         raise DimensionMismatchError(f"y must be a vector, got ndim={y.ndim}")
-    return _embed_semantic(model, y[:, None])[:, 0]
+    return _embed(model, y[:, None], "s2v")[:, 0]
 
 
 def _per_class_accuracies(preds, labels, class_ids):
@@ -239,20 +234,19 @@ def _degenerate_count(model: JcmsplModel, inputs, embedded) -> int:
         return int(np.count_nonzero(np.linalg.norm(embedded, axis=0) <= bound))
 
 
-def _unseen_distances(model, dataset, direction, distance):
-    """The distances of the unseen queries in ``direction``, and the
-    number of degenerate embeddings among them."""
-    proto_u = dataset.prototypes[:, dataset.unseen_classes]
+def _rank(model, dataset, visual, classes, direction, distance):
+    """Rank the ``visual`` columns against the prototypes of ``classes`` in
+    ``direction``: the nearest class id of each column, the (columns x
+    classes) distances, and the number of degenerate embeddings."""
+    prototypes = dataset.prototypes[:, classes]
+    inputs = visual if direction == "v2s" else prototypes
+    embedded = _embed(model, inputs, direction)
     if direction == "v2s":
-        X = dataset.visual_unseen
-        embedded = _embed_visual(model, X)
-        dist = distance_matrix(embedded, proto_u, distance)
-        return dist, _degenerate_count(model, X, embedded)
-    if direction == "s2v":
-        anchors = _embed_semantic(model, proto_u)
-        dist = distance_matrix(dataset.visual_unseen, anchors, distance)
-        return dist, _degenerate_count(model, proto_u, anchors)
-    raise ValueError(f"unknown direction {direction!r}; use one of {DIRECTIONS}")
+        dist = distance_matrix(embedded, prototypes, distance)
+    else:
+        dist = distance_matrix(visual, embedded, distance)
+    preds = classes[np.argmin(dist, axis=1)]
+    return preds, dist, _degenerate_count(model, inputs, embedded)
 
 
 def eval_standard(
@@ -266,8 +260,8 @@ def eval_standard(
     Reports both the sample-weighted overall accuracy and the mean of
     per-class accuracies, and the number of degenerate embeddings.
     """
-    dist, degenerate = _unseen_distances(model, dataset, direction, distance)
-    preds = dataset.unseen_classes[np.argmin(dist, axis=1)]
+    preds, _, degenerate = _rank(model, dataset, dataset.visual_unseen,
+                                 dataset.unseen_classes, direction, distance)
     labels = dataset.labels_unseen
     per_class = _per_class_accuracies(preds, labels, dataset.unseen_classes)
     return EvalReport(
@@ -292,12 +286,12 @@ def eval_hit_at_k(
     c_u = dataset.c_unseen
     if not isinstance(k, (int, np.integer)) or not (1 <= k <= c_u):
         raise InvalidKError(f"K must satisfy 1 <= K <= {c_u}, got {k!r}")
-    dist, _ = _unseen_distances(model, dataset, direction, distance)
+    _, dist, _ = _rank(model, dataset, dataset.visual_unseen, dataset.unseen_classes,
+                       direction, distance)
     order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    # unseen_classes may be unsorted, so map labels to columns explicitly
-    index_of = {int(c): i for i, c in enumerate(dataset.unseen_classes)}
-    truth = np.array([index_of[int(label)] for label in dataset.labels_unseen])
-    hits = np.any(order == truth[:, None], axis=1)
+    # class ids are unique, so a hit is a ranked id equal to the label
+    ranked = dataset.unseen_classes[order]
+    hits = np.any(ranked == dataset.labels_unseen[:, None], axis=1)
     return float(np.mean(hits))
 
 
@@ -344,20 +338,12 @@ def eval_generalized(
         dataset.labels_seen, dataset.seen_classes, holdout_fraction, seed
     )
     all_classes = np.concatenate([dataset.seen_classes, dataset.unseen_classes])
-    proto_all = dataset.prototypes[:, all_classes]
-
-    X_hold = dataset.visual_seen[:, holdout]
     labels_hold = dataset.labels_seen[holdout]
-    embedded_s = _embed_visual(model, X_hold)
-    dist_s = distance_matrix(embedded_s, proto_all, distance)
-    preds_s = all_classes[np.argmin(dist_s, axis=1)]
-
-    X_u = dataset.visual_unseen
-    embedded_u = _embed_visual(model, X_u)
-    dist_u = distance_matrix(embedded_u, proto_all, distance)
-    preds_u = all_classes[np.argmin(dist_u, axis=1)]
     labels_u = dataset.labels_unseen
-
+    preds_s, _, degenerate_s = _rank(model, dataset, dataset.visual_seen[:, holdout],
+                                     all_classes, "v2s", distance)
+    preds_u, _, degenerate_u = _rank(model, dataset, dataset.visual_unseen, all_classes,
+                                     "v2s", distance)
     per_class_s = _per_class_accuracies(preds_s, labels_hold, dataset.seen_classes)
     per_class_u = _per_class_accuracies(preds_u, labels_u, dataset.unseen_classes)
     acc_s = float(np.mean(per_class_s))
@@ -374,6 +360,5 @@ def eval_generalized(
         acc_s=acc_s,
         acc_u=acc_u,
         hm=harmonic_mean(acc_s, acc_u),
-        degenerate_queries=_degenerate_count(model, X_hold, embedded_s)
-        + _degenerate_count(model, X_u, embedded_u),
+        degenerate_queries=degenerate_s + degenerate_u,
     )

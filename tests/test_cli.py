@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 from jcmspl import errors
 from jcmspl.archive import load_model, save_model
 from jcmspl.cli import ABLATION_ORDER, exit_code, main
-from jcmspl.dataset import FILE_KEYS
+from jcmspl.dataset import FILE_KEYS, load_manifest
+from jcmspl.trainer import Hyperparams, fit
 from malformed import (
     ARCHIVE_HOLES,
     CSV_HOLES,
@@ -158,6 +161,23 @@ def test_eval_rejects_gzsl_flag_conflicts(synth_dir, trained_dir, tmp_path):
     assert run(base + ["--hit-k", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--model", "MISSING/model.bin", "--manifest", "MISSING/manifest.json",
+     "--gzsl", "--direction", "s2v"],
+    ["eval", "--model", "MISSING/model.bin", "--manifest", "MISSING/manifest.json",
+     "--gzsl", "--hit-k", "1"],
+    ["ablate", "--manifest", "MISSING/manifest.json"],
+    ["ablate", "--manifest", "SYNTH/manifest.json"],
+], ids=["gzsl_s2v", "gzsl_hit_k", "ablate_without_k", "ablate_without_k_on_data"])
+def test_flag_errors_exit_2_before_any_file_is_read(synth_dir, tmp_path, capsys, argv):
+    # a usage error is reported as such, even when the inputs are missing
+    argv = [a.replace("MISSING", str(tmp_path / "missing")).replace("SYNTH", str(synth_dir))
+            for a in argv]
+    rc = run(argv + ["--out", str(tmp_path / "out")])
+    assert_config_error(rc, capsys, argv[0])
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_s2v_on_fpl_archive(synth_dir, tmp_path, capsys):
     fpl_dir = tmp_path / "fpl"
     rc = run(["train", "--manifest", str(synth_dir / "manifest.json"),
@@ -272,6 +292,32 @@ def test_ablate_outputs(synth_dir, tmp_path):
     assert all(row["error"] is None for row in payload["rows"])
 
 
+def test_ablate_reports_each_failing_variant(synth_dir, tmp_path, capsys):
+    # k = 3 < 4 seen classes: the variants with class blocks (full and
+    # jcmspl0) cannot build them; the others train and score as usual
+    rc = run(["ablate", "--manifest", str(synth_dir / "manifest.json"),
+              "--out", str(tmp_path), "--k", "3", "--t-max", "5"])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert "Traceback" not in err
+    failed = {"full", "jcmspl0"}
+    for variant in ABLATION_ORDER:
+        assert (f"jcmspl ablate: {variant}: " in err) == (variant in failed), err
+        assert (tmp_path / f"model_{variant}.bin").exists() == (variant not in failed)
+    rows = json.loads((tmp_path / "ablation.json").read_text())["rows"]
+    for row in rows:
+        cells = [row[key] for key in ("loss", "iters", "acc_v2s", "acc_s2v")]
+        if row["variant"] in failed:
+            assert cells == [None] * 4, row
+            assert row["error"] == "k (3) must be >= number of seen classes (4)", row
+        else:
+            assert row["error"] is None, row
+            assert (cells[3] is None) == (row["variant"] == "fpl"), row
+            assert all(v is not None for v in cells[:3]), row
+    lines = (tmp_path / "ablation.csv").read_text().splitlines()[1:]
+    assert [line for line in lines if line.endswith(",,,,")] == ["jcmspl0,,,,", "full,,,,"]
+
+
 def test_console_entry_point_reports_version():
     proc = subprocess.run(
         [sys.executable, "-m", "jcmspl.cli", "--version"],
@@ -381,6 +427,44 @@ def test_out_path_blocked_by_a_file_exits_3(synth_dir, trained_dir, tmp_path, ca
     }[command]
     rc = run(argv + ["--out", str(out)])
     assert_data_error(rc, capsys, command)
+
+
+def unloadable_archive(case, trained, path):
+    """Write the ``case`` of an archive ``load_model`` refuses to ``path``."""
+    archive = load_model(trained)
+    model = archive.model
+    if case == "no_a":
+        model = dataclasses.replace(model, A=None)
+    elif case == "c_with_wrong_columns":
+        model = dataclasses.replace(model, C=model.C[:, 1:])
+    if case != "missing":
+        save_model(path, model, archive.fingerprint)
+
+
+@pytest.mark.parametrize("case", ["missing", "no_a", "c_with_wrong_columns"])
+def test_unloadable_model_exits_3(synth_dir, trained_dir, tmp_path, capsys, case):
+    model = tmp_path / "model.bin"
+    unloadable_archive(case, trained_dir / "model.bin", model)
+    rc = run(["eval", "--model", str(model),
+              "--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path)])
+    assert_data_error(rc, capsys, "eval")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_planted_model_carries_no_c(synth_dir):
+    archive = load_model(synth_dir / "planted_model.bin")
+    assert archive.model.C is None and archive.model.B is not None
+
+
+def test_train_without_normalization_matches_fit_on_the_raw_manifest(synth_dir, tmp_path):
+    manifest = synth_dir / "manifest.json"
+    assert run(["train", "--manifest", str(manifest), "--out", str(tmp_path),
+                "--k", "6", "--t-max", "15", "--normalize", "none"]) == 0
+    model, _ = fit(load_manifest(manifest), Hyperparams(k=6, t_max=15))
+    saved = load_model(tmp_path / "model.bin").model
+    for name in ("A", "B", "C"):
+        assert np.array_equal(getattr(saved, name), getattr(model, name)), name
+    assert json.loads((tmp_path / "summary.json").read_text())["normalize"] == "none"
 
 
 # derandomized, so every run of the suite draws the same examples

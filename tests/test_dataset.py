@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from jcmspl.archive import fingerprint_dataset
 from jcmspl.dataset import (
     SynthSpec,
     ZslDataset,
@@ -11,6 +12,7 @@ from jcmspl.dataset import (
     normalize,
     save_manifest,
     synth_generate,
+    write_labels,
 )
 from jcmspl.errors import (
     DatasetError,
@@ -117,6 +119,21 @@ def test_manifest_round_trip(tmp_path):
     for name in ("manifest.json", "visual_seen.csv", "labels_seen.csv",
                  "visual_unseen.csv", "labels_unseen.csv", "prototypes.csv"):
         assert (second_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_manifest_class_ids_from_label_files(tmp_path):
+    # seen_classes and unseen_classes may name label files instead of
+    # listing the ids inline; the loaded dataset is the same
+    ds, _ = synth_generate(SynthSpec(m=8, d=4, k=6, num_seen_classes=3,
+                                     num_unseen_classes=2, samples_per_class=4))
+    manifest = save_manifest(ds, tmp_path / "manifest.json")
+    spec = json.loads(manifest.read_text())
+    for key in ("seen_classes", "unseen_classes"):
+        write_labels(tmp_path / f"{key}.txt", spec[key])
+        spec[key] = f"{key}.txt"
+    by_file = tmp_path / "by_file.json"
+    by_file.write_text(json.dumps(spec))
+    assert fingerprint_dataset(load_manifest(by_file)) == fingerprint_dataset(ds)
 
 
 def test_missing_manifest_and_files(tmp_path):

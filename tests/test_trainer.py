@@ -728,6 +728,29 @@ def test_fit_on_gram_factor_agrees_with_direct_loop(variant, noise):
         assert np.linalg.norm(model.B - B) <= 1e-10 * np.linalg.norm(B)
 
 
+@pytest.mark.parametrize("variant", ["full", "jcmspl1"])
+def test_fit_keeps_a_small_independent_feature_direction(variant):
+    # The synth's feature rows are dependent (rank k < m), so scaling one
+    # down adds no direction.  An independent 1e-5 component in one row
+    # does: its Gram pivot, 1e-10 (full) and 6e-10 (jcmspl1) of the
+    # largest diagonal entry, lies above the factor's cut of p eps (2e-14
+    # here).  A cut at 1e-9 drops it, and the loss gap (~1e-10) and the
+    # A gap (~1e-8) then miss the bounds of the test above.
+    dataset, _ = synth_generate(SynthSpec(noise_sigma=0.05))
+    X = dataset.visual_seen.copy()
+    X[0] += 1e-5 * np.random.default_rng(7).standard_normal(dataset.n_seen)
+    dataset = dataclasses.replace(dataset, visual_seen=X)
+    hyper = Hyperparams(k=40, variant=variant)
+    model, trace = fit(dataset, hyper)
+    A, B, _, losses, iterations, ridge_warned = direct_fit(dataset, hyper)
+    assert not ridge_warned
+    assert trace.iterations == iterations
+    for f, f_ref in zip(trace.losses, losses):
+        assert abs(f - f_ref) <= 1e-12 * (1.0 + f_ref)
+    assert np.linalg.norm(model.A - A) <= 1e-10 * np.linalg.norm(A)
+    assert np.linalg.norm(model.B - B) <= 1e-10 * np.linalg.norm(B)
+
+
 def with_ulp_noise(dataset, seed):
     """``dataset`` with every visual feature and prototype entry moved by
     one ulp up or down, the direction drawn from ``seed``."""
