@@ -105,6 +105,7 @@ __all__ = [
     "sylvester_solve",
     "sylvester_unique_check",
     "symmetric_eigen",
+    "synth_generate",
     "update_A",
     "update_B",
     "update_C",

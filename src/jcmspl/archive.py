@@ -10,7 +10,8 @@ models and planted models carry none.
 
 ``load_model`` raises only ``ArchiveError`` (or ``MissingFileError``)
 for a malformed file: truncation, trailing bytes, a string that is not
-UTF-8, an unknown variant, rejected hyperparameters, a presence flag
+UTF-8, an unknown variant, rejected hyperparameters, a variant that
+disagrees with the hyperparameters' own, a presence flag
 other than 0/1, a negative shape, a non-finite payload entry, a
 joint variant without B, or an A, B or C whose shape disagrees with k
 and the fingerprint's m, d and n_seen.
@@ -203,6 +204,8 @@ def load_model(path) -> ModelArchive:
         )
     except InvalidHyperparamsError as exc:
         raise ArchiveError(f"archive holds invalid hyperparameters: {exc}") from exc
+    if hyper.variant != variant:
+        raise ArchiveError(f"{variant} archive holds hyperparameters of {hyper.variant}")
     dims = reader.take("<6q")
     sha = reader.take_str()
     fingerprint = DatasetFingerprint(*[int(v) for v in dims], sha256=sha)

@@ -61,6 +61,7 @@ from .recognizer import (
     DEGENERATE_RTOL,
     DIRECTIONS,
     DISTANCES,
+    check_holdout,
     eval_generalized,
     eval_hit_at_k,
     eval_standard,
@@ -226,6 +227,11 @@ def cmd_eval(args) -> int:
         raise UsageError("generalized scoring is defined for v2s only")
     if args.gzsl and args.hit_k is not None:
         raise UsageError("--hit-k cannot be combined with --gzsl")
+    if args.gzsl:
+        check_holdout(args.holdout, args.seed)
+    if args.hit_k is not None and args.hit_k < 1:
+        # the upper bound, the unseen class count, needs the manifest
+        raise InvalidKError(f"K must be >= 1, got {args.hit_k}")
     raw, dataset = _load_normalized(args.manifest, args.normalize)
     model = _load_model_checked(args.model, raw)
     if args.gzsl:

@@ -113,14 +113,11 @@ def sylvester_unique_check(R, S) -> bool:
 
     Uniqueness holds exactly when no eigenvalue of ``R`` is the negative
     of an eigenvalue of ``S``.  Eigenvalue-pair sums are judged by the
-    rule ``sylvester_solve`` applies.
+    rule ``sylvester_solve`` applies, on operands it accepts: a
+    non-symmetric ``R`` or ``S`` raises NotSymmetricError as there.
     """
-    R = as_matrix(R, "R")
-    S = as_matrix(S, "S")
-    _require_square(R, "R")
-    _require_square(S, "S")
-    ev_r = np.linalg.eigvalsh(0.5 * (R + R.T))
-    ev_s = np.linalg.eigvalsh(0.5 * (S + S.T))
+    ev_r = symmetric_eigen(R, "R").values
+    ev_s = symmetric_eigen(S, "S").values
     return _pair_sums(ev_r, ev_s) is not None
 
 

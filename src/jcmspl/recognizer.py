@@ -295,6 +295,14 @@ def eval_hit_at_k(
     return float(np.mean(hits))
 
 
+def check_holdout(fraction: float, seed: int) -> None:
+    """The flags of ``gzsl_holdout_indices``: a fraction in (0, 1), a seed >= 0."""
+    if not (0.0 < fraction < 1.0):
+        raise InvalidFractionError(f"fraction must be in (0, 1), got {fraction}")
+    if seed < 0:
+        raise OutOfRangeError(f"seed must be >= 0, got {seed}")
+
+
 def gzsl_holdout_indices(labels_seen, seen_classes, fraction: float, seed: int):
     """Seeded per-class holdout for generalized evaluation.
 
@@ -302,10 +310,7 @@ def gzsl_holdout_indices(labels_seen, seen_classes, fraction: float, seed: int):
     the nearest integer (at least 1) and draws that many indices without
     replacement.  Returns a sorted index array into the seen split.
     """
-    if not (0.0 < fraction < 1.0):
-        raise InvalidFractionError(f"fraction must be in (0, 1), got {fraction}")
-    if seed < 0:
-        raise OutOfRangeError(f"seed must be >= 0, got {seed}")
+    check_holdout(fraction, seed)
     labels = np.asarray(labels_seen, dtype=np.int64)
     rng = np.random.default_rng(seed)
     picked = []

@@ -42,14 +42,15 @@ and B steps are its multiples ``lambda3 C C^T`` and ``lambda4 C C^T``.
 The right Grams ``X X^T`` and ``lambda1 Y Y^T`` are fixed, and on the
 factor the loop runs in their eigenbases (A and B times those bases,
 the factor's X and Y rows rotated to match), where they are diagonal
-and each Sylvester solve rotates one side only.  Every C step, in the
-loop and after it, is fused with the loss that follows it: each block's
-``A X`` serves both the C step and the five residuals, and no temporary
-is wider than a block.  C is row-major, as every product of a block
-is: each block's right-hand side is built in one contiguous buffer and
-solved there by right-side triangular solves with the step's one
-Cholesky factor.  ``update_C`` and ``loss`` work on the same blocks, so
-they agree with it bit for bit.
+and each Sylvester solve rotates one side only.  One routine sweeps
+the column blocks for every C step and every objective: ``loss``,
+``update_C``, the loop and the pass after it.  A C step is fused with
+the loss that follows it: each block's ``A X`` serves both the C step
+and the five residuals, and no temporary is wider than a block.  C is
+row-major, as every product of a block is: each block's right-hand side
+is built in one contiguous buffer and solved there by right-side
+triangular solves with the step's one Cholesky factor.  So ``update_C``
+and ``loss`` agree with ``fit`` bit for bit by construction.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ from .linalg import (
 )
 
 VARIANTS = ("full", "jcmspl1", "jcmspl0", "ipl", "fpl")
-# columns per block of the n-wide passes (``loss`` and the final pass of
-# ``fit``): their temporaries are at most max(m, d, k) x CHUNK
+# columns per block of every n-wide pass (``_sweep``): its temporaries
+# are at most max(m, d, k) x CHUNK
 CHUNK = 1024
 
 
@@ -239,7 +240,7 @@ def _fro2(E) -> float:
 
 def _fro2_minus(P, Q) -> float:
     """``||P - Q||^2`` for a freshly computed product ``P``, which is
-    overwritten: one n-wide temporary per residual, freed on return."""
+    overwritten: one temporary per residual."""
     P -= Q
     return _fro2(P)
 
@@ -269,28 +270,10 @@ def _column_blocks(n: int) -> list[slice]:
 
 
 def _blocks(X, Y, H):
-    """``(j, X_j, Y_j, H_j)`` for each column block j of ``loss`` (H_j None
-    when H is)."""
+    """``(j, X_j, Y_j, H_j)`` for each column block j of ``_sweep`` (H_j
+    None when H is)."""
     for j in _column_blocks(X.shape[1]):
         yield j, X[:, j], Y[:, j], H[:, j] if H is not None else None
-
-
-def _residual_norms(first, A, B, C, X, Y, H, hyper: Hyperparams) -> list[float]:
-    """The squared norms of the five residuals of the objective on one
-    column block, in the order of its terms (0.0 for the H term when
-    lambda2 is zero).  The caller passes the ``first``, that of
-    ``A X - C``, and so decides how long its ``A X`` lives."""
-    return [
-        first,
-        _fro2_minus(B @ Y, C),
-        _fro2(C - H) if hyper.lambda2 > 0 else 0.0,
-        _fro2_minus(A.T @ C, X),
-        _fro2_minus(B.T @ C, Y),
-    ]
-
-
-def _add_norms(totals, block) -> list[float]:
-    return [total + value for total, value in zip(totals, block)]
 
 
 def _objective(norms, hyper: Hyperparams) -> float:
@@ -313,11 +296,8 @@ def loss(A, B, C, X, Y, H, hyper: Hyperparams) -> float:
     blocks of ``fit``'s final pass, so no temporary is n wide.
     """
     _check_joint_shapes(A, B, C, X, Y, H, hyper)
-    norms = [0.0] * 5
-    for j, Xj, Yj, Hj in _blocks(X, Y, H if hyper.lambda2 > 0 else None):
-        first = _fro2_minus(A @ Xj, C[:, j])
-        norms = _add_norms(norms, _residual_norms(first, A, B, C[:, j], Xj, Yj, Hj, hyper))
-    return _objective(norms, hyper)
+    blocks = _blocks(X, Y, H if hyper.lambda2 > 0 else None)
+    return _sweep(A, B, blocks, X.shape[1], hyper, C=C)[1]
 
 
 def loss_gradients(A, B, C, X, Y, H, hyper: Hyperparams):
@@ -418,17 +398,14 @@ def update_C(A, B, X, Y, H, hyper: Hyperparams) -> np.ndarray:
         = l2 H + (1 + l3) A X + (l1 + l4) B Y``.
 
     The right-hand side is formed and solved one column block of
-    ``loss`` at a time, with one Cholesky factor for all blocks: a
-    product's rounding can depend on its width, so ``fit``'s final pass,
-    which works on the same blocks, returns exactly this C (C-contiguous,
-    like every C of ``fit``).
+    ``loss`` at a time, with one Cholesky factor for all blocks, by the
+    sweep of ``fit``'s final pass: a product's rounding can depend on its
+    width, and on the same blocks that pass returns exactly this C
+    (C-contiguous, like every C of ``fit``).
     """
     _check_joint_shapes(A, B, None, X, Y, H, hyper)
-    chol = cholesky_factor(_c_hessian(A, B, hyper), "M")
-    C = np.empty((A.shape[0], X.shape[1]))
-    for j, Xj, Yj, Hj in _blocks(X, Y, H if hyper.lambda2 > 0 else None):
-        _solve_c_block(chol, A @ Xj, B, Yj, Hj, hyper, C, j)
-    return C
+    blocks = _blocks(X, Y, H if hyper.lambda2 > 0 else None)
+    return _sweep(A, B, blocks, X.shape[1], hyper)[0]
 
 
 def _solve_c_block(chol, AX, B, Y, H, hyper: Hyperparams, C, j) -> None:
@@ -457,30 +434,40 @@ def _solve_c_block(chol, AX, B, Y, H, hyper: Hyperparams, C, j) -> None:
         C[:, j] = rhs
 
 
-def _c_step_and_loss(A, B, K, blocks, n: int, hyper: Hyperparams):
-    """``(C, f)``: the C step at (A, B), whose matrix ``K = _c_hessian(A,
-    B)`` the caller passes, and the objective at C, in one sweep over the
-    column blocks ``(j, X_j, Y_j, H_j)`` of n columns in all.
+def _sweep(A, B, blocks, n: int, hyper: Hyperparams, C=None, K=None):
+    """``(C, f)`` in one sweep over the column blocks ``(j, X_j, Y_j,
+    H_j)`` of n columns in all: f is the objective at C, and a C of None
+    is first solved as the C step at (A, B), block by block on one
+    Cholesky factor of ``K = _c_hessian(A, B)`` (formed here when None).
 
-    C is bit-identical to ``update_C`` and f to ``loss`` at C on the data
-    of those blocks: the same blocks, each solved and summed the same
-    way.  Each block's ``A X`` is formed once, for the C step and the
-    first residual.
+    Every C step and every objective, in ``loss``, ``update_C`` and
+    ``fit``, is this loop, so they agree bit for bit on the same blocks.
+    Each block's ``A X`` is formed once, for the C step and the first
+    residual, and freed before the other four; the residuals' squared
+    norms are summed in the order of the objective's terms.
     """
-    chol = cholesky_factor(K, "M")
-    C = np.empty((A.shape[0], n))
+    chol = None
+    if C is None:
+        chol = cholesky_factor(_c_hessian(A, B, hyper) if K is None else K, "M")
+        C = np.empty((A.shape[0], n))
     norms = [0.0] * 5
     for j, X, Y, H in blocks:
         AX = A @ X
-        _solve_c_block(chol, AX, B, Y, H, hyper, C, j)
-        first = _fro2_minus(AX, C[:, j])
+        if chol is not None:
+            _solve_c_block(chol, AX, B, Y, H, hyper, C, j)
+        Cj = C[:, j]
+        norms[0] += _fro2_minus(AX, Cj)
         del AX
-        norms = _add_norms(norms, _residual_norms(first, A, B, C[:, j], X, Y, H, hyper))
+        norms[1] += _fro2_minus(B @ Y, Cj)
+        if hyper.lambda2 > 0:
+            norms[2] += _fro2(Cj - H)
+        norms[3] += _fro2_minus(A.T @ Cj, X)
+        norms[4] += _fro2_minus(B.T @ Cj, Y)
     return C, _objective(norms, hyper)
 
 
 def _final_pass(A, B, dataset: ZslDataset, positions, indicators, hyper: Hyperparams):
-    """``(C, f)`` of ``_c_step_and_loss`` on the n-wide data, with the Y
+    """``(C, f)`` of ``_sweep`` on the n-wide data, with the Y
     and H of ``expand_prototypes`` and ``build_class_matrix`` gathered one
     column block at a time.
 
@@ -494,7 +481,7 @@ def _final_pass(A, B, dataset: ZslDataset, positions, indicators, hyper: Hyperpa
     blocks = ((j, X[:, j], expand_prototypes(dataset.prototypes, dataset.labels_seen[j]),
                flags[:, positions[j]] if flags is not None else None)
               for j in _column_blocks(X.shape[1]))
-    return _c_step_and_loss(A, B, _c_hessian(A, B, hyper), blocks, X.shape[1], hyper)
+    return _sweep(A, B, blocks, X.shape[1], hyper)
 
 
 def fpl_fit(X, Y, ridge_eps: float = 0.0) -> np.ndarray:
@@ -747,8 +734,7 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
         trace.warnings += [f"iteration {t}: {r}" for r in (ridge_a, ridge_b) if r]
         K = _c_hessian(A_next, B_next, eff)
         m_c = float(np.linalg.eigvalsh(K)[0])
-        C_next, f_t = _c_step_and_loss(A_next, B_next, K, _blocks(Xw, Yw, Hw),
-                                       Xw.shape[1], eff)
+        C_next, f_t = _sweep(A_next, B_next, _blocks(Xw, Yw, Hw), Xw.shape[1], eff, K=K)
         deltas = (
             float(np.linalg.norm(A_next - A)),
             float(np.linalg.norm(B_next - B)),

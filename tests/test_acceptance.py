@@ -10,11 +10,13 @@ import dataclasses
 import json
 import statistics
 import time
+import types
 import warnings
 
 import numpy as np
 import pytest
 
+import jcmspl
 from jcmspl.cli import main
 from jcmspl.dataset import (
     SynthSpec,
@@ -342,3 +344,12 @@ def test_train_then_eval_is_reproducible(tmp_path):
     assert all(identical.values())
     report = json.loads(outputs[0]["report.json"])
     assert 0.0 <= report["report"]["overall_accuracy"] <= 1.0
+
+
+def test_package_exports_every_public_name():
+    # what the package imports is what ``from jcmspl import *`` gives,
+    # the README quick start's ``synth_generate`` included
+    public = {name for name, value in vars(jcmspl).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    print(f"exports: {len(jcmspl.__all__)} names")
+    assert sorted(jcmspl.__all__) == sorted(public | {"__version__"})

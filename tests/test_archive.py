@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -123,12 +125,15 @@ def test_rejects_malformed_archive(tmp_path, case):
 
 
 def test_rejects_joint_variant_without_b(tmp_path):
-    # one byte turns an fpl archive (no B) into an ipl one
+    # two bytes turn an fpl archive (no B) into an ipl one: the first of
+    # the variant and of the hyperparameters' variant
     ds, model = trained_model("fpl")
     path = tmp_path / "fpl.bin"
     save_model(path, model, fingerprint_dataset(ds))
-    raw = path.read_bytes()
-    assert raw[VARIANT_AT:VARIANT_AT + 3] == b"fpl"
-    path.write_bytes(raw[:VARIANT_AT] + b"i" + raw[VARIANT_AT + 1:])
-    with pytest.raises(ArchiveError):
+    raw = bytearray(path.read_bytes())
+    for at in (VARIANT_AT, VARIANT_AT + len("fpl") + struct.calcsize("<4dqqdqd") + 4):
+        assert raw[at:at + 3] == b"fpl"
+        raw[at] = ord("i")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ArchiveError, match="ipl archive has no B matrix"):
         load_model(path)

@@ -166,9 +166,16 @@ def test_eval_rejects_gzsl_flag_conflicts(synth_dir, trained_dir, tmp_path):
      "--gzsl", "--direction", "s2v"],
     ["eval", "--model", "MISSING/model.bin", "--manifest", "MISSING/manifest.json",
      "--gzsl", "--hit-k", "1"],
+    ["eval", "--model", "MISSING/model.bin", "--manifest", "MISSING/manifest.json",
+     "--gzsl", "--seed", "-1"],
+    ["eval", "--model", "MISSING/model.bin", "--manifest", "MISSING/manifest.json",
+     "--gzsl", "--holdout", "1.5"],
+    ["eval", "--model", "MISSING/model.bin", "--manifest", "MISSING/manifest.json",
+     "--hit-k", "0"],
     ["ablate", "--manifest", "MISSING/manifest.json"],
     ["ablate", "--manifest", "SYNTH/manifest.json"],
-], ids=["gzsl_s2v", "gzsl_hit_k", "ablate_without_k", "ablate_without_k_on_data"])
+], ids=["gzsl_s2v", "gzsl_hit_k", "gzsl_negative_seed", "gzsl_holdout_above_1", "hit_k_0",
+        "ablate_without_k", "ablate_without_k_on_data"])
 def test_flag_errors_exit_2_before_any_file_is_read(synth_dir, tmp_path, capsys, argv):
     # a usage error is reported as such, even when the inputs are missing
     argv = [a.replace("MISSING", str(tmp_path / "missing")).replace("SYNTH", str(synth_dir))
@@ -437,11 +444,14 @@ def unloadable_archive(case, trained, path):
         model = dataclasses.replace(model, A=None)
     elif case == "c_with_wrong_columns":
         model = dataclasses.replace(model, C=model.C[:, 1:])
+    elif case == "variant_disagrees":
+        model = dataclasses.replace(model, hyper=dataclasses.replace(model.hyper, variant="ipl"))
     if case != "missing":
         save_model(path, model, archive.fingerprint)
 
 
-@pytest.mark.parametrize("case", ["missing", "no_a", "c_with_wrong_columns"])
+@pytest.mark.parametrize("case", ["missing", "no_a", "c_with_wrong_columns",
+                                  "variant_disagrees"])
 def test_unloadable_model_exits_3(synth_dir, trained_dir, tmp_path, capsys, case):
     model = tmp_path / "model.bin"
     unloadable_archive(case, trained_dir / "model.bin", model)

@@ -156,6 +156,16 @@ def test_unique_check_uses_the_solver_rule():
     assert np.allclose(R @ Z + Z @ S, 1.0, rtol=0, atol=1e-3)
 
 
+def test_unique_check_rejects_what_the_solver_rejects():
+    # eigenvalues +-1 against S's 1: singular, though the symmetric part
+    # of R has none of them
+    R, S = np.array([[1.0, 5.0], [0.0, -1.0]]), np.array([[1.0]])
+    with pytest.raises(NotSymmetricError):
+        sylvester_solve(R, S, np.ones((2, 1)))
+    with pytest.raises(NotSymmetricError):
+        sylvester_unique_check(R, S)
+
+
 def test_unique_check_matches_solver_acceptance():
     rng = np.random.default_rng(21)
     for _ in range(20):
