@@ -13,8 +13,9 @@ for a malformed file: truncation, trailing bytes, a string that is not
 UTF-8, an unknown variant, rejected hyperparameters, a variant that
 disagrees with the hyperparameters' own, a presence flag
 other than 0/1, a negative shape, a non-finite payload entry, a
-joint variant without B, or an A, B or C whose shape disagrees with k
-and the fingerprint's m, d and n_seen.
+matrix missing or present against its variant (fpl holds A only, a
+joint variant A, B and an optional C), or an A, B or C whose shape
+disagrees with k and the fingerprint's m, d and n_seen.
 """
 
 from __future__ import annotations
@@ -163,14 +164,23 @@ class _Reader:
 
 
 def _check_dimensions(A, B, C, variant, k, fingerprint) -> None:
-    """A, B and a present C must have the shapes that k and the
-    fingerprint's m, d and n_seen give them: A is d x m for fpl (which has
-    no B), else k x m and B k x d; C is k x n_seen."""
+    """The one table of what each variant's archive holds, in the shapes
+    that k and the fingerprint's m, d and n_seen give: fpl an A of d x m
+    and no B or C; a joint variant an A of k x m, a B of k x d and a C that
+    is absent or k x n_seen."""
     m, d, n = fingerprint.m, fingerprint.d, fingerprint.n_seen
-    expected = {"A": (d, m)} if variant == "fpl" else {"A": (k, m), "B": (k, d)}
-    expected["C"] = (k, n)
-    for name, M in (("A", A), ("B", B), ("C", C)):
-        if name in expected and M is not None and M.shape != expected[name]:
+    if variant == "fpl":
+        expected = {"A": (d, m), "B": None, "C": None}
+    else:
+        expected = {"A": (k, m), "B": (k, d), "C": (k, n)}
+    held = {"A": A, "B": B, "C": C}
+    for name, M in held.items():  # presence first: a joint variant's C is optional
+        if M is None and expected[name] is not None and name != "C":
+            raise ArchiveError(f"{variant} archive has no {name} matrix")
+        if M is not None and expected[name] is None:
+            raise ArchiveError(f"{variant} archive holds a {name} matrix; {variant} has none")
+    for name, M in held.items():
+        if M is not None and M.shape != expected[name]:
             raise ArchiveError(
                 f"{variant} archive holds a {M.shape[0]}x{M.shape[1]} {name}, but "
                 f"k={k} and the fingerprint's m={m}, d={d}, n_seen={n} give "
@@ -214,10 +224,6 @@ def load_model(path) -> ModelArchive:
     C = reader.take_matrix()
     if reader.pos != len(reader.data):
         raise ArchiveError(f"{len(reader.data) - reader.pos} trailing bytes after the C matrix")
-    if A is None:
-        raise ArchiveError("archive has no A matrix")
-    if B is None and variant != "fpl":
-        raise ArchiveError(f"{variant} archive has no B matrix")
     _check_dimensions(A, B, C, variant, hyper.k, fingerprint)
     model = JcmsplModel(A=A, B=B, C=C, variant=variant, hyper=hyper)
     return ModelArchive(model=model, fingerprint=fingerprint, version=int(version))

@@ -88,7 +88,11 @@ PRESETS = {
     "imnet": {"lambda1": 1e-5, "lambda2": 1e-5, "lambda3": 1e1, "lambda4": 1e-4},
 }
 
-ABLATION_ORDER = ("fpl", "ipl", "jcmspl0", "jcmspl1", "full")
+ABLATION_ORDER = VARIANTS[::-1]
+LAMBDAS = ("lambda1", "lambda2", "lambda3", "lambda4")
+# the Hyperparams fields that train and ablate take as flags, besides k
+HYPER_FLAGS = LAMBDAS + ("t_max", "tol", "seed", "ridge_eps")
+SYNTH_FLAGS = tuple(f.name for f in dataclasses.fields(SynthSpec))
 
 
 class UsageError(Exception):
@@ -125,28 +129,21 @@ def exit_code(exc: BaseException) -> int:
     return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
 
 
+def _given(args, names) -> dict:
+    """The flags among ``names`` that the user set; argparse leaves the
+    others None, so the dataclass they configure keeps its own default."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _build_hyper(args, variant: str) -> Hyperparams:
-    values = {"lambda1": 1.0, "lambda2": 1.0, "lambda3": 1.0, "lambda4": 1.0}
-    if args.preset is not None:
-        values.update(PRESETS[args.preset])
-    for name in values:
-        flag = getattr(args, name)
-        if flag is not None:
-            values[name] = flag  # explicit flag beats the preset
+    # an explicit flag beats the preset
+    values = {**PRESETS.get(args.preset, {}), **_given(args, HYPER_FLAGS)}
     k = args.k
     if k is None:
         if variant != "fpl":
             raise UsageError("--k is required (no default exists)")
         k = 1
-    return Hyperparams(
-        k=k,
-        t_max=args.t_max,
-        tol=args.tol,
-        seed=args.seed,
-        variant=variant,
-        ridge_eps=args.ridge_eps,
-        **values,
-    )
+    return Hyperparams(k=k, variant=variant, **values)
 
 
 def _load_normalized(manifest, mode: str) -> tuple[ZslDataset, ZslDataset]:
@@ -181,12 +178,7 @@ def cmd_train(args) -> int:
     summary = {
         "variant": hyper.variant,
         "hyperparams": dataclasses.asdict(hyper),
-        "effective_lambdas": {
-            "lambda1": eff.lambda1,
-            "lambda2": eff.lambda2,
-            "lambda3": eff.lambda3,
-            "lambda4": eff.lambda4,
-        },
+        "effective_lambdas": {name: getattr(eff, name) for name in LAMBDAS},
         "normalize": args.normalize,
         "initial_loss": trace.losses[0],
         "final_loss": trace.losses[-1],
@@ -344,16 +336,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(
-        m=args.m,
-        d=args.d,
-        k=args.k,
-        num_seen_classes=args.cs,
-        num_unseen_classes=args.cu,
-        samples_per_class=args.spc,
-        noise_sigma=args.noise,
-        seed=args.seed,
-    )
+    spec = SynthSpec(**_given(args, SYNTH_FLAGS))
     dataset, planted = synth_generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -373,17 +356,17 @@ def cmd_synth(args) -> int:
 
 
 def _add_hyper_flags(sub):
-    sub.add_argument("--k", type=int, default=None,
+    # no default here: an unset flag keeps the Hyperparams default
+    sub.add_argument("--k", type=int,
                      help="concept-space dimension (required; no default)")
-    sub.add_argument("--preset", choices=sorted(PRESETS), default=None,
+    sub.add_argument("--preset", choices=sorted(PRESETS),
                      help="published lambda preset; explicit flags override it")
-    for i in (1, 2, 3, 4):
-        sub.add_argument(f"--lambda{i}", type=float, default=None, dest=f"lambda{i}")
-    sub.add_argument("--t-max", type=int, default=100, help="iteration cap")
-    sub.add_argument("--tol", type=float, default=1e-5,
-                     help="relative loss-change stopping threshold")
-    sub.add_argument("--seed", type=int, default=0, help="initialization seed")
-    sub.add_argument("--ridge-eps", type=float, default=1e-8,
+    for name in LAMBDAS:
+        sub.add_argument(f"--{name}", type=float)
+    sub.add_argument("--t-max", type=int, help="iteration cap")
+    sub.add_argument("--tol", type=float, help="relative loss-change stopping threshold")
+    sub.add_argument("--seed", type=int, help="initialization seed")
+    sub.add_argument("--ridge-eps", type=float,
                      help="fallback damping for singular Gram matrices")
     sub.add_argument("--normalize", choices=NORMALIZE_MODES, default="l2_columns",
                      help="visual feature normalization (default l2_columns)")
@@ -430,14 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sy = sub.add_parser("synth", help="generate the planted-model benchmark")
     sy.add_argument("--out", required=True, help="output directory")
-    sy.add_argument("--m", type=int, default=50, help="visual dimension")
-    sy.add_argument("--d", type=int, default=20, help="semantic dimension")
-    sy.add_argument("--k", type=int, default=40, help="concept dimension")
-    sy.add_argument("--cs", type=int, default=10, help="seen class count")
-    sy.add_argument("--cu", type=int, default=5, help="unseen class count")
-    sy.add_argument("--spc", type=int, default=50, help="samples per class")
-    sy.add_argument("--noise", type=float, default=0.05, help="noise level")
-    sy.add_argument("--seed", type=int, default=1)
+    # no default here: an unset flag keeps the SynthSpec default
+    sy.add_argument("--m", type=int, help="visual dimension")
+    sy.add_argument("--d", type=int, help="semantic dimension")
+    sy.add_argument("--k", type=int, help="concept dimension")
+    sy.add_argument("--cs", type=int, dest="num_seen_classes", help="seen class count")
+    sy.add_argument("--cu", type=int, dest="num_unseen_classes", help="unseen class count")
+    sy.add_argument("--spc", type=int, dest="samples_per_class", help="samples per class")
+    sy.add_argument("--noise", type=float, dest="noise_sigma", help="noise level")
+    sy.add_argument("--seed", type=int)
     sy.set_defaults(func=cmd_synth)
     return parser
 

@@ -42,6 +42,17 @@ MANIFEST_KEYS = FILE_KEYS + ("seen_classes", "unseen_classes")
 NORMALIZE_MODES = ("none", "l2_columns")
 
 
+def check_int(value, name: str, low: int, error: type[Exception]) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an int or numpy
+    integer, not a bool, in [low, 2**63).  The archive stores k, t_max and
+    the seeds as signed 64-bit ints; a float or a bool would fail only
+    later, inside numpy."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if not low <= value < 2**63:
+        raise error(f"{name} must be in [{low}, 2**63), got {value!r}")
+
+
 def _loadtxt(path, what: str, **kwargs) -> np.ndarray:
     path = Path(path)
     if not path.is_file():
@@ -323,14 +334,10 @@ class SynthSpec:
 
     def __post_init__(self):
         for name in ("m", "d", "k", "num_seen_classes", "num_unseen_classes",
-                     "samples_per_class"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise InvalidSpecError(f"{name} must be a positive integer, got {value!r}")
+                     "samples_per_class", "seed"):
+            check_int(getattr(self, name), name, 0 if name == "seed" else 1, InvalidSpecError)
         if self.noise_sigma < 0 or not math.isfinite(self.noise_sigma):
             raise InvalidSpecError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
-        if not 0 <= self.seed < 2**63:  # the planted model's archive stores it
-            raise InvalidSpecError(f"seed must be in [0, 2**63), got {self.seed!r}")
         total = self.num_seen_classes + self.num_unseen_classes
         if self.k < total:
             raise InvalidSpecError(

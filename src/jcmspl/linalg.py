@@ -97,6 +97,12 @@ def symmetric_eigen(M, name: str = "M") -> SymmetricEigen:
     return SymmetricEigen(values=values, vectors=vectors)
 
 
+def _eigen(M, name: str) -> SymmetricEigen:
+    """A Sylvester operand as its eigendecomposition: one passed in as a
+    ``SymmetricEigen`` is used as it is, a matrix is decomposed."""
+    return M if isinstance(M, SymmetricEigen) else symmetric_eigen(M, name)
+
+
 def _pair_sums(ev_r, ev_s):
     """The eigenvalue-pair sums ``ev_r[i] + ev_s[j]``, or None when one is
     at most ``1e-12 * (max|ev_r| + max|ev_s|)`` (or that scale is 0): then
@@ -113,12 +119,11 @@ def sylvester_unique_check(R, S) -> bool:
 
     Uniqueness holds exactly when no eigenvalue of ``R`` is the negative
     of an eigenvalue of ``S``.  Eigenvalue-pair sums are judged by the
-    rule ``sylvester_solve`` applies, on operands it accepts: a
-    non-symmetric ``R`` or ``S`` raises NotSymmetricError as there.
+    rule ``sylvester_solve`` applies, on the operands it accepts (a
+    matrix or a ``SymmetricEigen``): a non-symmetric ``R`` or ``S``
+    raises NotSymmetricError as there.
     """
-    ev_r = symmetric_eigen(R, "R").values
-    ev_s = symmetric_eigen(S, "S").values
-    return _pair_sums(ev_r, ev_s) is not None
+    return _pair_sums(_eigen(R, "R").values, _eigen(S, "S").values) is not None
 
 
 def sylvester_solve(R, S, T) -> np.ndarray:
@@ -151,8 +156,7 @@ def sylvester_solve(R, S, T) -> np.ndarray:
         to regularize; nothing is damped silently here.
     """
     T = as_matrix(T, "T")
-    eig_r = R if isinstance(R, SymmetricEigen) else symmetric_eigen(R, "R")
-    eig_s = S if isinstance(S, SymmetricEigen) else symmetric_eigen(S, "S")
+    eig_r, eig_s = _eigen(R, "R"), _eigen(S, "S")
     r, s = eig_r.values.shape[0], eig_s.values.shape[0]
     if T.shape != (r, s):
         raise DimensionMismatchError(

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import ZslDataset
+from .dataset import ZslDataset, check_int
 from .errors import (
     AllZeroNormError,
     DimensionMismatchError,
@@ -296,11 +296,11 @@ def eval_hit_at_k(
 
 
 def check_holdout(fraction: float, seed: int) -> None:
-    """The flags of ``gzsl_holdout_indices``: a fraction in (0, 1), a seed >= 0."""
+    """The flags of ``gzsl_holdout_indices``: a fraction in (0, 1), an
+    integer seed in [0, 2**63)."""
     if not (0.0 < fraction < 1.0):
         raise InvalidFractionError(f"fraction must be in (0, 1), got {fraction}")
-    if seed < 0:
-        raise OutOfRangeError(f"seed must be >= 0, got {seed}")
+    check_int(seed, "seed", 0, OutOfRangeError)
 
 
 def gzsl_holdout_indices(labels_seen, seen_classes, fraction: float, seed: int):

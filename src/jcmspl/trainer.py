@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpstrf
 
-from .dataset import ZslDataset, block_partition, expand_prototypes
+from .dataset import ZslDataset, block_partition, check_int, expand_prototypes
 from .errors import (
     InvalidHyperparamsError,
     NonFiniteError,
@@ -120,14 +120,8 @@ class Hyperparams:
             raise InvalidHyperparamsError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise InvalidHyperparamsError(f"k must be a positive integer, got {self.k!r}")
-        if self.t_max < 1:
-            raise InvalidHyperparamsError(f"t_max must be >= 1, got {self.t_max}")
-        for name in ("k", "t_max", "seed"):  # signed 64-bit fields of the archive
-            value = getattr(self, name)
-            if not 0 <= value < 2**63:
-                raise InvalidHyperparamsError(f"{name} must be in [0, 2**63), got {value}")
+        for name, low in (("k", 1), ("t_max", 1), ("seed", 0)):
+            check_int(getattr(self, name), name, low, InvalidHyperparamsError)
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise InvalidHyperparamsError(f"tol must be positive, got {self.tol}")
         for name in ("lambda1", "lambda2", "lambda3", "lambda4", "ridge_eps"):

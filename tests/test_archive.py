@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -136,4 +137,17 @@ def test_rejects_joint_variant_without_b(tmp_path):
         raw[at] = ord("i")
     path.write_bytes(bytes(raw))
     with pytest.raises(ArchiveError, match="ipl archive has no B matrix"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("case", ["fpl_with_b", "fpl_with_c"])
+def test_rejects_fpl_archive_with_b_or_c(tmp_path, case):
+    # an fpl archive holds A only; the extra matrix has the joint shape
+    ds, model = trained_model("fpl")
+    name = case[-1].upper()
+    k = model.hyper.k
+    extra = np.ones((k, ds.d) if name == "B" else (k, ds.n_seen))
+    path = tmp_path / "fpl.bin"
+    save_model(path, dataclasses.replace(model, **{name: extra}), fingerprint_dataset(ds))
+    with pytest.raises(ArchiveError, match=f"fpl archive holds a {name} matrix"):
         load_model(path)

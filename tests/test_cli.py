@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from jcmspl import errors
 from jcmspl.archive import load_model, save_model
 from jcmspl.cli import ABLATION_ORDER, exit_code, main
-from jcmspl.dataset import FILE_KEYS, load_manifest
+from jcmspl.dataset import FILE_KEYS, SynthSpec, load_manifest, save_manifest, synth_generate
 from jcmspl.trainer import Hyperparams, fit
 from malformed import (
     ARCHIVE_HOLES,
@@ -282,6 +282,20 @@ def test_preset_sets_lambdas_and_flags_override(synth_dir, tmp_path):
     assert eff["lambda3"] == 1e-4 and eff["lambda4"] == 1e-4
 
 
+def test_unset_flags_keep_the_library_defaults(synth_dir, tmp_path):
+    # the CLI declares no default of its own for a Hyperparams or SynthSpec field
+    rc = run(["train", "--manifest", str(synth_dir / "manifest.json"),
+              "--out", str(tmp_path / "train"), "--k", "6"])
+    assert rc == 0
+    summary = json.loads((tmp_path / "train" / "summary.json").read_text())
+    assert summary["hyperparams"] == dataclasses.asdict(Hyperparams(k=6))
+    assert run(["synth", "--out", str(tmp_path / "synth")]) == 0
+    direct = tmp_path / "direct"
+    save_manifest(synth_generate(SynthSpec())[0], direct / "manifest.json")
+    for path in direct.iterdir():
+        assert (tmp_path / "synth" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def test_ablate_outputs(synth_dir, tmp_path):
     rc = run(["ablate", "--manifest", str(synth_dir / "manifest.json"),
               "--out", str(tmp_path), "--k", "6", "--t-max", "10"])
@@ -446,12 +460,20 @@ def unloadable_archive(case, trained, path):
         model = dataclasses.replace(model, C=model.C[:, 1:])
     elif case == "variant_disagrees":
         model = dataclasses.replace(model, hyper=dataclasses.replace(model.hyper, variant="ipl"))
+    elif case in ("fpl_with_b", "fpl_with_c"):  # an fpl archive holds A only
+        fp = archive.fingerprint
+        model = dataclasses.replace(
+            model, A=np.ones((fp.d, fp.m)), variant="fpl",
+            B=model.B if case == "fpl_with_b" else None,
+            C=model.C if case == "fpl_with_c" else None,
+            hyper=dataclasses.replace(model.hyper, variant="fpl"),
+        )
     if case != "missing":
         save_model(path, model, archive.fingerprint)
 
 
 @pytest.mark.parametrize("case", ["missing", "no_a", "c_with_wrong_columns",
-                                  "variant_disagrees"])
+                                  "variant_disagrees", "fpl_with_b", "fpl_with_c"])
 def test_unloadable_model_exits_3(synth_dir, trained_dir, tmp_path, capsys, case):
     model = tmp_path / "model.bin"
     unloadable_archive(case, trained_dir / "model.bin", model)

@@ -273,9 +273,13 @@ def test_synth_spec_validation():
         SynthSpec(noise_sigma=-0.1)
     with pytest.raises(InvalidSpecError):
         SynthSpec(samples_per_class=0)
+    with pytest.raises(InvalidSpecError, match="samples_per_class"):
+        SynthSpec(samples_per_class=True)
+    with pytest.raises(InvalidSpecError, match="num_unseen_classes"):
+        SynthSpec(num_unseen_classes=5.0)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**63, 10**20])
+@pytest.mark.parametrize("seed", [-1, 2**63, 10**20, 1.5, True])
 def test_synth_spec_rejects_seeds_outside_int64(seed):
     with pytest.raises(InvalidSpecError, match="seed"):
         SynthSpec(seed=seed)

@@ -147,6 +147,13 @@ def test_unique_check_cases():
     assert sylvester_unique_check(np.diag([0.0, 1.0]), np.diag([2.0, 3.0])) is True
 
 
+def test_unique_check_takes_an_eigendecomposition_as_the_solver_does():
+    eig = symmetric_eigen(np.eye(2))
+    assert sylvester_unique_check(eig, np.eye(1)) is True
+    assert sylvester_unique_check(np.eye(1), symmetric_eigen(-np.eye(1))) is False
+    assert np.array_equal(sylvester_solve(eig, np.eye(1), np.ones((2, 1))), np.full((2, 1), 0.5))
+
+
 def test_unique_check_uses_the_solver_rule():
     # the pair sum 5e-12 is above 1e-12 * (max|eig R| + max|eig S|) = 2e-12,
     # the solver's threshold, though below 1e-12 * (||R||_F + ||S||_F)

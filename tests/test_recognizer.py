@@ -326,6 +326,16 @@ def test_gzsl_holdout_rejects_a_negative_seed():
         gzsl_holdout_indices(np.repeat([3, 5], 10), [3, 5], 0.2, seed=-1)
 
 
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_eval_generalized_rejects_a_seed_that_is_no_integer(seed):
+    ds, planted = synth_generate(SynthSpec(m=16, d=8, k=12, num_seen_classes=4,
+                                           num_unseen_classes=2, samples_per_class=8))
+    model = JcmsplModel(A=planted.A_true, B=planted.B_true, C=None, variant="full",
+                        hyper=Hyperparams(k=12))
+    with pytest.raises(OutOfRangeError, match="seed"):
+        eval_generalized(model, ds, holdout_fraction=0.2, seed=seed)
+
+
 def test_eval_generalized_perfect_and_deterministic():
     ds, planted = synth_generate(SynthSpec(noise_sigma=0.0))
     model = planted_as_model(planted)

@@ -88,9 +88,11 @@ def test_hyperparams_validation():
 
 @pytest.mark.parametrize("field,value", [
     ("seed", -1), ("seed", 2**63), ("k", 2**63), ("t_max", 10**20),
+    ("t_max", 2.5), ("seed", 1.5), ("k", True), ("t_max", True),
 ])
 def test_hyperparams_reject_values_outside_the_archive_range(field, value):
-    # seed, k and t_max are written to the archive as signed 64-bit ints
+    # seed, k and t_max are written to the archive as signed 64-bit ints,
+    # so a float or a bool is refused as well
     with pytest.raises(InvalidHyperparamsError, match=field):
         Hyperparams(**{"k": 3, field: value})
     Hyperparams(**{"k": 3, field: 2**63 - 1})
