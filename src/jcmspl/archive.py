@@ -1,12 +1,11 @@
 """Versioned binary model archives.
 
 Layout (all little-endian): a 4-byte magic and u32 format version,
-the hyperparameter snapshot, a dataset fingerprint (dimensions plus a
-SHA-256 over the raw dataset bytes), then the A/B/C matrices as
-presence flag, u64 row/column counts and row-major float64 payload.
-Matrices survive a save/load round trip bit for bit.  C, when present,
-holds the k x n_seen per-sample concepts of the training data; fpl
-models and planted models carry none.
+the hyperparameter snapshot, a dataset fingerprint (see below), then
+the A/B/C matrices as presence flag, u64 row/column counts and
+row-major float64 payload.  Matrices survive a save/load round trip
+bit for bit.  C, when present, holds the k x n_seen per-sample concepts
+of the training data; fpl models and planted models carry none.
 
 ``load_model`` raises only ``ArchiveError`` (or ``MissingFileError``)
 for a malformed file: truncation, trailing bytes, a string that is not
@@ -16,13 +15,17 @@ other than 0/1, a negative shape, a non-finite payload entry, a
 matrix missing or present against its variant (fpl holds A only, a
 joint variant A, B and an optional C), or an A, B or C whose shape
 disagrees with k and the fingerprint's m, d and n_seen.
+
+The fingerprint holds the dataset's dimensions and a SHA-256 over its
+raw arrays in field order, each as row-major ``<f8`` or ``<i8`` bytes,
+hashed from the array's own buffer (no copy when it is C-ordered).
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -57,19 +60,12 @@ class ModelArchive:
 
 
 def fingerprint_dataset(dataset: ZslDataset) -> DatasetFingerprint:
-    """Dimensions plus a SHA-256 digest over the dataset's raw bytes."""
+    """Dimensions plus a SHA-256 digest over the dataset's raw arrays."""
     digest = hashlib.sha256()
-    for arr in (
-        dataset.visual_seen,
-        dataset.labels_seen,
-        dataset.visual_unseen,
-        dataset.labels_unseen,
-        dataset.prototypes,
-        dataset.seen_classes,
-        dataset.unseen_classes,
-    ):
+    for field in fields(dataset):
+        arr = getattr(dataset, field.name)
         kind = "<f8" if np.issubdtype(arr.dtype, np.floating) else "<i8"
-        digest.update(np.ascontiguousarray(arr).astype(kind).tobytes())
+        digest.update(np.ascontiguousarray(arr, dtype=kind))
     return DatasetFingerprint(
         m=dataset.m,
         d=dataset.d,
@@ -89,9 +85,8 @@ def _pack_str(s: str) -> bytes:
 def _pack_matrix(M) -> bytes:
     if M is None:
         return struct.pack("<B", 0)
-    M = np.ascontiguousarray(M, dtype=np.float64)
-    header = struct.pack("<Bqq", 1, M.shape[0], M.shape[1])
-    return header + M.astype("<f8").tobytes()
+    M = np.ascontiguousarray(M, dtype="<f8")
+    return struct.pack("<Bqq", 1, M.shape[0], M.shape[1]) + M.tobytes()
 
 
 def save_model(path, model: JcmsplModel, fingerprint: DatasetFingerprint) -> Path:

@@ -33,7 +33,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .archive import fingerprint_dataset, load_model, save_model
+from .archive import DatasetFingerprint, fingerprint_dataset, load_model, save_model
 from .dataset import (
     NORMALIZE_MODES,
     SynthSpec,
@@ -146,17 +146,17 @@ def _build_hyper(args, variant: str) -> Hyperparams:
     return Hyperparams(k=k, variant=variant, **values)
 
 
-def _load_normalized(manifest, mode: str) -> tuple[ZslDataset, ZslDataset]:
-    """Load a manifest; return (raw, feature-normalized) datasets."""
-    raw = load_manifest(manifest)
-    if mode == "none":
-        return raw, raw
-    prepared = dataclasses.replace(
-        raw,
-        visual_seen=normalize(raw.visual_seen, mode),
-        visual_unseen=normalize(raw.visual_unseen, mode),
+def _load_normalized(manifest, mode: str) -> tuple[DatasetFingerprint, ZslDataset]:
+    """Fingerprint the manifest's raw arrays, then normalize its visual
+    features in place, so each matrix is held once."""
+    dataset = load_manifest(manifest)
+    fingerprint = fingerprint_dataset(dataset)
+    # replace() runs ZslDataset's checks again on the normalized features
+    return fingerprint, dataclasses.replace(
+        dataset,
+        visual_seen=normalize(dataset.visual_seen, mode, in_place=True),
+        visual_unseen=normalize(dataset.visual_unseen, mode, in_place=True),
     )
-    return raw, prepared
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -167,11 +167,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_train(args) -> int:
     hyper = _build_hyper(args, args.variant)
-    raw, dataset = _load_normalized(args.manifest, args.normalize)
+    fingerprint, dataset = _load_normalized(args.manifest, args.normalize)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model, trace = fit(dataset, hyper)
-    fingerprint = fingerprint_dataset(raw)
     save_model(out / "model.bin", model, fingerprint)
     write_trace_csv(trace, out / "trace.csv")
     eff = hyper.effective()
@@ -198,15 +197,15 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model_checked(model_path, dataset: ZslDataset):
+def _load_model_checked(model_path, fingerprint: DatasetFingerprint):
     archive = load_model(model_path)
     fp = archive.fingerprint
-    if fp.m != dataset.m or fp.d != dataset.d:
+    if fp.m != fingerprint.m or fp.d != fingerprint.d:
         raise DimensionMismatchError(
             f"model was trained for dimensions m={fp.m}, d={fp.d}; "
-            f"dataset has m={dataset.m}, d={dataset.d}",
+            f"dataset has m={fingerprint.m}, d={fingerprint.d}",
         )
-    if fp.sha256 != fingerprint_dataset(dataset).sha256:
+    if fp.sha256 != fingerprint.sha256:
         print(
             "note: dataset checksum differs from the training-time fingerprint",
             file=sys.stderr,
@@ -224,8 +223,8 @@ def cmd_eval(args) -> int:
     if args.hit_k is not None and args.hit_k < 1:
         # the upper bound, the unseen class count, needs the manifest
         raise InvalidKError(f"K must be >= 1, got {args.hit_k}")
-    raw, dataset = _load_normalized(args.manifest, args.normalize)
-    model = _load_model_checked(args.model, raw)
+    fingerprint, dataset = _load_normalized(args.manifest, args.normalize)
+    model = _load_model_checked(args.model, fingerprint)
     if args.gzsl:
         report = eval_generalized(
             model,
@@ -282,10 +281,9 @@ def cmd_ablate(args) -> int:
     # the flags are checked once, before any file is read; variants differ
     # only in the variant field
     hyper = _build_hyper(args, "full")
-    raw, dataset = _load_normalized(args.manifest, args.normalize)
+    fingerprint, dataset = _load_normalized(args.manifest, args.normalize)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fingerprint = fingerprint_dataset(raw)
     rows = []
     first_failure = EXIT_OK
     for variant in ABLATION_ORDER:

@@ -40,6 +40,8 @@ FILE_KEYS = (
 MANIFEST_KEYS = FILE_KEYS + ("seen_classes", "unseen_classes")
 
 NORMALIZE_MODES = ("none", "l2_columns")
+# columns per block of every n-wide pass (``normalize``, the trainer's ``_sweep``)
+CHUNK = 1024
 
 
 def check_int(value, name: str, low: int, error: type[Exception]) -> None:
@@ -51,6 +53,19 @@ def check_int(value, name: str, low: int, error: type[Exception]) -> None:
         raise error(f"{name} must be an integer, got {value!r}")
     if not low <= value < 2**63:
         raise error(f"{name} must be in [{low}, 2**63), got {value!r}")
+
+
+def check_float(value, name: str, error: type[Exception], positive: bool = False) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is a number, not a bool,
+    that a float64 holds finite and >= 0 (> 0 when ``positive``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float64 range
+        finite = False
+    if not (finite and (value > 0 if positive else value >= 0)):
+        raise error(f"{name} must be {'positive' if positive else '>= 0'}, got {value}")
 
 
 def _loadtxt(path, what: str, **kwargs) -> np.ndarray:
@@ -296,19 +311,27 @@ def expand_prototypes(prototypes, labels) -> np.ndarray:
     return prototypes[:, labels]
 
 
-def normalize(M, mode: str = "l2_columns") -> np.ndarray:
+def normalize(M, mode: str = "l2_columns", *, in_place: bool = False) -> np.ndarray:
     """Column-normalize a matrix.
 
     ``l2_columns`` rescales every column to unit Euclidean norm;
     zero-norm columns are passed through unchanged with a warning.
-    ``none`` returns a copy.
+    ``none`` leaves the values as they are.  The result is a copy in M's
+    layout, or with ``in_place`` a float64 array ``M`` itself.
     """
     if mode not in NORMALIZE_MODES:
         raise ValueError(f"unknown normalize mode {mode!r}; use one of {NORMALIZE_MODES}")
     M = _as_feature_matrix(M, "M")
+    if not in_place:
+        M = M.copy(order="K")
     if mode == "none":
-        return M.copy()
-    norms = np.linalg.norm(M, axis=0)
+        return M
+    # summed over blocks of CHUNK columns (no m x n temporary), the squares give
+    # np.linalg.norm(M, axis=0) bit for bit: numpy sums a lone column pairwise,
+    # not down the rows, so a last block of one column joins the one before
+    bounds = [*range(0, max(M.shape[1] - 1, 1), CHUNK), M.shape[1]]
+    blocks = [M[:, start:stop] for start, stop in zip(bounds, bounds[1:])]
+    norms = np.sqrt(np.concatenate([np.add.reduce(B * B, axis=0) for B in blocks]))
     zero = norms == 0.0
     if np.any(zero):
         warnings.warn(
@@ -316,7 +339,9 @@ def normalize(M, mode: str = "l2_columns") -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-    return M / np.where(zero, 1.0, norms)
+    norms[zero] = 1.0
+    M /= norms
+    return M
 
 
 @dataclass(frozen=True)
@@ -336,8 +361,7 @@ class SynthSpec:
         for name in ("m", "d", "k", "num_seen_classes", "num_unseen_classes",
                      "samples_per_class", "seed"):
             check_int(getattr(self, name), name, 0 if name == "seed" else 1, InvalidSpecError)
-        if self.noise_sigma < 0 or not math.isfinite(self.noise_sigma):
-            raise InvalidSpecError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
+        check_float(self.noise_sigma, "noise_sigma", InvalidSpecError)
         total = self.num_seen_classes + self.num_unseen_classes
         if self.k < total:
             raise InvalidSpecError(
@@ -419,20 +443,24 @@ def synth_generate(spec: SynthSpec) -> tuple[ZslDataset, PlantedModel]:
     for cid, (start, stop) in enumerate(block_partition(spec.k, total)):
         concept_means[start:stop, cid] = 1.0 / math.sqrt(stop - start)
 
-    blocks = []
-    labels = []
-    for cid in range(total):
-        noise = rng.standard_normal((spec.k, spec.samples_per_class))
-        concept = concept_means[:, cid : cid + 1] + spec.noise_sigma * noise
-        blocks.append(A_true.T @ concept)
-        labels.append(np.full(spec.samples_per_class, cid, dtype=np.int64))
-
     n_seen = spec.num_seen_classes
+    spc = spec.samples_per_class
+    visual_seen = np.empty((spec.m, n_seen * spc))
+    visual_unseen = np.empty((spec.m, (total - n_seen) * spc))
+    # each class's spc columns, in class order
+    class_columns = [X[:, j : j + spc] for X in (visual_seen, visual_unseen)
+                     for j in range(0, X.shape[1], spc)]
+    for cid, columns in enumerate(class_columns):
+        noise = rng.standard_normal((spec.k, spc))
+        concept = concept_means[:, cid : cid + 1] + spec.noise_sigma * noise
+        columns[...] = A_true.T @ concept
+
+    labels = np.repeat(np.arange(total, dtype=np.int64), spc)
     dataset = ZslDataset(
-        visual_seen=np.hstack(blocks[:n_seen]),
-        labels_seen=np.concatenate(labels[:n_seen]),
-        visual_unseen=np.hstack(blocks[n_seen:]),
-        labels_unseen=np.concatenate(labels[n_seen:]),
+        visual_seen=visual_seen,
+        labels_seen=labels[: n_seen * spc],
+        visual_unseen=visual_unseen,
+        labels_unseen=labels[n_seen * spc :],
         prototypes=B_true.T @ concept_means,
         seen_classes=np.arange(n_seen, dtype=np.int64),
         unseen_classes=np.arange(n_seen, total, dtype=np.int64),

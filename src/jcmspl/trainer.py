@@ -57,14 +57,14 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpstrf
 
-from .dataset import ZslDataset, block_partition, check_int, expand_prototypes
+from .dataset import (CHUNK, ZslDataset, block_partition, check_float, check_int,
+                      expand_prototypes)
 from .errors import (
     InvalidHyperparamsError,
     NonFiniteError,
@@ -83,9 +83,6 @@ from .linalg import (
 )
 
 VARIANTS = ("full", "jcmspl1", "jcmspl0", "ipl", "fpl")
-# columns per block of every n-wide pass (``_sweep``): its temporaries
-# are at most max(m, d, k) x CHUNK
-CHUNK = 1024
 
 
 class RidgeWarning(RuntimeWarning):
@@ -122,12 +119,9 @@ class Hyperparams:
             )
         for name, low in (("k", 1), ("t_max", 1), ("seed", 0)):
             check_int(getattr(self, name), name, low, InvalidHyperparamsError)
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise InvalidHyperparamsError(f"tol must be positive, got {self.tol}")
+        check_float(self.tol, "tol", InvalidHyperparamsError, positive=True)
         for name in ("lambda1", "lambda2", "lambda3", "lambda4", "ridge_eps"):
-            value = getattr(self, name)
-            if not (value >= 0 and math.isfinite(value)):
-                raise InvalidHyperparamsError(f"{name} must be >= 0, got {value}")
+            check_float(getattr(self, name), name, InvalidHyperparamsError)
 
     def effective(self) -> "Hyperparams":
         """Hyperparameters with variant-implied couplings zeroed out."""

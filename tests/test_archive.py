@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import struct
 
 import numpy as np
@@ -151,3 +152,40 @@ def test_rejects_fpl_archive_with_b_or_c(tmp_path, case):
     save_model(path, dataclasses.replace(model, **{name: extra}), fingerprint_dataset(ds))
     with pytest.raises(ArchiveError, match=f"fpl archive holds a {name} matrix"):
         load_model(path)
+
+
+def reference_sha256(ds) -> str:
+    # the fingerprint's definition: each array in field order as the
+    # row-major bytes of <f8 features or <i8 ids
+    digest = hashlib.sha256()
+    for field in dataclasses.fields(ds):
+        arr = getattr(ds, field.name)
+        kind = "<f8" if np.issubdtype(arr.dtype, np.floating) else "<i8"
+        digest.update(arr.astype(kind).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "column_slice"])
+def test_fingerprint_hashes_the_row_major_bytes_of_every_layout(layout):
+    ds, _ = small_dataset()
+    features = ("visual_seen", "visual_unseen", "prototypes")
+    if layout == "F":
+        changed = {name: np.asfortranarray(getattr(ds, name)) for name in features}
+    elif layout == "C":
+        changed = {}
+    else:  # every other column of a twice-as-wide matrix: not contiguous
+        changed = {name: np.repeat(getattr(ds, name), 2, axis=1)[:, ::2] for name in features}
+    ds_layout = dataclasses.replace(ds, **changed)
+    for name in changed:
+        arr = getattr(ds_layout, name)
+        assert not arr.flags.c_contiguous and np.array_equal(arr, getattr(ds, name))
+    sha = fingerprint_dataset(ds_layout).sha256
+    assert sha == reference_sha256(ds_layout) == fingerprint_dataset(ds).sha256
+
+
+def test_fingerprint_of_the_default_synth_is_pinned():
+    # a changed digest would make every existing archive's eval print
+    # "dataset checksum differs"
+    ds, _ = synth_generate(SynthSpec())
+    expected = "b3fb2ec58b8fa348865e0ca2d09e6e40f4634819fed8d91c139ec783d4120e82"
+    assert fingerprint_dataset(ds).sha256 == reference_sha256(ds) == expected

@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jcmspl import errors
-from jcmspl.archive import load_model, save_model
+from jcmspl.archive import fingerprint_dataset, load_model, save_model
 from jcmspl.cli import ABLATION_ORDER, exit_code, main
-from jcmspl.dataset import FILE_KEYS, SynthSpec, load_manifest, save_manifest, synth_generate
+from jcmspl.dataset import (
+    FILE_KEYS,
+    NORMALIZE_MODES,
+    SynthSpec,
+    load_manifest,
+    normalize,
+    save_manifest,
+    synth_generate,
+)
+from jcmspl.recognizer import eval_standard
 from jcmspl.trainer import Hyperparams, fit
 from malformed import (
     ARCHIVE_HOLES,
@@ -497,6 +507,62 @@ def test_train_without_normalization_matches_fit_on_the_raw_manifest(synth_dir, 
     for name in ("A", "B", "C"):
         assert np.array_equal(getattr(saved, name), getattr(model, name)), name
     assert json.loads((tmp_path / "summary.json").read_text())["normalize"] == "none"
+
+
+@pytest.mark.parametrize("mode", NORMALIZE_MODES)
+def test_cli_fingerprints_the_raw_arrays_and_normalizes_as_normalize_does(
+        synth_dir, tmp_path, capsys, mode):
+    # train and eval normalize the loaded features in place, after the
+    # fingerprint is taken
+    manifest = synth_dir / "manifest.json"
+    raw = load_manifest(manifest)
+    prepared = raw if mode == "none" else dataclasses.replace(
+        raw, visual_seen=normalize(raw.visual_seen), visual_unseen=normalize(raw.visual_unseen))
+    assert run(["train", "--manifest", str(manifest), "--out", str(tmp_path / "train"),
+                "--k", "6", "--t-max", "15", "--normalize", mode]) == 0
+    summary = json.loads((tmp_path / "train" / "summary.json").read_text())
+    assert summary["dataset"] == fingerprint_dataset(raw).to_dict()
+    saved = load_model(tmp_path / "train" / "model.bin")
+    assert saved.fingerprint == fingerprint_dataset(raw)
+    model, _ = fit(prepared, Hyperparams(k=6, t_max=15))
+    for name in ("A", "B", "C"):
+        assert np.array_equal(getattr(saved.model, name), getattr(model, name)), name
+    capsys.readouterr()
+    assert run(["eval", "--model", str(tmp_path / "train" / "model.bin"), "--manifest",
+                str(manifest), "--out", str(tmp_path / "eval"), "--normalize", mode]) == 0
+    assert "checksum differs" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "eval" / "report.json").read_text())["report"]
+    assert report == json.loads(json.dumps(eval_standard(model, prepared).to_dict()))
+
+
+def test_cli_holds_each_feature_matrix_about_once(tmp_path):
+    # synth fills preallocated feature matrices, the fingerprint hashes
+    # each array's own buffer, and eval normalizes the features in place:
+    # no step holds a second m x n copy (the code before peaked at about
+    # 2.5x the dataset's array bytes in synth and 3.4x in eval)
+    data = tmp_path / "data"
+    model, manifest = data / "planted_model.bin", data / "manifest.json"
+    steps = {
+        "synth": ["synth", "--out", data, "--m", "128", "--d", "16", "--k", "24",
+                  "--cs", "10", "--cu", "4", "--spc", "200"],
+        "eval": ["eval", "--model", model, "--manifest", manifest, "--out", tmp_path / "eval"],
+        "eval --gzsl": ["eval", "--model", model, "--manifest", manifest,
+                        "--out", tmp_path / "gzsl", "--gzsl"],
+    }
+    peaks = {}
+    for name, argv in steps.items():
+        tracemalloc.start()
+        try:
+            assert run([str(a) for a in argv]) == 0
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    dataset = load_manifest(manifest)
+    assert dataset.n_seen == 2000
+    nbytes = sum(getattr(dataset, f.name).nbytes for f in dataclasses.fields(dataset))
+    ratios = {name: peak / nbytes for name, peak in peaks.items()}
+    print(", ".join(f"{name}: peak {ratio:.2f}x the arrays" for name, ratio in ratios.items()))
+    assert max(ratios.values()) < 1.6, ratios
 
 
 # derandomized, so every run of the suite draws the same examples

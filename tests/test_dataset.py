@@ -5,6 +5,7 @@ import pytest
 
 from jcmspl.archive import fingerprint_dataset
 from jcmspl.dataset import (
+    CHUNK,
     SynthSpec,
     ZslDataset,
     expand_prototypes,
@@ -214,6 +215,51 @@ def test_normalize_columns():
     assert np.array_equal(copied, unit) and copied is not unit
 
 
+def reference_normalize(M):
+    # the definition: one np.linalg.norm over the whole matrix
+    norms = np.linalg.norm(M, axis=0)
+    return M / np.where(norms == 0.0, 1.0, norms)
+
+
+def feature_matrix(n, layout):
+    # 200 rows: enough that a pairwise and a row-by-row sum differ
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((200, n)) * rng.uniform(0.0, 5.0, n)
+    if layout == "F":
+        return np.asfortranarray(M)
+    if layout == "column_slice":  # every other column of a wider matrix
+        return np.repeat(M, 2, axis=1)[:, ::2]
+    return M
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, CHUNK, CHUNK + 1, CHUNK + 2, 2 * CHUNK + 1])
+@pytest.mark.parametrize("layout", ["C", "F", "column_slice"])
+def test_normalize_in_place_keeps_the_bits_of_a_copy(n, layout):
+    # numpy sums a one-column block pairwise, not row by row as it sums the
+    # whole matrix: n = CHUNK + 1 and 2 * CHUNK + 1 catch a lone last block
+    expected = reference_normalize(feature_matrix(n, layout))
+    copied = normalize(feature_matrix(n, layout))
+    M = feature_matrix(n, layout)
+    assert normalize(M, in_place=True) is M
+    assert copied.tobytes() == M.tobytes() == expected.tobytes()
+    assert copied.flags.c_contiguous == expected.flags.c_contiguous
+    assert copied.flags.f_contiguous == expected.flags.f_contiguous
+
+
+def test_normalize_in_place_keeps_zero_and_overflowing_columns_as_a_copy_does():
+    M = feature_matrix(CHUNK + 3, "C")
+    M[:, [0, CHUNK + 1]] = 0.0  # left as they are, with a warning
+    M[:, 5] = 1e200  # its norm overflows to inf: the column scales to 0
+    with np.errstate(over="ignore"):
+        expected = reference_normalize(M)
+        for scale in (normalize, lambda A: normalize(A.copy(), in_place=True)):
+            with pytest.warns(RuntimeWarning, match="2 zero-norm column") as caught:
+                out = scale(M)
+            assert caught[0].filename == __file__  # reported at the caller
+            assert out.tobytes() == expected.tobytes()
+    assert not out[:, [0, 5, CHUNK + 1]].any()
+
+
 def test_synth_shapes_default_benchmark():
     ds, planted = synth_generate(SynthSpec())
     assert ds.visual_seen.shape == (50, 500)
@@ -277,6 +323,15 @@ def test_synth_spec_validation():
         SynthSpec(samples_per_class=True)
     with pytest.raises(InvalidSpecError, match="num_unseen_classes"):
         SynthSpec(num_unseen_classes=5.0)
+
+
+@pytest.mark.parametrize(
+    "noise", ["0.05", None, True, 1j, pytest.param(10**400, id="10**400"), -0.1, float("nan")]
+)
+def test_synth_spec_rejects_a_noise_sigma_that_is_no_finite_number(noise):
+    with pytest.raises(InvalidSpecError, match="noise_sigma"):
+        SynthSpec(noise_sigma=noise)
+    assert SynthSpec(noise_sigma=0).noise_sigma == 0
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 10**20, 1.5, True])

@@ -98,6 +98,18 @@ def test_hyperparams_reject_values_outside_the_archive_range(field, value):
     Hyperparams(**{"k": 3, field: 2**63 - 1})
 
 
+@pytest.mark.parametrize("field", ["lambda1", "lambda2", "lambda3", "lambda4", "tol", "ridge_eps"])
+@pytest.mark.parametrize(
+    "value", ["1e-5", None, True, 1j, pytest.param(10**400, id="10**400")]
+)
+def test_hyperparams_reject_float_settings_that_are_no_real_number(field, value):
+    # the archive stores them as float64; a bool is no number either
+    with pytest.raises(InvalidHyperparamsError, match=field):
+        Hyperparams(**{"k": 3, field: value})
+    for accepted in (2, np.float32(0.5), np.int64(3)):
+        assert getattr(Hyperparams(**{"k": 3, field: accepted}), field) == accepted
+
+
 def test_variant_forcing():
     base = Hyperparams(k=3, lambda1=2.0, lambda2=3.0, lambda3=4.0, lambda4=5.0)
     eff = Hyperparams(**{**base.__dict__, "variant": "jcmspl1"}).effective()
