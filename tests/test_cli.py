@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forked import forked_io
 from jcmspl import errors
 from jcmspl.archive import fingerprint_dataset, load_model, save_model
 from jcmspl.cli import ABLATION_ORDER, exit_code, main
@@ -608,12 +609,43 @@ CSV_TOKENS = [b"", b"0", b"7", b".", b",", b"-", b"e", b"\n", b" ", b"nan", b"1e
        edits=st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(CSV_TOKENS)),
                       min_size=1, max_size=4))
 def test_fuzzed_csv_exits_0_3_or_5(synth_dir, fuzz_dir, key, edits):
-    data = fuzz_dir / "data"
-    shutil.copytree(synth_dir, data, dirs_exist_ok=True)  # undoes the last example
+    manifest = fuzzed_copy(synth_dir, fuzz_dir / "data", key, edits)
+    rc = eval_rc(synth_dir / "planted_model.bin", manifest, fuzz_dir)
+    assert rc in {0, 3, 5}
+
+
+def fuzzed_copy(synth_dir, data, key, edits):
+    """A copy of ``synth_dir`` in ``data`` (undoing the last example) whose
+    ``key`` file has ``edits`` applied; returns its manifest."""
+    shutil.copytree(synth_dir, data, dirs_exist_ok=True)
     raw = (data / f"{key}.csv").read_bytes()
     for pos, token in edits:
         pos %= len(raw)
         raw = raw[:pos] + token + raw[pos + 1:]
     (data / f"{key}.csv").write_bytes(raw)
-    rc = eval_rc(synth_dir / "planted_model.bin", data / "manifest.json", fuzz_dir)
-    assert rc in {0, 3, 5}
+    return data / "manifest.json"
+
+
+def load_outcome(manifest):
+    """The loaded dataset's arrays (shapes and bits), or the error."""
+    try:
+        dataset = load_manifest(manifest)
+    except errors.JcmsplError as exc:
+        return type(exc), str(exc)
+    return [(a.shape, a.tobytes()) for a in dataclasses.astuple(dataset)]
+
+
+@FUZZ
+@given(key=st.sampled_from(FILE_KEYS),
+       edits=st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(CSV_TOKENS)),
+                      min_size=1, max_size=4))
+def test_fuzzed_csv_on_forked_workers_loads_and_exits_as_serial(synth_dir, fuzz_dir, key,
+                                                                edits):
+    # the edits of the test above; every matrix file is split across workers
+    manifest = fuzzed_copy(synth_dir, fuzz_dir / "forked", key, edits)
+    model = synth_dir / "planted_model.bin"
+    serial, rc = load_outcome(manifest), eval_rc(model, manifest, fuzz_dir)
+    with forked_io(3) as forks:
+        assert load_outcome(manifest) == serial
+        assert eval_rc(model, manifest, fuzz_dir) == rc
+    assert forks and rc in {0, 3, 5}

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from forked import forked_io
 from jcmspl.archive import fingerprint_dataset
 from jcmspl.dataset import (
     CHUNK,
@@ -165,6 +166,20 @@ def test_malformed_csv_is_a_dataset_error_naming_the_file(tmp_path, case):
     path.write_text(corrupt(path.read_text()))
     with pytest.raises(DatasetError, match=name):
         load_manifest(manifest)
+
+
+@pytest.mark.parametrize("case", sorted(CSV_HOLES))
+def test_malformed_csv_raises_alike_on_forked_workers(tmp_path, case):
+    manifest = save_manifest(tiny_dataset(), tmp_path / "manifest.json")
+    name, corrupt = CSV_HOLES[case]
+    path = tmp_path / name
+    path.write_text(corrupt(path.read_text()))
+    with pytest.raises(DatasetError, match=name) as serial:
+        load_manifest(manifest)
+    with forked_io() as forks, pytest.raises(DatasetError) as forked:
+        load_manifest(manifest)
+    assert forks  # visual_seen.csv, at least
+    assert (type(forked.value), str(forked.value)) == (type(serial.value), str(serial.value))
 
 
 @pytest.mark.parametrize("case", sorted(MANIFEST_HOLES))
