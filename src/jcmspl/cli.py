@@ -21,15 +21,19 @@ class wins:
   and recognizer errors).
 
 All outputs are deterministic: the same flags on the same inputs
-reproduce every file byte for byte.
+reproduce every file byte for byte.  ``ablate`` fits its variants on
+forked workers, one per usable core, and its files, stdout, stderr,
+warnings and exit code are those of a serial run.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -38,6 +42,12 @@ from .dataset import (
     NORMALIZE_MODES,
     SynthSpec,
     ZslDataset,
+    _child_cores,
+    _fork,
+    _fork_workers,
+    _join,
+    _reply,
+    block_partition,
     load_manifest,
     normalize,
     save_manifest,
@@ -277,6 +287,63 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _record_warning(caught: list, message, category, filename, lineno, file=None, line=None):
+    """A ``warnings.showwarning`` that appends to ``caught`` what
+    ``warnings.warn_explicit`` needs to give the warning again."""
+    # the module whose registry warn() used: that of the frame it names
+    frame = sys._getframe(1)
+    while frame is not None and (frame.f_code.co_filename, frame.f_lineno) != (filename, lineno):
+        frame = frame.f_back
+    module = None if frame is None else frame.f_globals.get("__name__")
+    caught.append([str(message), category.__module__, category.__qualname__,
+                   filename, lineno, module])
+
+
+def _ablate_child(pipe, variants, ablate) -> None:
+    """Run ``ablate`` on each of ``variants`` in a forked child, writing
+    ``[row, exit code, warnings]`` for each to ``pipe`` as JSON.  The
+    warnings are those the inherited filters let through, recorded and not
+    shown; one the filters turn into an error kills the child."""
+    results = []
+    for variant in variants:
+        caught = []
+        warnings.showwarning = functools.partial(_record_warning, caught)
+        results.append([*ablate(variant), caught])
+    # float repr round-trips every loss and accuracy exactly
+    pipe.write(json.dumps(results).encode())
+
+
+def _child_results(reply: bytes | None, variants) -> list | None:
+    """``(row, exit code, warnings)`` of each of ``variants`` from a child's
+    reply, each warning as ``warnings.warn_explicit``'s arguments against
+    this process's registries; None for a reply that is missing, short or
+    malformed, or names a module or class this process cannot find."""
+    results = []
+    try:
+        replies = json.loads(reply)
+        if len(replies) != len(variants):
+            return None
+        for row, code, caught in replies:
+            relayed = []
+            for message, category_module, category, filename, lineno, module in caught:
+                category = functools.reduce(getattr, category.split("."),
+                                            sys.modules[category_module])
+                module_globals = vars(sys.modules[module])
+                registry = module_globals.setdefault("__warningregistry__", {})
+                relayed.append((message, category, filename, lineno, module, registry,
+                                module_globals))
+            results.append((row, code, relayed))
+    except (ValueError, TypeError, KeyError, AttributeError):
+        return None
+    return results
+
+
+def _reported(row: dict, code: int) -> tuple[dict, int]:
+    if code != EXIT_OK:
+        print(f"jcmspl ablate: {row['variant']}: {row['error']}", file=sys.stderr)
+    return row, code
+
+
 def cmd_ablate(args) -> int:
     # the flags are checked once, before any file is read; variants differ
     # only in the variant field
@@ -284,9 +351,9 @@ def cmd_ablate(args) -> int:
     fingerprint, dataset = _load_normalized(args.manifest, args.normalize)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    first_failure = EXIT_OK
-    for variant in ABLATION_ORDER:
+
+    def ablate(variant: str) -> tuple[dict, int]:
+        """Train, score and save one variant: its row and exit code."""
         row = {
             "variant": variant,
             "loss": None,
@@ -309,10 +376,39 @@ def cmd_ablate(args) -> int:
             save_model(out / f"model_{variant}.bin", model, fingerprint)
         except tuple(EXIT_CODES) as exc:
             row["error"] = str(exc)
-            if first_failure == EXIT_OK:
-                first_failure = exit_code(exc)
-            print(f"jcmspl ablate: {variant}: {exc}", file=sys.stderr)
-        rows.append(row)
+            return row, exit_code(exc)
+        return row, EXIT_OK
+
+    # The parent runs the first range of variants while one forked child
+    # runs each other range.  The parent then reports each variant in order,
+    # giving a child's warnings again, and reruns in process the range of a
+    # child that failed, so every error is the serial one.
+    workers = _fork_workers(len(ABLATION_ORDER))
+    head, *rest = [ABLATION_ORDER[start:stop]
+                   for start, stop in block_partition(len(ABLATION_ORDER), workers)]
+    children = []
+    try:
+        for variants, core in zip(rest, _child_cores(len(rest))):
+            try:
+                child = _fork(_ablate_child, variants, ablate, core=core)
+            except OSError:  # no fork or pipe to be had: the range runs here
+                child = None
+            children.append((variants, child))
+        results = [_reported(*ablate(variant)) for variant in head]
+        while children:
+            variants, child = children.pop(0)
+            replies = None if child is None else _child_results(_reply(child), variants)
+            if replies is None:
+                results += [_reported(*ablate(variant)) for variant in variants]
+                continue
+            for row, code, relayed in replies:
+                for warning in relayed:
+                    warnings.warn_explicit(*warning)
+                results.append(_reported(row, code))
+    finally:
+        _join([child for _, child in children if child is not None], kill=True)
+    rows = [row for row, _ in results]
+    first_failure = next((code for _, code in results if code != EXIT_OK), EXIT_OK)
 
     with open(out / "ablation.csv", "w") as fh:
         fh.write("variant,loss,iters,acc_v2s,acc_s2v\n")

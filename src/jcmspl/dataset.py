@@ -12,6 +12,7 @@ directory.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -48,7 +49,7 @@ FILE_KEYS = (
 MANIFEST_KEYS = FILE_KEYS + ("seen_classes", "unseen_classes")
 
 NORMALIZE_MODES = ("none", "l2_columns")
-# columns per block of every n-wide pass (``normalize``, the trainer's ``_sweep``)
+# columns per block of every n-wide pass (``column_norms``, the trainer's ``_sweep``)
 CHUNK = 1024
 
 
@@ -101,22 +102,47 @@ COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 APPEND_BUFFER = 1 << 16
 
 
-def _workers(rows: int, nbytes: int) -> int:
-    """Forked workers for a matrix of ``rows`` rows and ``nbytes`` bytes: at
-    most one per usable core, per row and per PARALLEL_MIN_BYTES bytes, and
-    1 (serial) where there is no ``os.fork`` or while another Python thread
-    runs, which could hold a lock the child would wait for."""
+def _fork_workers(units: int) -> int:
+    """Forked workers for ``units`` pieces of work that can run apart: at most
+    one per usable core and per unit, and 1 (serial) where there is no
+    ``os.fork`` or while another Python thread runs, which could hold a lock
+    the child would wait for."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cores or 1, rows, nbytes // PARALLEL_MIN_BYTES))
+    return max(1, min(cores or 1, units))
 
 
-def _fork(work, *args) -> tuple[int, int]:
+def _workers(rows: int, nbytes: int) -> int:
+    """Forked workers for a matrix of ``rows`` rows and ``nbytes`` bytes:
+    ``_fork_workers`` with one unit per row and per PARALLEL_MIN_BYTES bytes."""
+    return _fork_workers(min(rows, nbytes // PARALLEL_MIN_BYTES))
+
+
+def _child_cores(count: int) -> list[int | None]:
+    """A core for each of ``count`` forked children, round robin over the
+    usable cores other than the one this process runs on; all None where
+    the platform cannot tell.  A child starts on its parent's core, and on
+    a 2-vCPU KVM guest the scheduler left both there for a whole 40 ms of
+    fitting, each at 2.2x its solo time (1.1-1.3x with the child placed
+    apart)."""
+    try:
+        with open("/proc/self/stat") as fh:  # field 39: the current core
+            current = int(fh.read().rsplit(")", 1)[1].split()[36])
+        spare = sorted(os.sched_getaffinity(0) - {current})
+    except (AttributeError, OSError, IndexError, ValueError):
+        spare = []
+    return [spare[i % len(spare)] if spare else None for i in range(count)]
+
+
+def _fork(work, *args, core: int | None = None) -> tuple[int, int]:
     """Run ``work(pipe, *args)`` in a forked child, ``pipe`` being the binary
-    write end of a new pipe; return the child's pid and the read end.  The
-    child calls no BLAS and prints nothing, and it always leaves through
-    ``os._exit`` (0 when ``work`` returns), so it flushes no inherited buffer."""
+    write end of a new pipe, on ``core`` alone when given and available;
+    return the child's pid and the read end.  The child prints nothing, and
+    it always leaves through ``os._exit`` (0 when ``work`` returns), so it
+    flushes no inherited buffer.  It may call BLAS: OpenBLAS's at-fork
+    handler stops its worker threads before the fork, and the child, like
+    the parent, starts them again at its next threaded call."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -128,7 +154,9 @@ def _fork(work, *args) -> tuple[int, int]:
         code = 1
         try:
             os.close(read_end)
-            warnings.simplefilter("ignore")  # loadtxt warns on a range with no data
+            if core is not None:
+                with contextlib.suppress(OSError):
+                    os.sched_setaffinity(0, {core})
             with open(write_end, "wb") as pipe:
                 work(pipe, *args)
             code = 0
@@ -151,6 +179,18 @@ def _join(children: list, kill: bool = False) -> bool:
     return ok
 
 
+def _reply(child: tuple[int, int]) -> bytes | None:
+    """Everything the child ``(pid, fd)`` from ``_fork`` wrote to its pipe,
+    or None when it did not exit 0; closes the pipe and reaps the child."""
+    pid, fd = child
+    try:
+        with open(fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return data if status == 0 else None
+
+
 def _read_into(fd: int, view) -> bool:
     """Fill the writable buffer ``view`` from the pipe ``fd``; False at an
     early end of file."""
@@ -166,6 +206,7 @@ def _read_into(fd: int, view) -> bool:
 def _parse_lines(pipe, path: Path, start: int, stop: int) -> None:
     # bytes [start, stop) of path are whole lines; each range is decoded with
     # the encoding and universal newlines np.loadtxt(path) uses
+    warnings.simplefilter("ignore")  # loadtxt warns on a range with no data
     with open(path, "rb") as fh:
         fh.seek(start)
         text = io.TextIOWrapper(io.BytesIO(fh.read(stop - start)))
@@ -488,6 +529,16 @@ def expand_prototypes(prototypes, labels) -> np.ndarray:
     return prototypes[:, labels]
 
 
+def column_norms(M: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(M, axis=0)`` of a 2-D float64 array, bit for bit,
+    with no temporary wider than CHUNK columns."""
+    # numpy sums a lone column pairwise, not down the rows, so a last block
+    # of one column joins the one before
+    bounds = [*range(0, max(M.shape[1] - 1, 1), CHUNK), M.shape[1]]
+    blocks = [M[:, start:stop] for start, stop in zip(bounds, bounds[1:])]
+    return np.sqrt(np.concatenate([np.add.reduce(B * B, axis=0) for B in blocks]))
+
+
 def normalize(M, mode: str = "l2_columns", *, in_place: bool = False) -> np.ndarray:
     """Column-normalize a matrix.
 
@@ -503,12 +554,7 @@ def normalize(M, mode: str = "l2_columns", *, in_place: bool = False) -> np.ndar
         M = M.copy(order="K")
     if mode == "none":
         return M
-    # summed over blocks of CHUNK columns (no m x n temporary), the squares give
-    # np.linalg.norm(M, axis=0) bit for bit: numpy sums a lone column pairwise,
-    # not down the rows, so a last block of one column joins the one before
-    bounds = [*range(0, max(M.shape[1] - 1, 1), CHUNK), M.shape[1]]
-    blocks = [M[:, start:stop] for start, stop in zip(bounds, bounds[1:])]
-    norms = np.sqrt(np.concatenate([np.add.reduce(B * B, axis=0) for B in blocks]))
+    norms = column_norms(M)
     zero = norms == 0.0
     if np.any(zero):
         warnings.warn(

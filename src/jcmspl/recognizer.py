@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import ZslDataset, check_int
+from .dataset import ZslDataset, check_int, column_norms
 from .errors import (
     AllZeroNormError,
     DimensionMismatchError,
@@ -230,8 +230,8 @@ def _degenerate_count(model: JcmsplModel, inputs, embedded) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         M = model.A if model.variant == "fpl" else model.B.T @ model.A
         scale = np.linalg.norm(M, 2) if np.all(np.isfinite(M)) else np.inf
-        bound = DEGENERATE_RTOL * scale * np.linalg.norm(inputs, axis=0)
-        return int(np.count_nonzero(np.linalg.norm(embedded, axis=0) <= bound))
+        bound = DEGENERATE_RTOL * scale * column_norms(inputs)
+        return int(np.count_nonzero(column_norms(embedded) <= bound))
 
 
 def _rank(model, dataset, visual, classes, direction, distance):

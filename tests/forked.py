@@ -1,11 +1,22 @@
-"""Helpers for tests of the forked matrix reader and writer."""
+"""Helpers for tests of the forked matrix reader and writer, and of the
+forked ``jcmspl ablate``."""
 
 import contextlib
 import os
 
 import pytest
 
-from jcmspl import dataset
+from jcmspl import cli, dataset
+
+
+def _count_forks(mp, module, forks):
+    fork = module._fork
+
+    def counting_fork(work, *args, **kwargs):
+        forks.append(work.__name__)
+        return fork(work, *args, **kwargs)
+
+    mp.setattr(module, "_fork", counting_fork)
 
 
 @contextlib.contextmanager
@@ -14,16 +25,23 @@ def forked_io(cores: int = 2):
     array of two rows or more, is split across up to ``cores`` forked
     workers, however small.  Yields a list that gets one entry per fork."""
     forks = []
-    fork = dataset._fork
-
-    def counting_fork(work, *args):
-        forks.append(work.__name__)
-        return fork(work, *args)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "PARALLEL_MIN_BYTES", 1)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-        mp.setattr(dataset, "_fork", counting_fork)
+        _count_forks(mp, dataset, forks)
+        yield forks
+
+
+@contextlib.contextmanager
+def forked_ablate(workers: int):
+    """Within the block ``jcmspl ablate`` runs its variants in ``workers``
+    processes, the caller and ``workers - 1`` forked children (1: serial),
+    whatever the host's core count.  Yields a list that gets one entry per
+    fork."""
+    forks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        _count_forks(mp, cli, forks)
         yield forks
 
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forked import forked_io
 from jcmspl.archive import fingerprint_dataset
@@ -9,6 +11,7 @@ from jcmspl.dataset import (
     CHUNK,
     SynthSpec,
     ZslDataset,
+    column_norms,
     expand_prototypes,
     load_manifest,
     normalize,
@@ -260,6 +263,19 @@ def test_normalize_in_place_keeps_the_bits_of_a_copy(n, layout):
     assert copied.flags.c_contiguous == expected.flags.c_contiguous
     assert copied.flags.f_contiguous == expected.flags.f_contiguous
 
+
+
+@settings(max_examples=24, deadline=None, database=None, derandomize=True)
+@given(rows=st.integers(1, 300), n=st.sampled_from([1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]),
+       order=st.sampled_from("CF"), seed=st.integers(0, 2**32 - 1),
+       magnitude=st.sampled_from([1e-300, 1.0, 1e150, 1e300]))
+def test_column_norms_are_the_bits_of_np_linalg_norm(rows, n, order, seed, magnitude):
+    # numpy sums down the rows of a C-order block and pairwise along a
+    # column of an F-order one; 1e150 and 1e300 overflow some squares to inf
+    rng = np.random.default_rng(seed)
+    M = np.asarray(rng.standard_normal((rows, n)) * magnitude, order=order)
+    with np.errstate(over="ignore"):
+        assert column_norms(M).tobytes() == np.linalg.norm(M, axis=0).tobytes()
 
 def test_normalize_in_place_keeps_zero_and_overflowing_columns_as_a_copy_does():
     M = feature_matrix(CHUNK + 3, "C")
