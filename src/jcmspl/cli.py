@@ -67,6 +67,7 @@ from .errors import (
     RecognizerError,
     TrainerError,
 )
+from .linalg import scipy_linalg
 from .recognizer import (
     DEGENERATE_RTOL,
     DIRECTIONS,
@@ -382,7 +383,9 @@ def cmd_ablate(args) -> int:
     # The parent runs the first range of variants while one forked child
     # runs each other range.  The parent then reports each variant in order,
     # giving a child's warnings again, and reruns in process the range of a
-    # child that failed, so every error is the serial one.
+    # child that failed, so every error is the serial one.  scipy is loaded
+    # here, before the forks, so the children inherit it and never import it.
+    scipy_linalg()
     workers = _fork_workers(len(ABLATION_ORDER))
     head, *rest = [ABLATION_ORDER[start:stop]
                    for start, stop in block_partition(len(ABLATION_ORDER), workers)]

@@ -7,15 +7,18 @@ elementwise in the joint eigenbasis, which keeps the per-solve cost at
 two symmetric eigendecompositions regardless of the right-hand side.
 A dense Kronecker-product solver is kept alongside as an independent
 cross-check for small problems.
+
+scipy enters the package here only: ``scipy_linalg`` imports it on the
+first call that solves with LAPACK (a fit), so recognition, which only
+projects and ranks, never pays for the import.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import dtrsm
 
 from .errors import (
     DimensionMismatchError,
@@ -212,6 +215,13 @@ def sylvester_oracle(R, S, T) -> np.ndarray:
     return z.reshape((r, s), order="F")
 
 
+@functools.cache
+def scipy_linalg():
+    """``scipy.linalg``, imported by the first call in a process."""
+    import scipy.linalg
+    return scipy.linalg
+
+
 @dataclass(frozen=True)
 class CholeskyFactor:
     """Lower Cholesky factor of a symmetric positive definite matrix, in
@@ -231,8 +241,8 @@ def cholesky_factor(M, name: str = "M") -> CholeskyFactor:
     _require_square(M, name)
     Ms = _require_symmetric(M, name)
     try:
-        return CholeskyFactor(scipy.linalg.cho_factor(Ms, lower=True))
-    except scipy.linalg.LinAlgError as exc:
+        return CholeskyFactor(scipy_linalg().cho_factor(Ms, lower=True))
+    except np.linalg.LinAlgError as exc:  # scipy raises numpy's class
         raise NotPositiveDefiniteError(str(exc)) from exc
 
 
@@ -262,6 +272,6 @@ def solve_spd(M, rhs, overwrite_rhs: bool = False) -> np.ndarray:
     if overwrite_rhs and not b.flags.f_contiguous:
         # W L^T = rhs^T, then X^T L = W, both in place in rhs^T
         for trans in (1, 0):
-            dtrsm(1.0, L, b.T, side=1, lower=1, trans_a=trans, overwrite_b=1)
+            scipy_linalg().blas.dtrsm(1.0, L, b.T, side=1, lower=1, trans_a=trans, overwrite_b=1)
         return b
-    return scipy.linalg.cho_solve(chol.factor, b, overwrite_b=overwrite_rhs)
+    return scipy_linalg().cho_solve(chol.factor, b, overwrite_b=overwrite_rhs)

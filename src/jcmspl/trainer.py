@@ -61,7 +61,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpstrf
 
 from .dataset import (CHUNK, ZslDataset, block_partition, check_float, check_int,
                       expand_prototypes)
@@ -77,6 +76,7 @@ from .errors import (
 from .linalg import (
     SymmetricEigen,
     cholesky_factor,
+    scipy_linalg,
     solve_spd,
     sylvester_solve,
     symmetric_eigen,
@@ -574,6 +574,11 @@ def _stacked_gram(X, C0, R, positions) -> np.ndarray:
     G[m + r:, m:m + r] = c_sums @ R.T
     G[m + r:, m + r:] = C0 @ C0.T
     return G
+
+
+def dpstrf(*args, **kwargs):
+    """LAPACK's pivoted Cholesky, ``scipy.linalg.lapack.dpstrf``."""
+    return scipy_linalg().lapack.dpstrf(*args, **kwargs)
 
 
 def _gram_factor(G, m: int, Q, d: int):

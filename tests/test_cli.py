@@ -1,15 +1,18 @@
 import dataclasses
 import json
+import os
 import shutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jcmspl
 from forked import forked_io
 from jcmspl import errors
 from jcmspl.archive import fingerprint_dataset, load_model, save_model
@@ -357,6 +360,42 @@ def test_console_entry_point_reports_version():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("jcmspl ")
+
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+import jcmspl
+from jcmspl.cli import main
+out = sys.argv[1]
+manifest, model = out + "/data/manifest.json", out + "/data/planted_model.bin"
+scored = ["--model", model, "--manifest", manifest]
+try:
+    main(["--version"])
+except SystemExit as exc:
+    codes = [exc.code]
+codes += [
+    main(["synth", "--out", out + "/data"]),
+    main(["eval", *scored, "--out", out + "/hit", "--hit-k", "3"]),
+    main(["eval", *scored, "--out", out + "/gzsl", "--gzsl"]),
+]
+before = "scipy" in sys.modules
+codes.append(main(["train", "--manifest", manifest, "--out", out + "/run",
+                   "--k", "40", "--t-max", "5"]))
+print(json.dumps([codes, before, "scipy" in sys.modules]))
+"""
+
+
+def test_only_training_imports_scipy(tmp_path):
+    # recognition only projects and ranks; scipy's import is most of a
+    # synth or eval process, so only a fit loads it (the test session
+    # already has it, hence a fresh interpreter)
+    env = dict(os.environ, PYTHONPATH=str(Path(jcmspl.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, before_train, after_train = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0, 0]
+    assert not before_train and after_train
 
 
 def test_argparse_rejects_unknown_direction(synth_dir, trained_dir, tmp_path):

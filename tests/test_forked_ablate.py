@@ -168,36 +168,58 @@ def test_an_error_without_an_exit_code_propagates_and_leaves_no_child(small_dir,
         assert len(forks) == workers - 1
 
 SCRIPT = """
-import os, sys
+import json, os, sys
 os.sched_getaffinity = lambda pid: set(range({workers}))
 from jcmspl import cli
 fork, forks = cli._fork, []
-cli._fork = lambda *args, **kwargs: forks.append(1) or fork(*args, **kwargs)
+
+def recording_fork(*args, **kwargs):
+    forks.append("scipy.linalg" in sys.modules)
+    return fork(*args, **kwargs)
+
+cli._fork = recording_fork
 code = cli.main(sys.argv[1:])
-with open({count!r}, "w") as fh:
-    fh.write(str(len(forks)))
+with open({record!r}, "w") as fh:
+    json.dump(forks, fh)
 sys.exit(code)
 """
 
 
-def test_forked_ablate_with_two_blas_threads_is_the_serial_run(default_dir, tmp_path):
-    # each child starts OpenBLAS's threads again after the fork
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+def fresh_ablates(default_dir, tmp_path, blas_threads):
+    """The exit code, stdout, stderr and files of ``jcmspl ablate`` on the
+    default synth in a fresh interpreter, serial and on two patched cores,
+    each with whether scipy was loaded at each of its forks."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
                PYTHONPATH=str(Path(jcmspl.__file__).parents[1]))
     runs = []
     for workers in (1, 2):
-        out, count = tmp_path / "out", tmp_path / f"forks{workers}"
-        script = SCRIPT.format(workers=workers, count=str(count))
+        out, record = tmp_path / "out", tmp_path / f"forks{workers}.json"
+        script = SCRIPT.format(workers=workers, record=str(record))
         proc = subprocess.run(
             [sys.executable, "-c", script, "ablate", "--manifest",
              str(default_dir / "manifest.json"), "--k", "40", "--out", str(out)],
             capture_output=True, env=env, timeout=300,
         )
         files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
-        runs.append((proc.returncode, proc.stdout, proc.stderr, files))
-        assert count.read_text() == str(workers - 1)
+        runs.append(((proc.returncode, proc.stdout, proc.stderr, files),
+                     json.loads(record.read_text())))
         out.rename(tmp_path / f"workers{workers}")
-    assert runs[0] == runs[1]
-    assert runs[0][0] == 0 and runs[0][2] == b""
-    assert len(runs[0][3]) == 2 + len(ABLATION_ORDER)
+    return runs
 
+
+def test_forked_ablate_with_two_blas_threads_is_the_serial_run(default_dir, tmp_path):
+    # each child starts OpenBLAS's threads again after the fork
+    (serial, serial_forks), (forked, forks) = fresh_ablates(default_dir, tmp_path, 2)
+    assert (len(serial_forks), len(forks)) == (0, 1)
+    assert serial == forked
+    assert serial[0] == 0 and serial[2] == b""
+    assert len(serial[3]) == 2 + len(ABLATION_ORDER)
+
+
+def test_forked_ablate_children_inherit_scipy(default_dir, tmp_path):
+    # scipy is imported on first use; ablate loads it before it forks, so
+    # no child spends the import again or relays its warnings
+    (serial, serial_forks), (forked, forks) = fresh_ablates(default_dir, tmp_path, 1)
+    assert (serial_forks, forks) == ([], [True])
+    assert serial == forked
+    assert serial[0] == 0 and serial[2] == b""
