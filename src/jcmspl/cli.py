@@ -30,23 +30,18 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
+import itertools
 import json
 import sys
 import warnings
 from pathlib import Path
 
-from . import __version__
+from . import __version__, workers
 from .archive import DatasetFingerprint, fingerprint_dataset, load_model, save_model
 from .dataset import (
     NORMALIZE_MODES,
     SynthSpec,
     ZslDataset,
-    _child_cores,
-    _fork,
-    _fork_workers,
-    _join,
-    _reply,
     block_partition,
     load_manifest,
     normalize,
@@ -288,55 +283,29 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _record_warning(caught: list, message, category, filename, lineno, file=None, line=None):
-    """A ``warnings.showwarning`` that appends to ``caught`` what
-    ``warnings.warn_explicit`` needs to give the warning again."""
-    # the module whose registry warn() used: that of the frame it names
-    frame = sys._getframe(1)
-    while frame is not None and (frame.f_code.co_filename, frame.f_lineno) != (filename, lineno):
-        frame = frame.f_back
-    module = None if frame is None else frame.f_globals.get("__name__")
-    caught.append([str(message), category.__module__, category.__qualname__,
-                   filename, lineno, module])
-
-
 def _ablate_child(pipe, variants, ablate) -> None:
-    """Run ``ablate`` on each of ``variants`` in a forked child, writing
-    ``[row, exit code, warnings]`` for each to ``pipe`` as JSON.  The
-    warnings are those the inherited filters let through, recorded and not
-    shown; one the filters turn into an error kills the child."""
-    results = []
-    for variant in variants:
-        caught = []
-        warnings.showwarning = functools.partial(_record_warning, caught)
-        results.append([*ablate(variant), caught])
-    # float repr round-trips every loss and accuracy exactly
-    pipe.write(json.dumps(results).encode())
+    """Run ``ablate`` on each of ``variants`` in a forked child, under the
+    filters it inherited, and write ``[row, exit code]`` for each to ``pipe``
+    as JSON.  A child that records a warning writes nothing, so that the
+    caller runs the range again and shows the warning as a serial run
+    would; one the filters turn into an error kills the child."""
+    with warnings.catch_warnings(record=True) as caught:
+        results = [ablate(variant) for variant in variants]
+    if not caught:
+        # float repr round-trips every loss and accuracy exactly
+        pipe.write(json.dumps(results).encode())
 
 
-def _child_results(reply: bytes | None, variants) -> list | None:
-    """``(row, exit code, warnings)`` of each of ``variants`` from a child's
-    reply, each warning as ``warnings.warn_explicit``'s arguments against
-    this process's registries; None for a reply that is missing, short or
-    malformed, or names a module or class this process cannot find."""
-    results = []
-    try:
-        replies = json.loads(reply)
-        if len(replies) != len(variants):
-            return None
-        for row, code, caught in replies:
-            relayed = []
-            for message, category_module, category, filename, lineno, module in caught:
-                category = functools.reduce(getattr, category.split("."),
-                                            sys.modules[category_module])
-                module_globals = vars(sys.modules[module])
-                registry = module_globals.setdefault("__warningregistry__", {})
-                relayed.append((message, category, filename, lineno, module, registry,
-                                module_globals))
-            results.append((row, code, relayed))
-    except (ValueError, TypeError, KeyError, AttributeError):
+def _child_results(child) -> list | None:
+    """``[row, exit code]`` of each variant of ``child``; None when the child
+    failed or wrote no reply or a short one."""
+    reply = child.pipe.readall()
+    if not child.join():
         return None
-    return results
+    try:
+        return json.loads(reply)
+    except ValueError:
+        return None
 
 
 def _reported(row: dict, code: int) -> tuple[dict, int]:
@@ -380,36 +349,24 @@ def cmd_ablate(args) -> int:
             return row, exit_code(exc)
         return row, EXIT_OK
 
-    # The parent runs the first range of variants while one forked child
-    # runs each other range.  The parent then reports each variant in order,
-    # giving a child's warnings again, and reruns in process the range of a
-    # child that failed, so every error is the serial one.  scipy is loaded
-    # here, before the forks, so the children inherit it and never import it.
+    # The caller fits the first range of variants while one forked child
+    # fits each other range.  The caller then reports each variant in order,
+    # and runs again itself the range of a child it could not fork, that
+    # failed or that recorded a warning, so every error and warning is the
+    # serial one.  scipy is loaded here, before the forks, so the children
+    # inherit it and never import it.
     scipy_linalg()
-    workers = _fork_workers(len(ABLATION_ORDER))
+    count = workers.count(len(ABLATION_ORDER))
     head, *rest = [ABLATION_ORDER[start:stop]
-                   for start, stop in block_partition(len(ABLATION_ORDER), workers)]
-    children = []
-    try:
-        for variants, core in zip(rest, _child_cores(len(rest))):
-            try:
-                child = _fork(_ablate_child, variants, ablate, core=core)
-            except OSError:  # no fork or pipe to be had: the range runs here
-                child = None
-            children.append((variants, child))
+                   for start, stop in block_partition(len(ABLATION_ORDER), count)]
+    with workers.forked(_ablate_child, rest, ablate) as children:
         results = [_reported(*ablate(variant)) for variant in head]
-        while children:
-            variants, child = children.pop(0)
-            replies = None if child is None else _child_results(_reply(child), variants)
+        for variants, child in itertools.zip_longest(rest, children):
+            replies = None if child is None else _child_results(child)
             if replies is None:
                 results += [_reported(*ablate(variant)) for variant in variants]
-                continue
-            for row, code, relayed in replies:
-                for warning in relayed:
-                    warnings.warn_explicit(*warning)
-                results.append(_reported(row, code))
-    finally:
-        _join([child for _, child in children if child is not None], kill=True)
+            else:
+                results += [_reported(*reply) for reply in replies]
     rows = [row for row, _ in results]
     first_failure = next((code for _, code in results if code != EXIT_OK), EXIT_OK)
 

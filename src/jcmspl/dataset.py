@@ -12,23 +12,20 @@ directory.
 
 from __future__ import annotations
 
-import contextlib
 import io
+import itertools
 import json
 import math
 import mmap
-import os
 import shutil
-import signal
 import struct
-import tempfile
-import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import workers
 from .errors import (
     DatasetError,
     InvalidSpecError,
@@ -64,11 +61,16 @@ def check_int(value, name: str, low: int, error: type[Exception]) -> None:
         raise error(f"{name} must be in [{low}, 2**63), got {value!r}")
 
 
+def check_number(value, name: str, error: type[Exception]) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is a number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{name} must be a real number, got {value!r}")
+
+
 def check_float(value, name: str, error: type[Exception], positive: bool = False) -> None:
     """Raise ``error`` naming ``name`` unless ``value`` is a number, not a bool,
     that a float64 holds finite and >= 0 (> 0 when ``positive``)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise error(f"{name} must be a real number, got {value!r}")
+    check_number(value, name, error)
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int beyond the float64 range
@@ -98,114 +100,20 @@ MATRIX_WRITE = {"delimiter": ",", "fmt": "%.17g"}
 PARALLEL_MIN_BYTES = 1_000_000
 # np.loadtxt decompresses files with these suffixes; they are read serially
 COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-# parts are appended to the target through a buffer of this size
+# a child's rows are appended to the target through a buffer of this size
 APPEND_BUFFER = 1 << 16
-
-
-def _fork_workers(units: int) -> int:
-    """Forked workers for ``units`` pieces of work that can run apart: at most
-    one per usable core and per unit, and 1 (serial) where there is no
-    ``os.fork`` or while another Python thread runs, which could hold a lock
-    the child would wait for."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cores or 1, units))
 
 
 def _workers(rows: int, nbytes: int) -> int:
     """Forked workers for a matrix of ``rows`` rows and ``nbytes`` bytes:
-    ``_fork_workers`` with one unit per row and per PARALLEL_MIN_BYTES bytes."""
-    return _fork_workers(min(rows, nbytes // PARALLEL_MIN_BYTES))
+    ``workers.count`` with one unit per row and per PARALLEL_MIN_BYTES bytes."""
+    return workers.count(min(rows, nbytes // PARALLEL_MIN_BYTES))
 
 
-def _child_cores(count: int) -> list[int | None]:
-    """A core for each of ``count`` forked children, round robin over the
-    usable cores other than the one this process runs on; all None where
-    the platform cannot tell.  A child starts on its parent's core, and on
-    a 2-vCPU KVM guest the scheduler left both there for a whole 40 ms of
-    fitting, each at 2.2x its solo time (1.1-1.3x with the child placed
-    apart)."""
-    try:
-        with open("/proc/self/stat") as fh:  # field 39: the current core
-            current = int(fh.read().rsplit(")", 1)[1].split()[36])
-        spare = sorted(os.sched_getaffinity(0) - {current})
-    except (AttributeError, OSError, IndexError, ValueError):
-        spare = []
-    return [spare[i % len(spare)] if spare else None for i in range(count)]
-
-
-def _fork(work, *args, core: int | None = None) -> tuple[int, int]:
-    """Run ``work(pipe, *args)`` in a forked child, ``pipe`` being the binary
-    write end of a new pipe, on ``core`` alone when given and available;
-    return the child's pid and the read end.  The child prints nothing, and
-    it always leaves through ``os._exit`` (0 when ``work`` returns), so it
-    flushes no inherited buffer.  It may call BLAS: OpenBLAS's at-fork
-    handler stops its worker threads before the fork, and the child, like
-    the parent, starts them again at its next threaded call."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            if core is not None:
-                with contextlib.suppress(OSError):
-                    os.sched_setaffinity(0, {core})
-            with open(write_end, "wb") as pipe:
-                work(pipe, *args)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    return pid, read_end
-
-
-def _join(children: list, kill: bool = False) -> bool:
-    """Close the pipe of every child in ``children`` and wait for it (killed
-    first when ``kill``), emptying the list; True when each exited 0."""
-    ok = True
-    while children:
-        pid, fd = children.pop()
-        os.close(fd)
-        if kill:
-            os.kill(pid, signal.SIGKILL)
-        ok = os.waitpid(pid, 0)[1] == 0 and ok
-    return ok
-
-
-def _reply(child: tuple[int, int]) -> bytes | None:
-    """Everything the child ``(pid, fd)`` from ``_fork`` wrote to its pipe,
-    or None when it did not exit 0; closes the pipe and reaps the child."""
-    pid, fd = child
-    try:
-        with open(fd, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    return data if status == 0 else None
-
-
-def _read_into(fd: int, view) -> bool:
-    """Fill the writable buffer ``view`` from the pipe ``fd``; False at an
-    early end of file."""
-    view = memoryview(view).cast("B")
-    while view.nbytes:
-        got = os.readv(fd, [view])
-        if not got:
-            return False
-        view = view[got:]
-    return True
-
-
-def _parse_lines(pipe, path: Path, start: int, stop: int) -> None:
+def _parse_lines(pipe, bounds: tuple[int, int], path: Path) -> None:
     # bytes [start, stop) of path are whole lines; each range is decoded with
     # the encoding and universal newlines np.loadtxt(path) uses
+    start, stop = bounds
     warnings.simplefilter("ignore")  # loadtxt warns on a range with no data
     with open(path, "rb") as fh:
         fh.seek(start)
@@ -217,49 +125,46 @@ def _parse_lines(pipe, path: Path, start: int, stop: int) -> None:
 
 def _read_forked(path: Path) -> np.ndarray | None:
     """``read_matrix`` on forked workers, each parsing one range of whole
-    lines; None when one worker suffices or when any child fails, parses no
-    row or disagrees on the column count."""
+    lines; None when one worker suffices, when a range gets no child, or
+    when any child fails, parses no row or disagrees on the column count."""
     size = path.stat().st_size
-    workers = _workers(size, size)  # a range holds at least one line
-    if workers < 2:
+    count = _workers(size, size)  # a range holds at least one line
+    if count < 2:
         return None
     # each range ends just past the first newline at or after its share
     with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as text:
-        cuts = {text.find(b"\n", size * i // workers) + 1 or size for i in range(1, workers)}
+        cuts = {text.find(b"\n", size * i // count) + 1 or size for i in range(1, count)}
     bounds = sorted(cuts | {0, size})
     if len(bounds) < 3:  # one line
         return None
-    children = []
-    try:
-        for start, stop in zip(bounds, bounds[1:]):
-            children.append(_fork(_parse_lines, path, start, stop))
+    ranges = list(zip(bounds, bounds[1:]))
+    with workers.forked(_parse_lines, ranges, path) as children:
+        if len(children) < len(ranges):
+            return None
         shapes = []
-        for _, fd in children:
+        for child in children:
             header = bytearray(16)
-            if not _read_into(fd, header):
+            if not workers.read_into(child.pipe, header):
                 return None
             shapes.append(struct.unpack("<2q", header))
         if len({cols for _, cols in shapes}) != 1 or any(rows < 1 for rows, _ in shapes):
             return None
         out = np.empty((sum(rows for rows, _ in shapes), shapes[0][1]))
         row = 0
-        for (_, fd), (rows, _) in zip(children, shapes):
-            if not _read_into(fd, out[row : row + rows]):
+        for child, (rows, _) in zip(children, shapes):
+            if not (workers.read_into(child.pipe, out[row : row + rows]) and child.join()):
                 return None
             row += rows
-        return out if _join(children) else None
-    except OSError:  # no fork or pipe to be had: the serial read decides
-        return None
-    finally:
-        _join(children, kill=True)
+        return out
 
 
 def read_matrix(path) -> np.ndarray:
     """Read a headerless comma-separated numeric matrix.
 
     A file of at least 2 * PARALLEL_MIN_BYTES is parsed by forked workers,
-    one range of whole lines each, into one array.  Should any worker fail,
-    the file is read again serially, which raises every error."""
+    one range of whole lines each, into one array.  Should a range get no
+    worker, or any worker fail, the file is read again serially, which
+    raises every error."""
     path = Path(path)
     if path.is_file() and path.suffix not in COMPRESSED_SUFFIXES:
         parsed = _read_forked(path)
@@ -268,42 +173,39 @@ def read_matrix(path) -> np.ndarray:
     return _loadtxt(path, "matrix", **MATRIX_READ)
 
 
-def _format_rows(pipe, part: str, rows: np.ndarray) -> None:
-    np.savetxt(part, rows, **MATRIX_WRITE)
+def _format_rows(pipe, rows: np.ndarray) -> None:
+    # formatted whole before any byte is sent: a child writing straight into
+    # the pipe would stall on its 64 KB buffer while the caller formats its rows
+    text = io.BytesIO()
+    np.savetxt(text, rows, **MATRIX_WRITE)
+    pipe.write(text.getbuffer())
 
 
 def write_matrix(path, M) -> None:
     """Write a matrix as headerless comma-separated ``%.17g`` text.
 
     A matrix of at least 2 * PARALLEL_MIN_BYTES is formatted by forked
-    workers, one range of rows each: the first into ``path``, the others
-    into part files beside it, which are appended in order and removed."""
+    workers, one range of rows each: the caller formats the first into
+    ``path`` while each child formats another and sends it through its
+    pipe, and the caller appends them in order.  The caller formats itself
+    any range that no child took or delivered."""
     M = np.asarray(M, dtype=np.float64)
-    workers = _workers(M.shape[0] if M.ndim == 2 else 1, M.nbytes)
-    if workers < 2:
+    count = _workers(M.shape[0] if M.ndim == 2 else 1, M.nbytes)
+    if count < 2:
         np.savetxt(path, M, **MATRIX_WRITE)
         return
-    path = Path(path)
-    head, *rest = block_partition(M.shape[0], workers)
-    parts, children = [], []
-    try:
-        with open(path, "wb") as out:
-            for start, stop in rest:
-                fd, part = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
-                                            suffix=".part")
-                os.close(fd)
-                parts.append(part)
-                children.append(_fork(_format_rows, part, M[start:stop]))
-            np.savetxt(out, M[slice(*head)], **MATRIX_WRITE)
-            if not _join(children):
-                raise OSError(f"a worker failed to write part of {path}")
-            for part in parts:
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, out, APPEND_BUFFER)
-    finally:
-        _join(children, kill=True)
-        for part in parts:
-            Path(part).unlink(missing_ok=True)
+    head, *rest = [M[start:stop] for start, stop in block_partition(M.shape[0], count)]
+    with open(path, "wb") as out, workers.forked(_format_rows, rest) as children:
+        np.savetxt(out, head, **MATRIX_WRITE)
+        for rows, child in itertools.zip_longest(rest, children):
+            if child is not None:
+                start = out.tell()
+                shutil.copyfileobj(child.pipe, out, APPEND_BUFFER)
+                if child.join():
+                    continue
+                out.seek(start)
+                out.truncate()
+            np.savetxt(out, rows, **MATRIX_WRITE)
 
 
 def read_labels(path) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import ZslDataset, check_int, column_norms
+from .dataset import ZslDataset, check_int, check_number, column_norms
 from .errors import (
     AllZeroNormError,
     DimensionMismatchError,
@@ -284,7 +284,7 @@ def eval_hit_at_k(
     candidates.  Ties rank lower-index candidates first, and K=1 agrees
     with the overall accuracy of ``eval_standard``."""
     c_u = dataset.c_unseen
-    if not isinstance(k, (int, np.integer)) or not (1 <= k <= c_u):
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= c_u:
         raise InvalidKError(f"K must satisfy 1 <= K <= {c_u}, got {k!r}")
     _, dist, _ = _rank(model, dataset, dataset.visual_unseen, dataset.unseen_classes,
                        direction, distance)
@@ -298,6 +298,7 @@ def eval_hit_at_k(
 def check_holdout(fraction: float, seed: int) -> None:
     """The flags of ``gzsl_holdout_indices``: a fraction in (0, 1), an
     integer seed in [0, 2**63)."""
+    check_number(fraction, "fraction", InvalidFractionError)
     if not (0.0 < fraction < 1.0):
         raise InvalidFractionError(f"fraction must be in (0, 1), got {fraction}")
     check_int(seed, "seed", 0, OutOfRangeError)

@@ -6,17 +6,17 @@ import os
 
 import pytest
 
-from jcmspl import cli, dataset
+from jcmspl import dataset, workers
 
 
-def _count_forks(mp, module, forks):
-    fork = module._fork
+def _count_forks(mp, forks):
+    fork = workers._fork
 
     def counting_fork(work, *args, **kwargs):
         forks.append(work.__name__)
         return fork(work, *args, **kwargs)
 
-    mp.setattr(module, "_fork", counting_fork)
+    mp.setattr(workers, "_fork", counting_fork)
 
 
 @contextlib.contextmanager
@@ -28,7 +28,7 @@ def forked_io(cores: int = 2):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "PARALLEL_MIN_BYTES", 1)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-        _count_forks(mp, dataset, forks)
+        _count_forks(mp, forks)
         yield forks
 
 
@@ -41,7 +41,7 @@ def forked_ablate(workers: int):
     forks = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
-        _count_forks(mp, cli, forks)
+        _count_forks(mp, forks)
         yield forks
 
 

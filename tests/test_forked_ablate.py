@@ -15,7 +15,7 @@ import jcmspl
 from forked import forked_ablate
 from jcmspl import cli
 from jcmspl.cli import ABLATION_ORDER, main
-from jcmspl.dataset import load_manifest, save_manifest
+from jcmspl.dataset import block_partition, load_manifest, save_manifest
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +75,30 @@ def test_forked_ablate_is_the_serial_run(default_dir, capsys, tmp_path, workers)
                                    + [f"model_{variant}.bin" for variant in ABLATION_ORDER])
 
 
+@pytest.mark.parametrize("workers", [2, 3, 5])
+def test_a_warning_free_forked_ablate_fits_only_its_own_range_in_the_caller(
+        default_dir, tmp_path, monkeypatch, workers):
+    # a child that records a warning has its range run again in the caller;
+    # on the default synth none does, so the caller fits only its own range
+    parent, fit, fitted = os.getpid(), cli.fit, []
+
+    def recording_fit(dataset, hyper):
+        if os.getpid() == parent:
+            fitted.append(hyper.variant)
+        return fit(dataset, hyper)
+
+    monkeypatch.setattr(cli, "fit", recording_fit)
+    argv = ["ablate", "--manifest", str(default_dir / "manifest.json"), "--k", "40",
+            "--out", str(tmp_path)]
+    with warnings.catch_warnings(record=True) as caught, forked_ablate(workers) as forks:
+        warnings.simplefilter("default")
+        assert main(argv) == 0
+    assert caught == []
+    assert len(forks) == workers - 1
+    start, stop = block_partition(len(ABLATION_ORDER), workers)[0]
+    assert fitted == list(ABLATION_ORDER[start:stop])
+
+
 @pytest.mark.parametrize("workers", [2, 5])
 def test_forked_ablate_reports_failing_variants_as_the_serial_run(small_dir, capsys,
                                                                   tmp_path, workers):
@@ -97,7 +121,8 @@ def test_forked_ablate_relays_warnings_as_the_serial_run_shows_them(small_dir, c
                                                                     workers):
     # a zero unseen prototype: distance_matrix warns in every v2s and s2v
     # scoring, once per location under "default" and every time under
-    # "always"; with 5 workers ipl's first s2v warning comes from a child
+    # "always"; with 5 workers ipl's first s2v warning comes from a child,
+    # which sends no reply, so that the caller fits its range again
     dataset = load_manifest(small_dir / "manifest.json")
     dataset.prototypes[:, dataset.unseen_classes[0]] = 0.0
     manifest = save_manifest(dataset, tmp_path / "data" / "manifest.json")
@@ -170,14 +195,14 @@ def test_an_error_without_an_exit_code_propagates_and_leaves_no_child(small_dir,
 SCRIPT = """
 import json, os, sys
 os.sched_getaffinity = lambda pid: set(range({workers}))
-from jcmspl import cli
-fork, forks = cli._fork, []
+from jcmspl import cli, workers
+fork, forks = workers._fork, []
 
 def recording_fork(*args, **kwargs):
     forks.append("scipy.linalg" in sys.modules)
     return fork(*args, **kwargs)
 
-cli._fork = recording_fork
+workers._fork = recording_fork
 code = cli.main(sys.argv[1:])
 with open({record!r}, "w") as fh:
     json.dump(forks, fh)

@@ -131,24 +131,25 @@ def test_ranges_that_disagree_on_the_column_count_give_the_serial_error(tmp_path
     assert len(forks) == 2
 
 
-def test_a_failed_writer_leaves_no_child_and_no_part_file(tmp_path, monkeypatch):
-    # a worker that cannot write its part file (as in a directory it may not
-    # write) fails the whole write with an OSError
-    parent = os.getpid()
-    savetxt = np.savetxt
+@pytest.mark.parametrize("failure", ["nothing_sent", "part_sent"])
+def test_a_failed_writer_is_redone_by_the_caller_and_leaves_no_child(tmp_path, monkeypatch,
+                                                                     failure):
+    # a worker that fails before or while it sends its rows: the caller drops
+    # what it sent and formats the rows itself
+    def failing(pipe, rows):
+        if failure == "part_sent":
+            pipe.write(b"9,9\n")
+            pipe.flush()
+        raise MemoryError("no memory for the text")
 
-    def unwritable_in_workers(fname, *args, **kwargs):
-        if os.getpid() != parent:
-            raise PermissionError(13, "Permission denied", str(fname))
-        return savetxt(fname, *args, **kwargs)
-
-    monkeypatch.setattr(np, "savetxt", unwritable_in_workers)
-    path = tmp_path / "m.csv"
-    with forked_io(3) as forks, pytest.raises(OSError, match="a worker failed to write"):
-        dataset.write_matrix(path, np.ones((6, 2)))
+    monkeypatch.setattr(dataset, "_format_rows", failing)
+    path, M = tmp_path / "m.csv", np.arange(12.0).reshape(6, 2) / 7
+    with forked_io(3) as forks:
+        dataset.write_matrix(path, M)
     assert len(forks) == 2
     assert child_left() is None
     assert os.listdir(tmp_path) == ["m.csv"]
+    assert path.read_bytes() == savetxt_bytes(M)
 
 
 def test_a_write_to_a_missing_directory_forks_nothing(tmp_path):

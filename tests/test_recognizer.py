@@ -15,6 +15,7 @@ from jcmspl.errors import (
 )
 from jcmspl.recognizer import (
     EvalReport,
+    check_holdout,
     classify,
     distance_matrix,
     eval_generalized,
@@ -288,6 +289,22 @@ def test_hit_at_k_validates_k():
             eval_hit_at_k(model, ds, bad, "v2s", "euclidean")
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0, np.True_])
+def test_hit_at_k_rejects_a_k_that_is_no_integer(bad):
+    # isinstance(True, int) holds; a bool must not pass as K = 1
+    ds = rank_controlled_dataset()
+    with pytest.raises(InvalidKError, match=r"^K must satisfy 1 <= K <= 6, got "):
+        eval_hit_at_k(identity_model(6), ds, bad, "v2s", "euclidean")
+
+
+def test_hit_at_k_keeps_its_message_for_integers_out_of_range():
+    ds = rank_controlled_dataset()
+    for bad in (0, 7, np.int64(-1)):
+        with pytest.raises(InvalidKError) as err:
+            eval_hit_at_k(identity_model(6), ds, bad, "v2s", "euclidean")
+        assert str(err.value) == f"K must satisfy 1 <= K <= 6, got {bad!r}"
+
+
 def test_harmonic_mean_reference_and_properties():
     assert abs(harmonic_mean(0.676, 0.433) - 0.528) <= 5e-4
     rng = np.random.default_rng(3)
@@ -319,6 +336,13 @@ def test_gzsl_holdout_is_seeded_and_stratified():
     assert len(small) == 2
     with pytest.raises(InvalidFractionError):
         gzsl_holdout_indices(labels, [3, 5, 8], 1.0, seed=0)
+
+
+@pytest.mark.parametrize("fraction", ["0.2", None, True, [0.2], 1j])
+def test_check_holdout_rejects_a_fraction_that_is_no_number(fraction):
+    with pytest.raises(InvalidFractionError) as err:
+        check_holdout(fraction, 0)
+    assert str(err.value) == f"fraction must be a real number, got {fraction!r}"
 
 
 def test_gzsl_holdout_rejects_a_negative_seed():
