@@ -2,10 +2,11 @@
 
 Layout (all little-endian): a 4-byte magic and u32 format version,
 the hyperparameter snapshot, a dataset fingerprint (see below), then
-the A/B/C matrices as presence flag, u64 row/column counts and
+the A and B matrices as presence flag, u64 row/column counts and
 row-major float64 payload.  Matrices survive a save/load round trip
-bit for bit.  C, when present, holds the k x n_seen per-sample concepts
-of the training data; fpl models and planted models carry none.
+bit for bit.  Format version 2 holds no C, since recognition reads only
+A and B; a version 1 archive, which ended in a C slot, is refused as an
+unsupported version.
 
 ``load_model`` raises only ``ArchiveError`` (or ``MissingFileError``)
 for a malformed file: truncation, trailing bytes, a string that is not
@@ -13,8 +14,8 @@ UTF-8, an unknown variant, rejected hyperparameters, a variant that
 disagrees with the hyperparameters' own, a presence flag
 other than 0/1, a negative shape, a non-finite payload entry, a
 matrix missing or present against its variant (fpl holds A only, a
-joint variant A, B and an optional C), or an A, B or C whose shape
-disagrees with k and the fingerprint's m, d and n_seen.
+joint variant A and B), or an A or B whose shape disagrees with k and
+the fingerprint's m and d.
 
 The fingerprint holds the dataset's dimensions and a SHA-256 over its
 raw arrays in field order, each as row-major ``<f8`` or ``<i8`` bytes,
@@ -35,7 +36,7 @@ from .errors import ArchiveError, InvalidHyperparamsError, MissingFileError
 from .trainer import VARIANTS, Hyperparams, JcmsplModel
 
 MAGIC = b"JCMS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,6 @@ def save_model(path, model: JcmsplModel, fingerprint: DatasetFingerprint) -> Pat
         _pack_str(fingerprint.sha256),
         _pack_matrix(model.A),
         _pack_matrix(model.B),
-        _pack_matrix(model.C),
     ]
     path = Path(path)
     path.write_bytes(b"".join(parts))
@@ -158,19 +158,15 @@ class _Reader:
         return M.reshape(rows, cols).copy()
 
 
-def _check_dimensions(A, B, C, variant, k, fingerprint) -> None:
+def _check_dimensions(A, B, variant, k, fingerprint) -> None:
     """The one table of what each variant's archive holds, in the shapes
-    that k and the fingerprint's m, d and n_seen give: fpl an A of d x m
-    and no B or C; a joint variant an A of k x m, a B of k x d and a C that
-    is absent or k x n_seen."""
-    m, d, n = fingerprint.m, fingerprint.d, fingerprint.n_seen
-    if variant == "fpl":
-        expected = {"A": (d, m), "B": None, "C": None}
-    else:
-        expected = {"A": (k, m), "B": (k, d), "C": (k, n)}
-    held = {"A": A, "B": B, "C": C}
-    for name, M in held.items():  # presence first: a joint variant's C is optional
-        if M is None and expected[name] is not None and name != "C":
+    that k and the fingerprint's m and d give: fpl an A of d x m and no B;
+    a joint variant an A of k x m and a B of k x d."""
+    m, d = fingerprint.m, fingerprint.d
+    expected = {"A": (d, m), "B": None} if variant == "fpl" else {"A": (k, m), "B": (k, d)}
+    held = {"A": A, "B": B}
+    for name, M in held.items():  # presence first, then shapes
+        if M is None and expected[name] is not None:
             raise ArchiveError(f"{variant} archive has no {name} matrix")
         if M is not None and expected[name] is None:
             raise ArchiveError(f"{variant} archive holds a {name} matrix; {variant} has none")
@@ -178,7 +174,7 @@ def _check_dimensions(A, B, C, variant, k, fingerprint) -> None:
         if M is not None and M.shape != expected[name]:
             raise ArchiveError(
                 f"{variant} archive holds a {M.shape[0]}x{M.shape[1]} {name}, but "
-                f"k={k} and the fingerprint's m={m}, d={d}, n_seen={n} give "
+                f"k={k} and the fingerprint's m={m}, d={d} give "
                 f"{expected[name][0]}x{expected[name][1]}"
             )
 
@@ -216,9 +212,8 @@ def load_model(path) -> ModelArchive:
     fingerprint = DatasetFingerprint(*[int(v) for v in dims], sha256=sha)
     A = reader.take_matrix()
     B = reader.take_matrix()
-    C = reader.take_matrix()
     if reader.pos != len(reader.data):
-        raise ArchiveError(f"{len(reader.data) - reader.pos} trailing bytes after the C matrix")
-    _check_dimensions(A, B, C, variant, hyper.k, fingerprint)
-    model = JcmsplModel(A=A, B=B, C=C, variant=variant, hyper=hyper)
+        raise ArchiveError(f"{len(reader.data) - reader.pos} trailing bytes after the B matrix")
+    _check_dimensions(A, B, variant, hyper.k, fingerprint)
+    model = JcmsplModel(A=A, B=B, C=None, variant=variant, hyper=hyper)
     return ModelArchive(model=model, fingerprint=fingerprint, version=int(version))

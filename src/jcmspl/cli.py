@@ -57,10 +57,8 @@ from .errors import (
     InvalidKError,
     InvalidSpecError,
     JcmsplError,
-    LinalgError,
     OutOfRangeError,
     RecognizerError,
-    TrainerError,
 )
 from .linalg import scipy_linalg
 from .recognizer import (
@@ -108,7 +106,8 @@ class UsageError(Exception):
 # Error class -> exit code.  exit_code() takes the entry of the most
 # specific class along the error's __mro__: InvalidSpecError (a
 # DatasetError) gives 2, DimensionMismatchError (a LinalgError) gives 5, and
-# the bare base JcmsplError keeps the code train gave any error from fit.
+# a trainer or linear-algebra error with no entry of its own takes the bare
+# base JcmsplError's 4, the code train gives any error from fit.
 # ValueError has no entry: argparse guards every flag that raises it, and
 # the readers convert their own parse errors to DatasetError.
 EXIT_CODES = {
@@ -122,8 +121,6 @@ EXIT_CODES = {
     ArchiveError: EXIT_DATA,
     OSError: EXIT_DATA,
     JcmsplError: EXIT_TRAIN,
-    TrainerError: EXIT_TRAIN,
-    LinalgError: EXIT_TRAIN,
     MemoryError: EXIT_TRAIN,
     DimensionMismatchError: EXIT_EVAL,
     RecognizerError: EXIT_EVAL,

@@ -34,8 +34,7 @@ and H, its blocks from per-class sums, and the factor's Y and H rows are Q
 times its ``R E`` rows.  A pivoted Cholesky of that Gram gives the
 factor.  The n-wide data is read once for the Grams and
 class sums, and once after the loop, in one sweep over blocks of
-``CHUNK`` columns, for the returned C and the final loss; no n-wide Y
-or H is formed.
+``CHUNK`` columns, for the final loss; no n-wide Y, H or C is formed.
 
 An iteration decomposes one matrix, ``C C^T``: the left Grams of the A
 and B steps are its multiples ``lambda3 C C^T`` and ``lambda4 C C^T``.
@@ -149,8 +148,11 @@ class ClassSpecificMatrix:
 
 @dataclass(frozen=True)
 class JcmsplModel:
-    """Trained projections.  ``B`` and ``C`` are None for the fpl variant,
-    whose ``A`` maps visual features straight to the semantic space."""
+    """Trained projections.  ``B`` is None for the fpl variant, whose
+    ``A`` maps visual features straight to the semantic space.  ``C`` is
+    always None: recognition reads only A and B (``update_C`` at them
+    gives the training concepts); the field stays for ``perfbench/``,
+    which constructs models with it and reads it."""
 
     A: np.ndarray
     B: np.ndarray | None
@@ -280,12 +282,14 @@ def loss(A, B, C, X, Y, H, hyper: Hyperparams) -> float:
 
     Uses the lambda values exactly as given in ``hyper``; variant
     zeroing is the caller's concern.  ``H`` may be None when lambda2 is
-    zero.  Each residual is summed over blocks of ``CHUNK`` columns, the
-    blocks of ``fit``'s final pass, so no temporary is n wide.
+    zero.  A ``C`` of None evaluates the objective at the C step of
+    (A, B), ``update_C(A, B, X, Y, H, hyper)``, bit for bit, as ``fit``'s
+    ``losses[-1]`` does.  Each residual is summed over blocks of ``CHUNK``
+    columns, the blocks of ``fit``'s final pass, so no temporary is n wide.
     """
     _check_joint_shapes(A, B, C, X, Y, H, hyper)
     blocks = _blocks(X, Y, H if hyper.lambda2 > 0 else None)
-    return _sweep(A, B, blocks, X.shape[1], hyper, C=C)[1]
+    return _sweep(A, B, blocks, None, hyper, C=C)[1]
 
 
 def loss_gradients(A, B, C, X, Y, H, hyper: Hyperparams):
@@ -388,28 +392,26 @@ def update_C(A, B, X, Y, H, hyper: Hyperparams) -> np.ndarray:
     The right-hand side is formed and solved one column block of
     ``loss`` at a time, with one Cholesky factor for all blocks, by the
     sweep of ``fit``'s final pass: a product's rounding can depend on its
-    width, and on the same blocks that pass returns exactly this C
-    (C-contiguous, like every C of ``fit``).
+    width, and on the same blocks that pass solves exactly this C
+    (C-contiguous, like every C of ``fit``) and sums the objective of
+    ``losses[-1]`` at it.
     """
     _check_joint_shapes(A, B, None, X, Y, H, hyper)
     blocks = _blocks(X, Y, H if hyper.lambda2 > 0 else None)
     return _sweep(A, B, blocks, X.shape[1], hyper)[0]
 
 
-def _solve_c_block(chol, AX, B, Y, H, hyper: Hyperparams, C, j) -> None:
-    """Solve the C step for column block ``j`` of the row-major C, from
-    ``AX = A X`` of the block, which is left as it is.
+def _solve_c_block(chol, AX, B, Y, H, hyper: Hyperparams) -> np.ndarray:
+    """The C step for one column block, from ``AX = A X`` of the block,
+    which is left as it is.
 
     The right-hand side ``l2 H + (1 + l3) A X + (l1 + l4) B Y`` is
     accumulated in one C-contiguous k x b buffer, in the layout of every
-    product it adds, solved there by ``solve_spd`` and copied into
-    ``C[:, j]``; the buffer is freed on return, before the caller's
-    residuals.  When the block is all of C, C is the buffer.
+    product it adds, and solved there by ``solve_spd``; that buffer is
+    the block of C returned.
     """
     l1, l2, l3, l4 = hyper.lambda1, hyper.lambda2, hyper.lambda3, hyper.lambda4
-    whole = AX.shape[1] == C.shape[1]
-    rhs = C if whole else np.empty(AX.shape)
-    np.multiply(AX, 1.0 + l3, out=rhs)
+    rhs = np.multiply(AX, 1.0 + l3)
     term = B @ Y
     term *= l1 + l4
     rhs += term
@@ -417,16 +419,15 @@ def _solve_c_block(chol, AX, B, Y, H, hyper: Hyperparams, C, j) -> None:
         np.multiply(H, l2, out=term)
         rhs += term
     del term
-    solve_spd(chol, rhs, overwrite_rhs=True)
-    if not whole:
-        C[:, j] = rhs
+    return solve_spd(chol, rhs, overwrite_rhs=True)
 
 
-def _sweep(A, B, blocks, n: int, hyper: Hyperparams, C=None, K=None):
+def _sweep(A, B, blocks, n: int | None, hyper: Hyperparams, C=None, K=None):
     """``(C, f)`` in one sweep over the column blocks ``(j, X_j, Y_j,
     H_j)`` of n columns in all: f is the objective at C, and a C of None
     is first solved as the C step at (A, B), block by block on one
     Cholesky factor of ``K = _c_hessian(A, B)`` (formed here when None).
+    With n None a solved C is held one block at a time and not returned.
 
     Every C step and every objective, in ``loss``, ``update_C`` and
     ``fit``, is this loop, so they agree bit for bit on the same blocks.
@@ -437,13 +438,16 @@ def _sweep(A, B, blocks, n: int, hyper: Hyperparams, C=None, K=None):
     chol = None
     if C is None:
         chol = cholesky_factor(_c_hessian(A, B, hyper) if K is None else K, "M")
-        C = np.empty((A.shape[0], n))
+        C = None if n is None else np.empty((A.shape[0], n))
     norms = [0.0] * 5
     for j, X, Y, H in blocks:
         AX = A @ X
-        if chol is not None:
-            _solve_c_block(chol, AX, B, Y, H, hyper, C, j)
-        Cj = C[:, j]
+        if chol is None:
+            Cj = C[:, j]
+        else:
+            Cj = _solve_c_block(chol, AX, B, Y, H, hyper)
+            if C is not None:
+                C[:, j] = Cj
         norms[0] += _fro2_minus(AX, Cj)
         del AX
         norms[1] += _fro2_minus(B @ Y, Cj)
@@ -454,10 +458,11 @@ def _sweep(A, B, blocks, n: int, hyper: Hyperparams, C=None, K=None):
     return C, _objective(norms, hyper)
 
 
-def _final_pass(A, B, dataset: ZslDataset, positions, indicators, hyper: Hyperparams):
-    """``(C, f)`` of ``_sweep`` on the n-wide data, with the Y
-    and H of ``expand_prototypes`` and ``build_class_matrix`` gathered one
-    column block at a time.
+def _final_pass(A, B, dataset: ZslDataset, positions, indicators, hyper: Hyperparams) -> float:
+    """The objective at the C step of (A, B) on the n-wide data, by
+    ``_sweep`` with one block of C held at a time, and the Y and H of
+    ``expand_prototypes`` and ``build_class_matrix`` gathered one column
+    block at a time.
 
     Y columns are gathered as ``expand_prototypes`` gathers them, since a
     product with a differently laid out Y rounds differently; H columns
@@ -469,7 +474,7 @@ def _final_pass(A, B, dataset: ZslDataset, positions, indicators, hyper: Hyperpa
     blocks = ((j, X[:, j], expand_prototypes(dataset.prototypes, dataset.labels_seen[j]),
                flags[:, positions[j]] if flags is not None else None)
               for j in _column_blocks(X.shape[1]))
-    return _sweep(A, B, blocks, X.shape[1], hyper)
+    return _sweep(A, B, blocks, None, hyper)[1]
 
 
 def fpl_fit(X, Y, ridge_eps: float = 0.0) -> np.ndarray:
@@ -641,16 +646,17 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
     once after the loop).  ``X X^T`` is the exact block of the factored
     Gram, ``Y Y^T`` the Gram of the factor's Y rows.  Read from the
     n-wide data: ``X X^T``, ``C0 X^T``, ``C0 C0^T`` and the per-class
-    sums of X and C0, once, before the loop; then, after it, the returned
-    C and the last entry ``losses[-1]``, which are exactly what
-    ``update_C`` and ``loss()`` give.  That final pass runs over blocks
-    of ``CHUNK`` columns and gathers the Y and H columns of each block as
-    it goes, so beside the returned C no n-wide matrix is allocated after
-    the Grams, and no n-wide Y or H at all.
+    sums of X and C0, once, before the loop; then, after it, the last
+    entry ``losses[-1]``, which is exactly what ``loss()`` gives at
+    ``update_C(A, B, ...)``.  That final pass runs over blocks of
+    ``CHUNK`` columns, solves the C step of each block and gathers its Y
+    and H columns as it goes, so no n-wide matrix is allocated after the
+    Grams, and no n-wide Y, H or C at all.
     With ``n <= p`` every entry is computed directly on the n-wide data
     as ``update_A``, ``update_B``, ``update_C`` and ``loss`` compute it.
 
-    Returns the model together with a TrainingTrace of losses, block
+    Returns the model, whose C is None (``update_C`` at its A and B
+    gives the final C), together with a TrainingTrace of losses, block
     step norms, descent constants and any ridge-regularization warnings.
     """
     X = dataset.visual_seen
@@ -743,15 +749,15 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
         f_prev = f_t
 
     if factored:
-        # back to the standard basis and on the n-wide data, so that the
-        # model and losses[-1] are exactly what update_C and loss() give;
+        # back to the standard basis and on the n-wide data, so that
+        # losses[-1] is exactly what loss() gives at update_C(A, B, ...);
         # what only the loop used goes first, to keep the allocation peak
         # down
         A, B = A @ x_basis.T, B @ y_basis.T
         del Xw, Yw, Hw, C, C_next, A_next, B_next, cc_eig, K, x_eig, y_eig, \
             x_basis, y_basis
-        C, trace.losses[-1] = _final_pass(A, B, dataset, positions, indicators, eff)
-    model = JcmsplModel(A=A, B=B, C=C, variant=hyper.variant, hyper=hyper)
+        trace.losses[-1] = _final_pass(A, B, dataset, positions, indicators, eff)
+    model = JcmsplModel(A=A, B=B, C=None, variant=hyper.variant, hyper=hyper)
     return model, trace
 
 

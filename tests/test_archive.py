@@ -40,7 +40,6 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert loaded.model.hyper == model.hyper
     assert np.array_equal(loaded.model.A, model.A)
     assert np.array_equal(loaded.model.B, model.B)
-    assert np.array_equal(loaded.model.C, model.C)
     assert loaded.fingerprint == fingerprint_dataset(ds)
 
 
@@ -96,12 +95,29 @@ def test_rejects_bad_version(tmp_path):
     ds, model = trained_model()
     path = tmp_path / "model.bin"
     save_model(path, model, fingerprint_dataset(ds))
-    raw = bytearray(path.read_bytes())
-    version_field = np.array([FORMAT_VERSION + 1], dtype="<u4").tobytes()
-    raw[len(MAGIC):len(MAGIC) + 4] = version_field
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ArchiveError):
-        load_model(path)
+    v2 = path.read_bytes()
+    # version 1 ended in a C slot: here an absent C, a presence flag of 0
+    for version, tail in ((FORMAT_VERSION + 1, b""), (1, b"\x00")):
+        raw = bytearray(v2 + tail)
+        raw[len(MAGIC):len(MAGIC) + 4] = struct.pack("<I", version)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ArchiveError, match=f"unsupported archive version {version} "):
+            load_model(path)
+
+
+@pytest.mark.parametrize("variant", ["full", "fpl"])
+def test_archive_v2_holds_a_and_b_only(tmp_path, variant):
+    # the header, then an A slot and a B slot (a lone presence flag of 0
+    # for fpl): presence flag, u64 rows and columns, float64 payload
+    ds, model = trained_model(variant)
+    path = tmp_path / "model.bin"
+    save_model(path, model, fingerprint_dataset(ds))
+    header = (len(MAGIC) + 4 + 2 * (4 + len(variant)) + struct.calcsize("<4dqqdqd")
+              + struct.calcsize("<6q") + 4 + 64)
+    slots = [1 + 16 + M.nbytes if M is not None else 1 for M in (model.A, model.B)]
+    assert model.A.shape == ((ds.d, ds.m) if variant == "fpl" else (6, ds.m))
+    assert (model.B is None) == (variant == "fpl")
+    assert len(path.read_bytes()) == header + sum(slots)
 
 
 def test_rejects_truncation(tmp_path):
@@ -141,16 +157,14 @@ def test_rejects_joint_variant_without_b(tmp_path):
         load_model(path)
 
 
-@pytest.mark.parametrize("case", ["fpl_with_b", "fpl_with_c"])
+@pytest.mark.parametrize("case", ["fpl_with_b"])
 def test_rejects_fpl_archive_with_b_or_c(tmp_path, case):
-    # an fpl archive holds A only; the extra matrix has the joint shape
+    # an fpl archive holds A only; the extra B has the joint shape
     ds, model = trained_model("fpl")
-    name = case[-1].upper()
-    k = model.hyper.k
-    extra = np.ones((k, ds.d) if name == "B" else (k, ds.n_seen))
+    extra = np.ones((model.hyper.k, ds.d))
     path = tmp_path / "fpl.bin"
-    save_model(path, dataclasses.replace(model, **{name: extra}), fingerprint_dataset(ds))
-    with pytest.raises(ArchiveError, match=f"fpl archive holds a {name} matrix"):
+    save_model(path, dataclasses.replace(model, B=extra), fingerprint_dataset(ds))
+    with pytest.raises(ArchiveError, match="fpl archive holds a B matrix"):
         load_model(path)
 
 

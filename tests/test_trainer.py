@@ -535,6 +535,14 @@ def test_descent_constants_are_block_hessian_moduli():
     assert m_c >= 1.0
 
 
+def fitted_C(model, dataset):
+    """The C step at the model's (A, B): the C that ``fit`` ends on, which
+    it does not return."""
+    Y = expand_prototypes(dataset.prototypes, dataset.labels_seen)
+    H = build_class_matrix(dataset.labels_seen, model.hyper.k, dataset.seen_classes).H
+    return update_C(model.A, model.B, dataset.visual_seen, Y, H, model.hyper.effective())
+
+
 def small_benchmark(noise=0.0, seed=1):
     return synth_generate(
         SynthSpec(m=16, d=8, k=12, num_seen_classes=4, num_unseen_classes=2,
@@ -552,7 +560,7 @@ def test_fit_converges_monotonically_on_planted_data():
     assert np.all(diffs <= slack)
     assert model.A.shape == (6, 16)
     assert model.B.shape == (6, 8)
-    assert model.C.shape == (6, dataset.n_seen)
+    assert fitted_C(model, dataset).shape == (6, dataset.n_seen)
 
 
 def test_fit_descent_inequality_from_trace():
@@ -574,7 +582,7 @@ def test_fit_is_deterministic():
     model2, trace2 = fit(dataset, hyper)
     assert np.array_equal(model1.A, model2.A)
     assert np.array_equal(model1.B, model2.B)
-    assert np.array_equal(model1.C, model2.C)
+    assert np.array_equal(fitted_C(model1, dataset), fitted_C(model2, dataset))
     assert trace1.losses == trace2.losses
 
 
@@ -586,7 +594,7 @@ def test_ipl_equals_full_with_zeroed_lambdas():
     model_full, trace_full = fit(dataset, full)
     assert np.array_equal(model_ipl.A, model_full.A)
     assert np.array_equal(model_ipl.B, model_full.B)
-    assert np.array_equal(model_ipl.C, model_full.C)
+    assert np.array_equal(fitted_C(model_ipl, dataset), fitted_C(model_full, dataset))
     assert trace_ipl.losses == trace_full.losses
 
 
@@ -603,9 +611,10 @@ def test_fit_stationarity_at_convergence():
     Y = expand_prototypes(dataset.prototypes, dataset.labels_seen)
     H = build_class_matrix(dataset.labels_seen, hyper.k, dataset.seen_classes).H
     f_final = trace.losses[-1]
-    gA = fd_gradient(lambda V: loss(V, model.B, model.C, X, Y, H, hyper), model.A)
-    gB = fd_gradient(lambda V: loss(model.A, V, model.C, X, Y, H, hyper), model.B)
-    gC = fd_gradient(lambda V: loss(model.A, model.B, V, X, Y, H, hyper), model.C)
+    C = fitted_C(model, dataset)
+    gA = fd_gradient(lambda V: loss(V, model.B, C, X, Y, H, hyper), model.A)
+    gB = fd_gradient(lambda V: loss(model.A, V, C, X, Y, H, hyper), model.B)
+    gC = fd_gradient(lambda V: loss(model.A, model.B, V, X, Y, H, hyper), C)
     bound = 1e-4 * (1.0 + f_final)
     assert np.linalg.norm(gA) <= bound
     assert np.linalg.norm(gB) <= bound
@@ -712,7 +721,7 @@ def test_fit_is_bit_identical_to_direct_loop_when_n_at_most_p(variant, noise, la
     A, B, C, losses, _, _ = direct_fit(dataset, hyper)
     assert np.array_equal(model.A, A)
     assert np.array_equal(model.B, B)
-    assert np.array_equal(model.C, C)
+    assert np.array_equal(fitted_C(model, dataset), C)
     assert trace.losses == losses
 
 
@@ -729,7 +738,7 @@ def test_fit_on_gram_factor_agrees_with_direct_loop(variant, noise):
     for f, f_ref in zip(trace.losses, losses):
         assert abs(f - f_ref) <= 1e-12 * (1.0 + f_ref)
     assert trace.losses[-1] == loss(
-        model.A, model.B, model.C, dataset.visual_seen,
+        model.A, model.B, fitted_C(model, dataset), dataset.visual_seen,
         expand_prototypes(dataset.prototypes, dataset.labels_seen),
         build_class_matrix(dataset.labels_seen, hyper.k, dataset.seen_classes).H,
         hyper.effective(),
@@ -891,8 +900,8 @@ def test_final_pass_is_exact_across_column_blocks(variant):
     Y = expand_prototypes(dataset.prototypes, dataset.labels_seen)
     H = build_class_matrix(dataset.labels_seen, hyper.k, dataset.seen_classes).H
     C = update_C(A, B, X, Y, H, eff)
-    assert np.array_equal(model.C, C)
-    f = loss(A, B, model.C, X, Y, H, eff)
+    assert model.C is None
+    f = loss(A, B, C, X, Y, H, eff)
     assert trace.losses[-1] == f
     assert abs(f - unblocked_loss(A, B, C, X, Y, H, eff)) <= 1e-12 * (1.0 + f)
     # the C step solved over all n columns at once
@@ -902,11 +911,61 @@ def test_final_pass_is_exact_across_column_blocks(variant):
     assert np.linalg.norm(C - C_ref) <= 1e-12 * np.linalg.norm(C_ref)
 
 
+@pytest.mark.parametrize("samples_per_class", [5, 50], ids=["n_at_most_p", "factored"])
+@pytest.mark.parametrize("variant", LOOP_VARIANTS)
+def test_loss_without_c_is_the_objective_at_the_c_step(variant, samples_per_class):
+    # n = 20 or 200 samples against the 29 rows of [X; Y; C0] (34 with H)
+    dataset, _ = synth_generate(
+        SynthSpec(m=16, d=8, k=12, num_seen_classes=4, num_unseen_classes=2,
+                  samples_per_class=samples_per_class, noise_sigma=0.05, seed=1)
+    )
+    hyper = Hyperparams(k=5, seed=2, variant=variant)
+    eff = hyper.effective()
+    model, trace = fit(dataset, hyper)
+    assert model.C is None
+    X = dataset.visual_seen
+    Y = expand_prototypes(dataset.prototypes, dataset.labels_seen)
+    H = build_class_matrix(dataset.labels_seen, hyper.k, dataset.seen_classes).H
+    f = loss(model.A, model.B, None, X, Y, H, eff)
+    assert f == loss(model.A, model.B, update_C(model.A, model.B, X, Y, H, eff), X, Y, H, eff)
+    assert f == trace.losses[-1]
+
+
+@pytest.mark.parametrize("variant", LOOP_VARIANTS)
+def test_final_pass_holds_one_block_of_c(monkeypatch, variant):
+    # n = 8 CHUNK samples: a k x n C is eight blocks of it, more than the
+    # pass holds of a block's temporaries
+    from jcmspl import trainer
+
+    dataset, _ = synth_generate(
+        SynthSpec(m=16, d=8, k=12, num_seen_classes=8, num_unseen_classes=2,
+                  samples_per_class=CHUNK)
+    )
+    final_pass, peaks = trainer._final_pass, []
+
+    def measured(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f = final_pass(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return f
+
+    monkeypatch.setattr(trainer, "_final_pass", measured)
+    tracemalloc.start()
+    try:
+        model, _ = fit(dataset, Hyperparams(k=12, variant=variant))
+    finally:
+        tracemalloc.stop()
+    c_bytes = 12 * dataset.n_seen * 8
+    print(f"{variant}: final pass peak {peaks[0] / c_bytes:.2f} of a k x n C")
+    assert model.C is None and len(peaks) == 1
+    assert peaks[0] < c_bytes
+
+
 @pytest.mark.parametrize("variant", LOOP_VARIANTS)
 def test_fit_allocates_less_than_the_feature_matrix(variant):
     # tall data (m = 128 against d = 8 and k = 12): an m x n temporary
-    # alone is X.nbytes, while C, the one n-wide matrix fit returns, is a
-    # tenth of it
+    # alone is X.nbytes, while a k x n C would be a tenth of it
     dataset, _ = synth_generate(
         SynthSpec(m=128, d=8, k=12, num_seen_classes=8, num_unseen_classes=2,
                   samples_per_class=500)
