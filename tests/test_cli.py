@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import json
 import os
 import shutil
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import jcmspl
 from forked import forked_io
-from jcmspl import errors
+from jcmspl import cli, errors, recognizer
 from jcmspl.archive import fingerprint_dataset, load_model, save_model
 from jcmspl.cli import ABLATION_ORDER, exit_code, main
 from jcmspl.dataset import (
@@ -26,7 +28,7 @@ from jcmspl.dataset import (
     save_manifest,
     synth_generate,
 )
-from jcmspl.recognizer import eval_standard
+from jcmspl.recognizer import eval_generalized, eval_hit_at_k, eval_standard
 from jcmspl.trainer import Hyperparams, fit
 from malformed import (
     ARCHIVE_HOLES,
@@ -565,12 +567,21 @@ def test_cli_fingerprints_the_raw_arrays_and_normalizes_as_normalize_does(
     model, _ = fit(prepared, Hyperparams(k=6, t_max=15))
     for name in ("A", "B"):
         assert np.array_equal(getattr(saved.model, name), getattr(model, name)), name
-    capsys.readouterr()
-    assert run(["eval", "--model", str(tmp_path / "train" / "model.bin"), "--manifest",
-                str(manifest), "--out", str(tmp_path / "eval"), "--normalize", mode]) == 0
-    assert "checksum differs" not in capsys.readouterr().err
-    report = json.loads((tmp_path / "eval" / "report.json").read_text())["report"]
-    assert report == json.loads(json.dumps(eval_standard(model, prepared).to_dict()))
+    standard = eval_standard(model, prepared)
+    expected = {
+        "standard": standard,
+        "hit_k": dataclasses.replace(standard, hit_at_k=(2, eval_hit_at_k(model, prepared, 2))),
+        "gzsl": eval_generalized(model, prepared),
+    }
+    flags = {"standard": [], "hit_k": ["--hit-k", "2"], "gzsl": ["--gzsl"]}
+    for protocol, library in expected.items():
+        capsys.readouterr()
+        assert run(["eval", "--model", str(tmp_path / "train" / "model.bin"), "--manifest",
+                    str(manifest), "--out", str(tmp_path / protocol), "--normalize", mode,
+                    *flags[protocol]]) == 0
+        assert "checksum differs" not in capsys.readouterr().err
+        report = json.loads((tmp_path / protocol / "report.json").read_text())["report"]
+        assert report == json.loads(json.dumps(library.to_dict())), protocol
 
 
 def test_cli_holds_each_feature_matrix_about_once(tmp_path):
@@ -589,9 +600,13 @@ def test_cli_holds_each_feature_matrix_about_once(tmp_path):
     }
     peaks = {}
     for name, argv in steps.items():
+        argv = [str(a) for a in argv]
+        # an untraced run first: a process's first savetxt or loadtxt imports
+        # numpy.ma, gzip and more, which is no part of a command's peak
+        assert run(argv) == 0
         tracemalloc.start()
         try:
-            assert run([str(a) for a in argv]) == 0
+            assert run(argv) == 0
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -601,6 +616,32 @@ def test_cli_holds_each_feature_matrix_about_once(tmp_path):
     ratios = {name: peak / nbytes for name, peak in peaks.items()}
     print(", ".join(f"{name}: peak {ratio:.2f}x the arrays" for name, ratio in ratios.items()))
     assert max(ratios.values()) < 1.6, ratios
+
+
+@pytest.mark.parametrize("flags", [[], ["--hit-k", "2"], ["--gzsl"]])
+def test_eval_drops_the_seen_features_before_it_embeds(synth_dir, trained_dir, tmp_path,
+                                                       monkeypatch, flags):
+    # standard and top-K scoring read no seen sample and --gzsl reads a copy
+    # of its holdout: no embedding runs beside the whole seen matrix
+    loaded, embeds = [], []
+
+    def load(path):
+        dataset = load_manifest(path)
+        loaded.append(weakref.ref(dataset.visual_seen))
+        return dataset
+
+    def embed(*args):
+        gc.collect()
+        embeds.append(loaded[0]() is None)
+        return original(*args)
+
+    original = recognizer._embed
+    monkeypatch.setattr(cli, "load_manifest", load)
+    monkeypatch.setattr(recognizer, "_embed", embed)
+    assert run(["eval", "--model", str(trained_dir / "model.bin"), "--manifest",
+                str(synth_dir / "manifest.json"), "--out", str(tmp_path), *flags]) == 0
+    assert len(loaded) == 1
+    assert embeds and all(embeds), embeds
 
 
 # derandomized, so every run of the suite draws the same examples

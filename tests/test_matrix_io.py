@@ -66,6 +66,28 @@ def test_forked_write_is_savetxt_byte_for_byte(M, cores):
         assert os.listdir(tmp) == ["m.csv"]
 
 
+WRITER_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e300, -1e300, 1e-300,
+                 -1e-300, 1.0, -3.0, 2.0**53, 1e22, 0.1, np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 16), (16, 1), (3, dataset.CHUNK + 5), (16,),
+                                   (0,)])
+@pytest.mark.parametrize("cores", [1, 3])
+def test_write_matrix_and_write_labels_are_savetxt_byte_for_byte(tmp_path, shape, cores):
+    # 0 rows, 1 row, 1 column, more than CHUNK columns, and a vector, which
+    # savetxt writes as a column; signed zeros, subnormals, +-1e+-300,
+    # integral floats and non-finite values; serially and on forked workers
+    values = np.resize(WRITER_VALUES, shape)
+    with forked_io(cores):
+        dataset.write_matrix(tmp_path / "m.csv", values)
+    assert (tmp_path / "m.csv").read_bytes() == savetxt_bytes(values)
+    labels = np.resize(np.array([0, -1, 7, 2**63 - 1, -(2**63)]), shape[:1])
+    dataset.write_labels(tmp_path / "l.csv", labels)
+    out = io.BytesIO()
+    np.savetxt(out, labels, fmt="%d")
+    assert (tmp_path / "l.csv").read_bytes() == out.getvalue()
+
+
 @SETTINGS
 @given(M=matrices, cores=st.integers(2, 5), newline=st.sampled_from(["\n", "\r\n"]),
        final_newline=st.booleans(),
