@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import lzma
 import math
 import mmap
 import shutil
@@ -85,7 +86,12 @@ def _loadtxt(path, what: str, **kwargs) -> np.ndarray:
         raise MissingFileError(f"{what} file not found: {path}")
     try:
         return np.loadtxt(path, **kwargs)
-    except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+    # UnicodeDecodeError is a ValueError too; a truncated or mislabelled
+    # compressed file raises EOFError, LZMAError or an OSError of its codec,
+    # which has no errno, unlike an OSError of the file system
+    except (ValueError, EOFError, lzma.LZMAError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise
         raise DatasetError(f"cannot parse {what} file {path}: {exc}") from exc
 
 

@@ -35,6 +35,7 @@ times its ``R E`` rows.  A pivoted Cholesky of that Gram gives the
 factor.  The n-wide data is read once for the Grams and
 class sums, and once after the loop, in one sweep over blocks of
 ``CHUNK`` columns, for the final loss; no n-wide Y, H or C is formed.
+Both passes run partly on a second core (``jcmspl.workers.beside``).
 
 An iteration decomposes one matrix, ``C C^T``: the left Grams of the A
 and B steps are its multiples ``lambda3 C C^T`` and ``lambda4 C C^T``.
@@ -61,6 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import workers
 from .dataset import (CHUNK, ZslDataset, block_partition, check_float, check_int,
                       expand_prototypes)
 from .errors import (
@@ -266,8 +268,13 @@ def _blocks(X, Y, H):
         yield j, X[:, j], Y[:, j], H[:, j] if H is not None else None
 
 
-def _objective(norms, hyper: Hyperparams) -> float:
-    """The objective from the five squared residual norms."""
+def _objective(block_norms, hyper: Hyperparams) -> float:
+    """The objective from the five squared residual norms of each column
+    block, each norm summed over the blocks in block order."""
+    norms = [0.0] * 5
+    for block in block_norms:
+        for i, value in enumerate(block):
+            norms[i] += value
     value = 0.5 * norms[0]
     value += 0.5 * hyper.lambda1 * norms[1]
     if hyper.lambda2 > 0:
@@ -406,20 +413,53 @@ def _solve_c_block(chol, AX, B, Y, H, hyper: Hyperparams) -> np.ndarray:
     which is left as it is.
 
     The right-hand side ``l2 H + (1 + l3) A X + (l1 + l4) B Y`` is
-    accumulated in one C-contiguous k x b buffer, in the layout of every
-    product it adds, and solved there by ``solve_spd``; that buffer is
-    the block of C returned.
+    accumulated in the C-contiguous k x b product ``B Y``, in the layout
+    of every product it adds, and solved there by ``solve_spd``; that
+    buffer is the block of C returned.  The other two terms are added over
+    eighths of its rows (contiguous, unlike column slices, which took twice
+    as long at k = 64), so no other temporary is k x b; a + b == b + a, so
+    each entry is the sum ``(1 + l3) A X + (l1 + l4) B Y`` rounds to.
     """
     l1, l2, l3, l4 = hyper.lambda1, hyper.lambda2, hyper.lambda3, hyper.lambda4
-    rhs = np.multiply(AX, 1.0 + l3)
-    term = B @ Y
-    term *= l1 + l4
-    rhs += term
-    if l2 > 0:
-        np.multiply(H, l2, out=term)
-        rhs += term
-    del term
+    rhs = B @ Y
+    rhs *= l1 + l4
+    step = -(-len(rhs) // 8)
+    part = np.empty((step, rhs.shape[1]))
+    for start in range(0, len(rhs), step):
+        rows = rhs[start:start + step]
+        term = part[:len(rows)]
+        rows += np.multiply(AX[start:start + step], 1.0 + l3, out=term)
+        if l2 > 0:
+            rows += np.multiply(H[start:start + step], l2, out=term)
     return solve_spd(chol, rhs, overwrite_rhs=True)
+
+
+def _block_norms(A, B, blocks, hyper: Hyperparams, chol=None, C=None) -> list:
+    """The five squared residual norms of each column block ``(j, X_j, Y_j,
+    H_j)``, in block order, at C, or, given the Cholesky factor ``chol``
+    of ``_c_hessian(A, B)``, at the C step of (A, B), solved into C (held
+    one block at a time when None).  Each block's ``A X`` serves the C step
+    and the first residual; Y and H go before the m x b residual, and the
+    block's C before the next block is gathered."""
+    norms = []
+    for j, X, Y, H in blocks:
+        AX = A @ X
+        if chol is None:
+            Cj = C[:, j]
+        else:
+            Cj = _solve_c_block(chol, AX, B, Y, H, hyper)
+            if C is not None:
+                C[:, j] = Cj
+        r0 = _fro2_minus(AX, Cj)
+        del AX
+        r1 = _fro2_minus(B @ Y, Cj)
+        r4 = _fro2_minus(B.T @ Cj, Y)
+        del Y
+        r2 = _fro2(Cj - H) if hyper.lambda2 > 0 else 0.0
+        del H
+        norms.append((r0, r1, r2, _fro2_minus(A.T @ Cj, X), r4))
+        del Cj
+    return norms
 
 
 def _sweep(A, B, blocks, n: int | None, hyper: Hyperparams, C=None, K=None):
@@ -430,39 +470,23 @@ def _sweep(A, B, blocks, n: int | None, hyper: Hyperparams, C=None, K=None):
     With n None a solved C is held one block at a time and not returned.
 
     Every C step and every objective, in ``loss``, ``update_C`` and
-    ``fit``, is this loop, so they agree bit for bit on the same blocks.
-    Each block's ``A X`` is formed once, for the C step and the first
-    residual, and freed before the other four; the residuals' squared
-    norms are summed in the order of the objective's terms.
+    ``fit``, is ``_block_norms`` summed by ``_objective``, so they agree
+    bit for bit on the same blocks.
     """
     chol = None
     if C is None:
         chol = cholesky_factor(_c_hessian(A, B, hyper) if K is None else K, "M")
         C = None if n is None else np.empty((A.shape[0], n))
-    norms = [0.0] * 5
-    for j, X, Y, H in blocks:
-        AX = A @ X
-        if chol is None:
-            Cj = C[:, j]
-        else:
-            Cj = _solve_c_block(chol, AX, B, Y, H, hyper)
-            if C is not None:
-                C[:, j] = Cj
-        norms[0] += _fro2_minus(AX, Cj)
-        del AX
-        norms[1] += _fro2_minus(B @ Y, Cj)
-        if hyper.lambda2 > 0:
-            norms[2] += _fro2(Cj - H)
-        norms[3] += _fro2_minus(A.T @ Cj, X)
-        norms[4] += _fro2_minus(B.T @ Cj, Y)
-    return C, _objective(norms, hyper)
+    return C, _objective(_block_norms(A, B, blocks, hyper, chol, C), hyper)
 
 
 def _final_pass(A, B, dataset: ZslDataset, positions, indicators, hyper: Hyperparams) -> float:
     """The objective at the C step of (A, B) on the n-wide data, by
-    ``_sweep`` with one block of C held at a time, and the Y and H of
-    ``expand_prototypes`` and ``build_class_matrix`` gathered one column
-    block at a time.
+    ``_block_norms`` with one block of C held at a time, and the Y and H
+    of ``expand_prototypes`` and ``build_class_matrix`` gathered one
+    column block at a time.  The caller sweeps the first half of the
+    blocks while ``workers.beside`` sweeps the second; the norms are
+    summed in block order, so the result is the serial sweep's.
 
     Y columns are gathered as ``expand_prototypes`` gathers them, since a
     product with a differently laid out Y rounds differently; H columns
@@ -471,10 +495,19 @@ def _final_pass(A, B, dataset: ZslDataset, positions, indicators, hyper: Hyperpa
     """
     X = dataset.visual_seen
     flags = indicators.astype(bool) if hyper.lambda2 > 0 else None
-    blocks = ((j, X[:, j], expand_prototypes(dataset.prototypes, dataset.labels_seen[j]),
-               flags[:, positions[j]] if flags is not None else None)
-              for j in _column_blocks(X.shape[1]))
-    return _sweep(A, B, blocks, None, hyper)[1]
+    chol = cholesky_factor(_c_hessian(A, B, hyper), "M")
+
+    def blocks(slices):
+        return ((j, X[:, j], expand_prototypes(dataset.prototypes, dataset.labels_seen[j]),
+                 flags[:, positions[j]] if flags is not None else None) for j in slices)
+
+    slices = _column_blocks(X.shape[1])
+    half = (len(slices) + 1) // 2
+    with workers.beside(len(slices), _block_norms, A, B, blocks(slices[half:]), hyper,
+                        chol) as second_half:
+        norms = _block_norms(A, B, blocks(slices[:half]), hyper, chol)
+        norms += second_half()
+    return _objective(norms, hyper)
 
 
 def fpl_fit(X, Y, ridge_eps: float = 0.0) -> np.ndarray:
@@ -540,22 +573,32 @@ def descent_constants(A_next, B_next, C, X, Y, hyper: Hyperparams):
     return max(float(m_a), 0.0), max(float(m_b), 0.0), m_c
 
 
-def _class_sums(rows, positions, num_classes: int) -> list[np.ndarray]:
-    """Per-class column sums of each n-wide matrix in ``rows``: column j
-    of a sum adds up the columns i with ``positions[i] == j``, so it is
-    ``M E^T`` for the c x n one-hot E, formed one ``CHUNK``-column block
-    at a time and shared by every matrix."""
-    sums = [np.zeros((M.shape[0], num_classes)) for M in rows]
+def _class_sums(M, positions, num_classes: int) -> np.ndarray:
+    """Per-class column sums of the n-wide ``M``: column j adds up the
+    columns i with ``positions[i] == j``, so it is ``M E^T`` for the c x n
+    one-hot E, formed one ``CHUNK``-column block at a time in one buffer,
+    whose ones are set for a block and cleared after it."""
+    total = np.zeros((M.shape[0], num_classes))
+    onehot = np.zeros((min(CHUNK, len(positions)), num_classes))
     for j in _column_blocks(len(positions)):
-        onehot = np.zeros((j.stop - j.start, num_classes))
-        onehot[np.arange(j.stop - j.start), positions[j]] = 1.0
-        for total, M in zip(sums, rows):
-            total += M[:, j] @ onehot
-    return sums
+        block = onehot[:j.stop - j.start]
+        ones = np.arange(len(block)), positions[j]
+        block[ones] = 1.0
+        total += M[:, j] @ block
+        block[ones] = 0.0
+    return total
 
 
-def _stacked_gram(X, C0, R, positions) -> np.ndarray:
-    """Lower triangle of the Gram of ``[X; R E; C0]``, in Fortran order.
+def _x_statistics(X, positions, num_classes: int):
+    """``(X X^T, per-class sums of X)``; the sums go first, so that their
+    one-hot buffer is freed before ``X X^T`` is allocated."""
+    x_sums = _class_sums(X, positions, num_classes)
+    return X @ X.T, x_sums
+
+
+def _stacked_gram(x_stats, c0_stats, R, positions) -> np.ndarray:
+    """Lower triangle of the Gram of ``[X; R E; C0]``, in Fortran order,
+    from ``_x_statistics`` and ``(C0 X^T, C0 C0^T, class sums of C0)``.
 
     ``[Y; H] = V E`` for the per-class rows V (prototypes, then the block
     indicators when there are H rows) and the one-hot E of
@@ -566,18 +609,18 @@ def _stacked_gram(X, C0, R, positions) -> np.ndarray:
     the caller can decompose it), ``C0 X^T`` and ``C0 C0^T`` read n-wide
     data.
     """
-    m, k = X.shape[0], C0.shape[0]
+    (xx, x_sums), (cx, cc, c_sums) = x_stats, c0_stats
+    m, k = len(xx), len(cc)
     r, num_classes = R.shape
     counts = np.bincount(positions, minlength=num_classes)
-    x_sums, c_sums = _class_sums((X, C0), positions, num_classes)
     # dpstrf reads the lower triangle only, so only that is filled
     G = np.zeros((m + r + k, m + r + k), order="F")
-    G[:m, :m] = X @ X.T
+    G[:m, :m] = xx
     G[m:m + r, :m] = R @ x_sums.T
     G[m:m + r, m:m + r] = (R * counts) @ R.T
-    G[m + r:, :m] = C0 @ X.T
+    G[m + r:, :m] = cx
     G[m + r:, m:m + r] = c_sums @ R.T
-    G[m + r:, m + r:] = C0 @ C0.T
+    G[m + r:, m + r:] = cc
     return G
 
 
@@ -613,6 +656,13 @@ def _gram_factor(G, m: int, Q, d: int):
     classes = Q @ Zc[m:m + r]
     Hc = classes[d:] if len(Q) > d else None
     return Zc[:m], classes[:d], Hc, Zc[m + r:]
+
+
+def _initial_blocks(dataset: ZslDataset, hyper: Hyperparams):
+    """A, B and C0, drawn in that order with standard deviation 0.01."""
+    rng = np.random.default_rng(hyper.seed)
+    return tuple(0.01 * rng.standard_normal((hyper.k, size))
+                 for size in (dataset.m, dataset.d, dataset.n_seen))
 
 
 def _into_eigenbasis(Z, W, eig: SymmetricEigen):
@@ -651,7 +701,10 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
     ``update_C(A, B, ...)``.  That final pass runs over blocks of
     ``CHUNK`` columns, solves the C step of each block and gathers its Y
     and H columns as it goes, so no n-wide matrix is allocated after the
-    Grams, and no n-wide Y, H or C at all.
+    Grams, and no n-wide Y, H or C at all.  Where ``workers.beside``
+    allows, each of the two passes runs in part on a pinned helper thread
+    (``X X^T`` and the class sums of X; the second half of the final
+    pass's blocks), with the bits of the one-thread run.
     With ``n <= p`` every entry is computed directly on the n-wide data
     as ``update_A``, ``update_B``, ``update_C`` and ``loss`` compute it.
 
@@ -681,25 +734,25 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
         V = np.vstack([V, indicators])
     factored = dataset.n_seen > dataset.m + V.shape[0] + hyper.k
 
-    rng = np.random.default_rng(hyper.seed)
-    A = 0.01 * rng.standard_normal((hyper.k, dataset.m))
-    B = 0.01 * rng.standard_normal((hyper.k, dataset.d))
-    C = 0.01 * rng.standard_normal((hyper.k, dataset.n_seen))
-
     # the right Grams of the two Sylvester steps are fixed: eigendecompose
     # them once
     if factored:
         # C0 and every later C lie in the row space of [X; Y; H; C0] =
         # [X; Q R E; C0], so the factor carries every Gram and norm the
-        # loop needs; the n-wide C0 goes before the factorization, to
-        # keep the allocation peak down
+        # loop needs.  The X-only statistics are formed beside the draw
+        # and those of C0, and the n-wide C0 goes before G is allocated,
+        # to keep the allocation peak down.
         Q, R = np.linalg.qr(V)
-        G = _stacked_gram(X, C, R, positions)
-        C = None
+        with workers.beside(len(_column_blocks(dataset.n_seen)), _x_statistics, X,
+                            positions, dataset.c_seen) as x_stats:
+            A, B, C = _initial_blocks(dataset, hyper)
+            c0_stats = C @ X.T, C @ C.T, _class_sums(C, positions, dataset.c_seen)
+            C = None
+            G = _stacked_gram(x_stats(), c0_stats, R, positions)
         # before the factorization overwrites G
         x_eig = symmetric_eigen(G[:dataset.m, :dataset.m], "X X^T")
         Xw, Yw, Hw, C = _gram_factor(G, dataset.m, Q, dataset.d)
-        del G, Q, R, V
+        del G, Q, R, V, c0_stats
         y_eig = symmetric_eigen(eff.lambda1 * (Yw @ Yw.T), "Y Y^T")
         # the loop runs in the fixed Grams' eigenbases: A U_x and B U_y
         # against the rows U_x^T X and U_y^T Y, which leaves every norm
@@ -709,6 +762,7 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
         B, y_eig = _into_eigenbasis(B, Yw, y_eig)
     else:
         # the loop works on the n-wide matrices
+        A, B, C = _initial_blocks(dataset, hyper)
         Xw = X
         Yw = expand_prototypes(dataset.prototypes, dataset.labels_seen)
         Hw = indicators.take(positions, axis=1) if indicators is not None else None

@@ -1,19 +1,29 @@
 """Forked worker processes: how many to start, the core each runs on, and
-one lifecycle for all of them.
+one lifecycle for all of them; and one pinned helper thread.
 
 Matrix reads and writes (``jcmspl.dataset``) and ``jcmspl ablate``
 (``jcmspl.cli``) split their work with ``forked``; nothing else forks.
 Each child sends its result through a pipe and leaves through
 ``os._exit``.  The caller does every item that no child took, and on
 leaving ``forked`` every child not yet joined is killed and reaped.
+
+``fit`` (``jcmspl.trainer``) runs part of its two n-wide passes on one
+pinned thread with ``beside``: ``X X^T`` and the per-class sums of X, and
+the second half of the final pass's column blocks.  It computes the same
+numbers as the inline run, so no output bit depends on it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import os
 import signal
 import threading
+
+
+# pids of the forked children not yet reaped
+_alive: set[int] = set()
 
 
 def count(units: int) -> int:
@@ -52,12 +62,14 @@ class Child:
         self.pid = pid
         self.pipe = open(fd, "rb", buffering=0)
         self.status: int | None = None
+        _alive.add(pid)
 
     def join(self) -> bool:
         """Close the pipe and reap the child, once; True when it exited 0."""
         if self.status is None:
             self.pipe.close()
             self.status = os.waitpid(self.pid, 0)[1]
+            _alive.discard(self.pid)
         return self.status == 0
 
 
@@ -112,6 +124,52 @@ def forked(work, items: list, *args):
             if child.status is None:
                 os.kill(child.pid, signal.SIGKILL)
                 child.join()
+
+
+@contextlib.contextmanager
+def beside(units: int, work, *args):
+    """Yield a function, to be called once in the with-body, that returns
+    ``work(*args)`` or raises what it raised.  Where ``count(units)`` allows
+    two workers and no forked child is alive (the thread would take its
+    core), ``work`` runs meanwhile on a thread pinned to a core apart from
+    the caller's: an unpinned one stayed on the caller's core of a 2-vCPU
+    KVM guest.  Otherwise it runs inline at the first call.  Either way it
+    runs in a copy of the caller's context.  The thread is joined on
+    leaving, also on an error, so none turns a later ``count`` serial."""
+    outcome, context = [], contextvars.copy_context()  # numpy's errstate, for one
+
+    def run(core=None):
+        if core is not None:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, {core})  # this thread only
+        try:
+            outcome.append((context.run(work, *args), None))
+        except BaseException as exc:
+            outcome.append((None, exc))
+
+    core = cores(1)[0] if count(units) >= 2 and not _alive else None
+    thread = None if core is None else threading.Thread(target=run, args=(core,))
+    if thread is not None:
+        try:
+            thread.start()
+        except RuntimeError:  # no thread could be started: run inline
+            thread = None
+
+    def result():
+        if thread is None:
+            run()
+        else:
+            thread.join()
+        value, exc = outcome.pop()  # held no longer than the caller holds it
+        if exc is not None:
+            raise exc
+        return value
+
+    try:
+        yield result
+    finally:
+        if thread is not None:
+            thread.join()
 
 
 def read_into(pipe, buffer) -> bool:

@@ -6,7 +6,10 @@ layout); every case must make the reader raise its package error, which
 the CLI turns into exit code 3.
 """
 
+import bz2
+import gzip
 import json
+import lzma
 import math
 import struct
 
@@ -49,6 +52,31 @@ CSV_HOLES = {
     "ragged_row": ("visual_seen.csv", lambda text: text.replace("\n", ",1\n", 1)),
     "non_integer_label": ("labels_seen.csv", lambda text: "1.5\n" + text.split("\n", 1)[1]),
 }
+
+# the compressors of the suffixes that np.loadtxt decompresses
+CODECS = {".gz": gzip.compress, ".xz": lzma.compress, ".bz2": bz2.compress}
+
+# (suffix, file bytes -> bytes stored under that suffix): a file cut in half
+# after compression, and a plain file that only carries the suffix
+COMPRESSED_HOLES = {
+    **{f"truncated{suffix}": (suffix, lambda raw, pack=pack: pack(raw)[:len(pack(raw)) // 2])
+       for suffix, pack in CODECS.items()},
+    **{f"plain_named{suffix}": (suffix, lambda raw: raw) for suffix in CODECS},
+}
+
+
+def with_compressed_prototypes(manifest, case) -> str:
+    """Store the prototypes of the manifest at ``manifest`` (a Path) as the
+    ``COMPRESSED_HOLES`` case, under a name with its suffix, and point the
+    manifest at it; returns that name."""
+    suffix, store = COMPRESSED_HOLES[case]
+    spec = json.loads(manifest.read_text())
+    name = spec["prototypes"] + suffix
+    raw = (manifest.parent / spec["prototypes"]).read_bytes()
+    (manifest.parent / name).write_bytes(store(raw))
+    manifest.write_text(json.dumps({**spec, "prototypes": name}))
+    return name
+
 
 # manifest dict -> corrupted manifest bytes
 MANIFEST_HOLES = {

@@ -32,9 +32,11 @@ from jcmspl.recognizer import eval_generalized, eval_hit_at_k, eval_standard
 from jcmspl.trainer import Hyperparams, fit
 from malformed import (
     ARCHIVE_HOLES,
+    COMPRESSED_HOLES,
     CSV_HOLES,
     ID_RANGE_HOLES,
     MANIFEST_HOLES,
+    with_compressed_prototypes,
     with_first_seen_class_id,
 )
 
@@ -473,6 +475,20 @@ def test_malformed_dataset_exits_3(synth_dir, tmp_path, capsys, case):
     rc = run(["train", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
               "--k", "6", "--t-max", "2"])
     assert_data_error(rc, capsys, "train")
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("case", sorted(COMPRESSED_HOLES))
+def test_broken_compressed_file_exits_3_naming_it(synth_dir, trained_dir, tmp_path, capsys,
+                                                  case, command):
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    name = with_compressed_prototypes(data / "manifest.json", case)
+    argv = {"train": ["train", "--k", "6", "--t-max", "2"],
+            "eval": ["eval", "--model", str(trained_dir / "model.bin")]}[command]
+    rc = run(argv + ["--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "out")])
+    err = assert_data_error(rc, capsys, command)
+    assert str(data / name) in err
 
 
 @pytest.mark.parametrize("case", sorted(ID_RANGE_HOLES))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -30,9 +31,11 @@ from jcmspl.errors import (
 )
 from jcmspl.recognizer import classify
 from malformed import (
+    COMPRESSED_HOLES,
     CSV_HOLES,
     ID_RANGE_HOLES,
     MANIFEST_HOLES,
+    with_compressed_prototypes,
     with_first_seen_class_id,
 )
 
@@ -183,6 +186,15 @@ def test_malformed_csv_raises_alike_on_forked_workers(tmp_path, case):
         load_manifest(manifest)
     assert forks  # visual_seen.csv, at least
     assert (type(forked.value), str(forked.value)) == (type(serial.value), str(serial.value))
+
+
+@pytest.mark.parametrize("case", sorted(COMPRESSED_HOLES))
+def test_broken_compressed_file_is_a_dataset_error_naming_the_file(tmp_path, case):
+    # EOFError, LZMAError and the codecs' OSErrors would otherwise escape
+    manifest = save_manifest(tiny_dataset(), tmp_path / "manifest.json")
+    name = with_compressed_prototypes(manifest, case)
+    with pytest.raises(DatasetError, match=re.escape(str(tmp_path / name))):
+        load_manifest(manifest)
 
 
 @pytest.mark.parametrize("case", sorted(MANIFEST_HOLES))
