@@ -215,5 +215,5 @@ def load_model(path) -> ModelArchive:
     if reader.pos != len(reader.data):
         raise ArchiveError(f"{len(reader.data) - reader.pos} trailing bytes after the B matrix")
     _check_dimensions(A, B, variant, hyper.k, fingerprint)
-    model = JcmsplModel(A=A, B=B, C=None, variant=variant, hyper=hyper)
+    model = JcmsplModel(A=A, B=B, variant=variant, hyper=hyper)
     return ModelArchive(model=model, fingerprint=fingerprint, version=int(version))

@@ -70,9 +70,8 @@ from .recognizer import (
     eval_generalized,
     eval_hit_at_k,
     eval_standard,
-    gzsl_holdout_indices,
+    holdout_columns,
     score_generalized,
-    score_hit_at_k,
     score_standard,
 )
 from .trainer import (
@@ -237,19 +236,14 @@ def cmd_eval(args) -> int:
     # visual_seen, goes before the first embedding
     prototypes = dataset.prototypes
     unseen = dataset.visual_unseen, dataset.labels_unseen, dataset.unseen_classes
-    if args.gzsl:  # the held-out columns are gathered as eval_generalized gathers them
-        holdout = gzsl_holdout_indices(dataset.labels_seen, dataset.seen_classes,
-                                       args.holdout, args.seed)
-        seen = dataset.visual_seen[:, holdout], dataset.labels_seen[holdout], dataset.seen_classes
+    if args.gzsl:
+        seen = holdout_columns(dataset, args.holdout, args.seed)
     del dataset
     if args.gzsl:
         report = score_generalized(model, prototypes, *seen, *unseen, args.distance)
     else:
-        report = score_standard(model, prototypes, *unseen, args.direction, args.distance)
-        if args.hit_k is not None:
-            frac = score_hit_at_k(model, prototypes, *unseen, args.hit_k,
-                                  args.direction, args.distance)
-            report = dataclasses.replace(report, hit_at_k=(args.hit_k, frac))
+        report = score_standard(model, prototypes, *unseen, args.direction, args.distance,
+                                args.hit_k)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -396,7 +390,6 @@ def cmd_synth(args) -> int:
     planted_model = JcmsplModel(
         A=planted.A_true,
         B=planted.B_true,
-        C=None,
         variant="full",
         hyper=Hyperparams(k=spec.k, seed=spec.seed),
     )

@@ -104,8 +104,6 @@ MATRIX_READ = {"delimiter": ",", "dtype": np.float64, "ndmin": 2}
 PARALLEL_MIN_BYTES = 1_000_000
 # np.loadtxt decompresses files with these suffixes; they are read serially
 COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-# a child's rows are appended to the target through a buffer of this size
-APPEND_BUFFER = 1 << 16
 
 
 def _workers(rows: int, nbytes: int) -> int:
@@ -211,7 +209,7 @@ def write_matrix(path, M) -> None:
         for rows, child in itertools.zip_longest(rest, children):
             if child is not None:
                 start = out.tell()
-                shutil.copyfileobj(child.pipe, out, APPEND_BUFFER)
+                shutil.copyfileobj(child.pipe, out)
                 if child.join():
                     continue
                 out.seek(start)

@@ -255,16 +255,27 @@ def _rank(model, prototypes, visual, classes, direction, distance):
 
 
 def score_standard(model, prototypes, visual, labels, classes, direction="v2s",
-                   distance="cosine") -> EvalReport:
+                   distance="cosine", hit_k=None) -> EvalReport:
     """``eval_standard`` of the unseen ``visual`` columns, with ``labels``,
-    against the ``prototypes`` columns of ``classes``."""
-    preds, _, degenerate = _rank(model, prototypes, visual, classes, direction, distance)
+    against the ``prototypes`` columns of ``classes``, and with ``hit_k``
+    given also their ``eval_hit_at_k`` from the same ranking."""
+    c_u = len(classes)
+    if hit_k is not None and (isinstance(hit_k, bool) or not isinstance(hit_k, (int, np.integer))
+                              or not 1 <= hit_k <= c_u):
+        raise InvalidKError(f"K must satisfy 1 <= K <= {c_u}, got {hit_k!r}")
+    preds, dist, degenerate = _rank(model, prototypes, visual, classes, direction, distance)
+    hit_at_k = None
+    if hit_k is not None:
+        order = np.argsort(dist, axis=1, kind="stable")[:, :hit_k]
+        # class ids are unique, so a hit is a ranked id equal to the label
+        hit_at_k = hit_k, float(np.mean(np.any(classes[order] == labels[:, None], axis=1)))
     per_class = _per_class_accuracies(preds, labels, classes)
     return EvalReport(
         overall_accuracy=float(np.mean(preds == labels)),
         per_class_mean_accuracy=float(np.mean(per_class)),
         direction=direction,
         distance=distance,
+        hit_at_k=hit_at_k,
         degenerate_queries=degenerate,
     )
 
@@ -284,20 +295,6 @@ def eval_standard(
                           dataset.labels_unseen, dataset.unseen_classes, direction, distance)
 
 
-def score_hit_at_k(model, prototypes, visual, labels, classes, k, direction="v2s",
-                   distance="cosine") -> float:
-    """``eval_hit_at_k`` of the unseen ``visual`` columns, with ``labels``,
-    against the ``prototypes`` columns of ``classes``."""
-    c_u = len(classes)
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= c_u:
-        raise InvalidKError(f"K must satisfy 1 <= K <= {c_u}, got {k!r}")
-    _, dist, _ = _rank(model, prototypes, visual, classes, direction, distance)
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    # class ids are unique, so a hit is a ranked id equal to the label
-    hits = np.any(classes[order] == labels[:, None], axis=1)
-    return float(np.mean(hits))
-
-
 def eval_hit_at_k(
     model: JcmsplModel,
     dataset: ZslDataset,
@@ -308,8 +305,8 @@ def eval_hit_at_k(
     """Fraction of unseen samples whose true class ranks in the K nearest
     candidates.  Ties rank lower-index candidates first, and K=1 agrees
     with the overall accuracy of ``eval_standard``."""
-    return score_hit_at_k(model, dataset.prototypes, dataset.visual_unseen,
-                          dataset.labels_unseen, dataset.unseen_classes, k, direction, distance)
+    return score_standard(model, dataset.prototypes, dataset.visual_unseen, dataset.labels_unseen,
+                          dataset.unseen_classes, direction, distance, k).hit_at_k[1]
 
 
 def check_holdout(fraction: float, seed: int) -> None:
@@ -339,6 +336,14 @@ def gzsl_holdout_indices(labels_seen, seen_classes, fraction: float, seed: int):
         n_hold = max(1, int(fraction * idx.size + 0.5))
         picked.append(rng.choice(idx, size=n_hold, replace=False))
     return np.sort(np.concatenate(picked))
+
+
+def holdout_columns(dataset: ZslDataset, fraction: float, seed: int):
+    """The seen columns that ``gzsl_holdout_indices`` holds out, their
+    labels and the seen class ids: the seen arguments of
+    ``score_generalized``."""
+    holdout = gzsl_holdout_indices(dataset.labels_seen, dataset.seen_classes, fraction, seed)
+    return dataset.visual_seen[:, holdout], dataset.labels_seen[holdout], dataset.seen_classes
 
 
 def score_generalized(model, prototypes, visual_s, labels_s, seen, visual_u, labels_u,
@@ -383,9 +388,7 @@ def eval_generalized(
     ``gzsl_holdout_indices`` with the same fraction and seed to build
     that split.
     """
-    holdout = gzsl_holdout_indices(dataset.labels_seen, dataset.seen_classes,
-                                   holdout_fraction, seed)
-    return score_generalized(model, dataset.prototypes, dataset.visual_seen[:, holdout],
-                             dataset.labels_seen[holdout], dataset.seen_classes,
+    return score_generalized(model, dataset.prototypes,
+                             *holdout_columns(dataset, holdout_fraction, seed),
                              dataset.visual_unseen, dataset.labels_unseen,
                              dataset.unseen_classes, distance)

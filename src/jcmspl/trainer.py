@@ -44,7 +44,8 @@ factor the loop runs in their eigenbases (A and B times those bases,
 the factor's X and Y rows rotated to match), where they are diagonal
 and each Sylvester solve rotates one side only.  One routine sweeps
 the column blocks for every C step and every objective: ``loss``,
-``update_C``, the loop and the pass after it.  A C step is fused with
+``update_C``, the loop and the pass after it, the first half of the
+blocks on the caller and the second beside it.  A C step is fused with
 the loss that follows it: each block's ``A X`` serves both the C step
 and the five residuals, and no temporary is wider than a block.  C is
 row-major, as every product of a block is: each block's right-hand side
@@ -152,15 +153,16 @@ class ClassSpecificMatrix:
 class JcmsplModel:
     """Trained projections.  ``B`` is None for the fpl variant, whose
     ``A`` maps visual features straight to the semantic space.  ``C`` is
-    always None: recognition reads only A and B (``update_C`` at them
-    gives the training concepts); the field stays for ``perfbench/``,
-    which constructs models with it and reads it."""
+    keyword-only and None unless given, and the library never gives it:
+    recognition reads only A and B (``update_C`` at them gives the training
+    concepts); the field stays for ``perfbench/``, which constructs models
+    with it and reads it."""
 
     A: np.ndarray
     B: np.ndarray | None
-    C: np.ndarray | None
     variant: str
     hyper: Hyperparams
+    C: np.ndarray | None = field(default=None, kw_only=True)
 
 
 @dataclass
@@ -261,11 +263,10 @@ def _column_blocks(n: int) -> list[slice]:
     return [slice(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK)]
 
 
-def _blocks(X, Y, H):
-    """``(j, X_j, Y_j, H_j)`` for each column block j of ``_sweep`` (H_j
-    None when H is)."""
-    for j in _column_blocks(X.shape[1]):
-        yield j, X[:, j], Y[:, j], H[:, j] if H is not None else None
+def _columns(X, Y, H):
+    """The ``gather`` of ``_sweep`` for n-wide X, Y and H (H_j None when H
+    is)."""
+    return lambda j: (X[:, j], Y[:, j], H[:, j] if H is not None else None)
 
 
 def _objective(block_norms, hyper: Hyperparams) -> float:
@@ -295,8 +296,8 @@ def loss(A, B, C, X, Y, H, hyper: Hyperparams) -> float:
     columns, the blocks of ``fit``'s final pass, so no temporary is n wide.
     """
     _check_joint_shapes(A, B, C, X, Y, H, hyper)
-    blocks = _blocks(X, Y, H if hyper.lambda2 > 0 else None)
-    return _sweep(A, B, blocks, None, hyper, C=C)[1]
+    gather = _columns(X, Y, H if hyper.lambda2 > 0 else None)
+    return _sweep(A, B, gather, X.shape[1], hyper, C=C)[1]
 
 
 def loss_gradients(A, B, C, X, Y, H, hyper: Hyperparams):
@@ -404,8 +405,8 @@ def update_C(A, B, X, Y, H, hyper: Hyperparams) -> np.ndarray:
     ``losses[-1]`` at it.
     """
     _check_joint_shapes(A, B, None, X, Y, H, hyper)
-    blocks = _blocks(X, Y, H if hyper.lambda2 > 0 else None)
-    return _sweep(A, B, blocks, X.shape[1], hyper)[0]
+    gather = _columns(X, Y, H if hyper.lambda2 > 0 else None)
+    return _sweep(A, B, gather, X.shape[1], hyper)[0]
 
 
 def _solve_c_block(chol, AX, B, Y, H, hyper: Hyperparams) -> np.ndarray:
@@ -434,15 +435,17 @@ def _solve_c_block(chol, AX, B, Y, H, hyper: Hyperparams) -> np.ndarray:
     return solve_spd(chol, rhs, overwrite_rhs=True)
 
 
-def _block_norms(A, B, blocks, hyper: Hyperparams, chol=None, C=None) -> list:
-    """The five squared residual norms of each column block ``(j, X_j, Y_j,
-    H_j)``, in block order, at C, or, given the Cholesky factor ``chol``
-    of ``_c_hessian(A, B)``, at the C step of (A, B), solved into C (held
-    one block at a time when None).  Each block's ``A X`` serves the C step
-    and the first residual; Y and H go before the m x b residual, and the
-    block's C before the next block is gathered."""
+def _block_norms(A, B, gather, slices, hyper: Hyperparams, chol, C) -> list:
+    """The five squared residual norms of each column block j of ``slices``,
+    whose ``(X_j, Y_j, H_j)`` is ``gather(j)``, in block order, at C, or,
+    given the Cholesky factor ``chol`` of ``_c_hessian(A, B)``, at the C
+    step of (A, B), solved into C (held one block at a time when None).
+    Each block's ``A X`` serves the C step and the first residual; Y and H
+    go before the m x b residual, and the block's C before the next block
+    is gathered."""
     norms = []
-    for j, X, Y, H in blocks:
+    for j in slices:
+        X, Y, H = gather(j)
         AX = A @ X
         if chol is None:
             Cj = C[:, j]
@@ -462,31 +465,35 @@ def _block_norms(A, B, blocks, hyper: Hyperparams, chol=None, C=None) -> list:
     return norms
 
 
-def _sweep(A, B, blocks, n: int | None, hyper: Hyperparams, C=None, K=None):
-    """``(C, f)`` in one sweep over the column blocks ``(j, X_j, Y_j,
-    H_j)`` of n columns in all: f is the objective at C, and a C of None
-    is first solved as the C step at (A, B), block by block on one
-    Cholesky factor of ``K = _c_hessian(A, B)`` (formed here when None).
-    With n None a solved C is held one block at a time and not returned.
+def _sweep(A, B, gather, n: int, hyper: Hyperparams, C=None, K=None, keep=True):
+    """``(C, f)`` in one sweep over the ``CHUNK``-column blocks j of n
+    columns, ``gather(j)`` giving ``(X_j, Y_j, H_j)``: f is the objective at
+    C, and a C of None is first solved as the C step at (A, B), block by
+    block on one Cholesky factor of ``K = _c_hessian(A, B)`` (formed here
+    when None), and unless ``keep`` held one block at a time and not returned.
 
-    Every C step and every objective, in ``loss``, ``update_C`` and
-    ``fit``, is ``_block_norms`` summed by ``_objective``, so they agree
-    bit for bit on the same blocks.
+    The caller sweeps the first half of the blocks while ``workers.beside``
+    sweeps the second, and the norms are summed in block order, as the
+    serial sweep sums them.  Every C step and every objective, in ``loss``,
+    ``update_C`` and ``fit``, is this sweep, so they agree bit for bit.
     """
     chol = None
     if C is None:
         chol = cholesky_factor(_c_hessian(A, B, hyper) if K is None else K, "M")
-        C = None if n is None else np.empty((A.shape[0], n))
-    return C, _objective(_block_norms(A, B, blocks, hyper, chol, C), hyper)
+        C = np.empty((A.shape[0], n)) if keep else None
+    slices = _column_blocks(n)
+    half = (len(slices) + 1) // 2
+    first, second = workers.beside(
+        len(slices), lambda: _block_norms(A, B, gather, slices[:half], hyper, chol, C),
+        lambda: _block_norms(A, B, gather, slices[half:], hyper, chol, C))
+    return C, _objective(first + second, hyper)
 
 
 def _final_pass(A, B, dataset: ZslDataset, positions, indicators, hyper: Hyperparams) -> float:
     """The objective at the C step of (A, B) on the n-wide data, by
-    ``_block_norms`` with one block of C held at a time, and the Y and H
-    of ``expand_prototypes`` and ``build_class_matrix`` gathered one
-    column block at a time.  The caller sweeps the first half of the
-    blocks while ``workers.beside`` sweeps the second; the norms are
-    summed in block order, so the result is the serial sweep's.
+    ``_sweep`` with one block of C held at a time, and the Y and H of
+    ``expand_prototypes`` and ``build_class_matrix`` gathered one column
+    block at a time.
 
     Y columns are gathered as ``expand_prototypes`` gathers them, since a
     product with a differently laid out Y rounds differently; H columns
@@ -495,19 +502,12 @@ def _final_pass(A, B, dataset: ZslDataset, positions, indicators, hyper: Hyperpa
     """
     X = dataset.visual_seen
     flags = indicators.astype(bool) if hyper.lambda2 > 0 else None
-    chol = cholesky_factor(_c_hessian(A, B, hyper), "M")
 
-    def blocks(slices):
-        return ((j, X[:, j], expand_prototypes(dataset.prototypes, dataset.labels_seen[j]),
-                 flags[:, positions[j]] if flags is not None else None) for j in slices)
+    def gather(j):
+        return (X[:, j], expand_prototypes(dataset.prototypes, dataset.labels_seen[j]),
+                flags[:, positions[j]] if flags is not None else None)
 
-    slices = _column_blocks(X.shape[1])
-    half = (len(slices) + 1) // 2
-    with workers.beside(len(slices), _block_norms, A, B, blocks(slices[half:]), hyper,
-                        chol) as second_half:
-        norms = _block_norms(A, B, blocks(slices[:half]), hyper, chol)
-        norms += second_half()
-    return _objective(norms, hyper)
+    return _sweep(A, B, gather, X.shape[1], hyper, keep=False)[1]
 
 
 def fpl_fit(X, Y, ridge_eps: float = 0.0) -> np.ndarray:
@@ -703,8 +703,8 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
     and H columns as it goes, so no n-wide matrix is allocated after the
     Grams, and no n-wide Y, H or C at all.  Where ``workers.beside``
     allows, each of the two passes runs in part on a pinned helper thread
-    (``X X^T`` and the class sums of X; the second half of the final
-    pass's blocks), with the bits of the one-thread run.
+    (``X X^T`` and the class sums of X; the second half of the blocks of
+    ``_sweep``), with the bits of the one-thread run.
     With ``n <= p`` every entry is computed directly on the n-wide data
     as ``update_A``, ``update_B``, ``update_C`` and ``loss`` compute it.
 
@@ -722,7 +722,7 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
             descent_constants=[],
             converged_at=0,
         )
-        return JcmsplModel(A=A, B=None, C=None, variant="fpl", hyper=hyper), trace
+        return JcmsplModel(A=A, B=None, variant="fpl", hyper=hyper), trace
 
     eff = hyper.effective()
     positions = _class_positions(dataset.labels_seen, dataset.seen_classes)
@@ -743,16 +743,20 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
         # and those of C0, and the n-wide C0 goes before G is allocated,
         # to keep the allocation peak down.
         Q, R = np.linalg.qr(V)
-        with workers.beside(len(_column_blocks(dataset.n_seen)), _x_statistics, X,
-                            positions, dataset.c_seen) as x_stats:
+
+        def draw():
             A, B, C = _initial_blocks(dataset, hyper)
-            c0_stats = C @ X.T, C @ C.T, _class_sums(C, positions, dataset.c_seen)
-            C = None
-            G = _stacked_gram(x_stats(), c0_stats, R, positions)
+            return A, B, (C @ X.T, C @ C.T, _class_sums(C, positions, dataset.c_seen))
+
+        (A, B, c0_stats), x_stats = workers.beside(
+            len(_column_blocks(dataset.n_seen)), draw,
+            lambda: _x_statistics(X, positions, dataset.c_seen))
+        G = _stacked_gram(x_stats, c0_stats, R, positions)
+        del x_stats, c0_stats
         # before the factorization overwrites G
         x_eig = symmetric_eigen(G[:dataset.m, :dataset.m], "X X^T")
         Xw, Yw, Hw, C = _gram_factor(G, dataset.m, Q, dataset.d)
-        del G, Q, R, V, c0_stats
+        del G, Q, R, V
         y_eig = symmetric_eigen(eff.lambda1 * (Yw @ Yw.T), "Y Y^T")
         # the loop runs in the fixed Grams' eigenbases: A U_x and B U_y
         # against the rows U_x^T X and U_y^T Y, which leaves every norm
@@ -787,7 +791,7 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
         trace.warnings += [f"iteration {t}: {r}" for r in (ridge_a, ridge_b) if r]
         K = _c_hessian(A_next, B_next, eff)
         m_c = float(np.linalg.eigvalsh(K)[0])
-        C_next, f_t = _sweep(A_next, B_next, _blocks(Xw, Yw, Hw), Xw.shape[1], eff, K=K)
+        C_next, f_t = _sweep(A_next, B_next, _columns(Xw, Yw, Hw), Xw.shape[1], eff, K=K)
         deltas = (
             float(np.linalg.norm(A_next - A)),
             float(np.linalg.norm(B_next - B)),
@@ -811,7 +815,7 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
         del Xw, Yw, Hw, C, C_next, A_next, B_next, cc_eig, K, x_eig, y_eig, \
             x_basis, y_basis
         trace.losses[-1] = _final_pass(A, B, dataset, positions, indicators, eff)
-    model = JcmsplModel(A=A, B=B, C=None, variant=hyper.variant, hyper=hyper)
+    model = JcmsplModel(A=A, B=B, variant=hyper.variant, hyper=hyper)
     return model, trace
 
 

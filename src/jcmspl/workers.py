@@ -7,10 +7,12 @@ Each child sends its result through a pipe and leaves through
 ``os._exit``.  The caller does every item that no child took, and on
 leaving ``forked`` every child not yet joined is killed and reaped.
 
-``fit`` (``jcmspl.trainer``) runs part of its two n-wide passes on one
-pinned thread with ``beside``: ``X X^T`` and the per-class sums of X, and
-the second half of the final pass's column blocks.  It computes the same
-numbers as the inline run, so no output bit depends on it.
+``beside`` runs two functions at once, one of them on a pinned thread.
+``jcmspl.trainer`` calls it for ``fit``'s statistics pass (``X X^T`` and
+the per-class sums of X beside the draw of A, B and C0) and for every
+sweep over column blocks, the second half of which goes to the thread.
+Each function computes what it computes inline, so no output bit depends
+on it.
 """
 
 from __future__ import annotations
@@ -126,50 +128,42 @@ def forked(work, items: list, *args):
                 child.join()
 
 
-@contextlib.contextmanager
-def beside(units: int, work, *args):
-    """Yield a function, to be called once in the with-body, that returns
-    ``work(*args)`` or raises what it raised.  Where ``count(units)`` allows
-    two workers and no forked child is alive (the thread would take its
-    core), ``work`` runs meanwhile on a thread pinned to a core apart from
-    the caller's: an unpinned one stayed on the caller's core of a 2-vCPU
-    KVM guest.  Otherwise it runs inline at the first call.  Either way it
-    runs in a copy of the caller's context.  The thread is joined on
-    leaving, also on an error, so none turns a later ``count`` serial."""
-    outcome, context = [], contextvars.copy_context()  # numpy's errstate, for one
+def beside(units: int, here, there):
+    """``(here(), there())``.  Where ``count(units)`` allows two workers and
+    no forked child is alive (the thread would take its core), ``there``
+    runs meanwhile on a thread pinned to a core apart from the caller's: an
+    unpinned one stayed on the caller's core of a 2-vCPU KVM guest.  The
+    thread runs in a copy of the caller's context (numpy's errstate, for
+    one), and it is joined before this returns or raises, so none turns a
+    later ``count`` serial; its error is raised after ``here`` returns.
+    Otherwise, or where no thread can start, both run inline, ``here``
+    first."""
+    core = cores(1)[0] if count(units) >= 2 and not _alive else None
+    if core is None:
+        return here(), there()
+    outcome, context = [], contextvars.copy_context()
 
-    def run(core=None):
-        if core is not None:
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, {core})  # this thread only
+    def run():
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, {core})  # this thread only
         try:
-            outcome.append((context.run(work, *args), None))
+            outcome.append((context.run(there), None))
         except BaseException as exc:
             outcome.append((None, exc))
 
-    core = cores(1)[0] if count(units) >= 2 and not _alive else None
-    thread = None if core is None else threading.Thread(target=run, args=(core,))
-    if thread is not None:
-        try:
-            thread.start()
-        except RuntimeError:  # no thread could be started: run inline
-            thread = None
-
-    def result():
-        if thread is None:
-            run()
-        else:
-            thread.join()
-        value, exc = outcome.pop()  # held no longer than the caller holds it
-        if exc is not None:
-            raise exc
-        return value
-
+    thread = threading.Thread(target=run)
     try:
-        yield result
+        thread.start()
+    except RuntimeError:  # no thread could be started
+        return here(), there()
+    try:
+        first = here()
     finally:
-        if thread is not None:
-            thread.join()
+        thread.join()
+    second, exc = outcome.pop()
+    if exc is not None:
+        raise exc
+    return first, second
 
 
 def read_into(pipe, buffer) -> bool:

@@ -212,6 +212,14 @@ def test_eval_s2v_on_fpl_archive(synth_dir, tmp_path, capsys):
               "--manifest", str(synth_dir / "manifest.json"),
               "--out", str(tmp_path), "--direction", "s2v"])
     assert rc == 5
+    # K above the unseen class count is a flag error, reported before the
+    # fpl model meets a direction it has no map for
+    capsys.readouterr()
+    rc = run(["eval", "--model", str(fpl_dir / "model.bin"),
+              "--manifest", str(synth_dir / "manifest.json"),
+              "--out", str(tmp_path), "--direction", "s2v", "--hit-k", "99"])
+    assert rc == 2
+    assert "error: K must satisfy 1 <= K <= 2, got 99" in capsys.readouterr().err
 
 
 def test_eval_dimension_mismatch(synth_dir, trained_dir, tmp_path):

@@ -14,8 +14,8 @@ import pytest
 
 from jcmspl import trainer, workers
 from jcmspl.cli import main
-from jcmspl.dataset import CHUNK, SynthSpec, synth_generate
-from jcmspl.trainer import Hyperparams, fit
+from jcmspl.dataset import CHUNK, SynthSpec, expand_prototypes, synth_generate
+from jcmspl.trainer import Hyperparams, build_class_matrix, fit, loss, update_C
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 LOOP_VARIANTS = ("full", "jcmspl1", "jcmspl0", "ipl")
@@ -135,6 +135,38 @@ def test_one_core_fit_starts_no_thread_and_gives_the_same_model(monkeypatch):
     np.testing.assert_array_equal(one_core[0].A, model.A)
     np.testing.assert_array_equal(one_core[0].B, model.B)
     assert one_core[1].losses == trace.losses
+
+
+@TWO_CORES
+@pytest.mark.parametrize("variant", LOOP_VARIANTS)
+def test_loss_and_update_c_give_the_one_core_bits(monkeypatch, variant):
+    # n = 5 x 500 = 2500: the caller sweeps two blocks, the helper the third
+    dataset, planted = synth_generate(SynthSpec(m=16, d=8, k=12, num_seen_classes=5,
+                                                num_unseen_classes=2, samples_per_class=500))
+    assert 2 * CHUNK < dataset.n_seen < 3 * CHUNK
+    hyper = Hyperparams(k=12, variant=variant).effective()
+    A, B = planted.A_true, planted.B_true
+    X = dataset.visual_seen
+    Y = expand_prototypes(dataset.prototypes, dataset.labels_seen)
+    H = build_class_matrix(dataset.labels_seen, 12, dataset.seen_classes).H
+
+    def sweeps():
+        C = update_C(A, B, X, Y, H, hyper)
+        return C.tobytes(), loss(A, B, None, X, Y, H, hyper), loss(A, B, C, X, Y, H, hyper)
+
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: (started.append(self), start(self))[1])
+    two_cores = sweeps()
+    assert len(started) == 3
+    usable = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(usable)})
+    try:
+        one_core = sweeps()
+    finally:
+        os.sched_setaffinity(0, usable)
+    assert len(started) == 3
+    assert one_core == two_cores
 
 
 @TWO_CORES

@@ -1,9 +1,13 @@
 """The shared forked-worker lifecycle: where children run, and that a fork
-that fails leaves every command as its serial run."""
+that fails leaves every command as its serial run; and the contract of the
+pinned helper thread, ``beside``."""
 
 import errno
 import os
+import threading
+import time
 
+import numpy as np
 import pytest
 
 from forked import child_left, forked_ablate, forked_io
@@ -27,6 +31,78 @@ def test_as_many_children_as_cores_cover_every_core_with_the_callers_last(monkey
     others = [core for core in range(current + 3) if core != current]
     assert placed == [*others, current]
     assert fewer == others[:2]
+
+
+def test_beside_returns_both_results_and_runs_there_on_a_pinned_thread():
+    pinned = []
+
+    def there():
+        pinned.append(threading.current_thread() is not threading.main_thread()
+                      and len(os.sched_getaffinity(0)) == 1)
+        return "there"
+
+    assert workers.beside(2, lambda: "here", there) == ("here", "there")
+    assert pinned == [workers.count(2) == 2]
+
+
+@pytest.mark.parametrize("no_thread", ["one_unit", "start_fails"])
+def test_beside_runs_here_then_there_inline_without_a_thread(monkeypatch, no_thread):
+    units = 1 if no_thread == "one_unit" else 2
+
+    def cannot_start(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", cannot_start)
+    order = []
+    assert workers.beside(units, lambda: order.append("here") or 1,
+                          lambda: order.append(threading.current_thread()) or 2) == (1, 2)
+    assert order == ["here", threading.main_thread()]
+
+
+class Failed(Exception):
+    pass
+
+
+def test_an_error_in_there_is_raised_after_here_returns():
+    before, failed, returned = threading.active_count(), threading.Event(), []
+
+    def there():
+        failed.set()
+        raise Failed("there")
+
+    def here():
+        # on the helper thread, there has raised before here returns
+        failed.wait(5 if workers.count(2) == 2 else 0)
+        returned.append(True)
+
+    with pytest.raises(Failed, match="there"):
+        workers.beside(2, here, there)
+    assert returned == [True]
+    assert threading.active_count() == before
+
+
+def test_an_error_in_here_propagates_after_the_join():
+    before, ran_on = threading.active_count(), []
+
+    def here():
+        raise Failed("here")
+
+    def there():
+        time.sleep(0.1)
+        ran_on.append(threading.current_thread())
+
+    with pytest.raises(Failed, match="here"):
+        workers.beside(2, here, there)
+    assert threading.active_count() == before
+    # a thread started ran to its end; inline, there never ran
+    assert len(ran_on) == (1 if workers.count(2) == 2 else 0)
+
+
+def test_there_sees_the_callers_errstate():
+    with np.errstate(over="raise"):
+        _, seen = workers.beside(2, lambda: None, lambda: np.geterr()["over"])
+    assert seen == "raise"
+    assert np.geterr()["over"] != "raise"
 
 
 @pytest.fixture(scope="module")
