@@ -60,7 +60,6 @@ from .errors import (
     OutOfRangeError,
     RecognizerError,
 )
-from .linalg import scipy_linalg
 # eval_hit_at_k and eval_generalized stay for perfbench's tracer to rebind
 from .recognizer import (
     DEGENERATE_RTOL,
@@ -88,7 +87,7 @@ EXIT_DATA = 3
 EXIT_TRAIN = 4
 EXIT_EVAL = 5
 
-# published per-dataset regularization presets
+# the paper's per-dataset lambda values; not validated here on real features
 PRESETS = {
     "awa": {"lambda1": 1e-3, "lambda2": 1e3, "lambda3": 1e7, "lambda4": 1e2},
     "cub": {"lambda1": 1.0, "lambda2": 1e-3, "lambda3": 1e4, "lambda4": 1e-1},
@@ -345,9 +344,7 @@ def cmd_ablate(args) -> int:
     # fits each other range.  The caller then reports each variant in order,
     # and runs again itself the range of a child it could not fork, that
     # failed or that recorded a warning, so every error and warning is the
-    # serial one.  scipy is loaded here, before the forks, so the children
-    # inherit it and never import it.
-    scipy_linalg()
+    # serial one.
     count = workers.count(len(ABLATION_ORDER))
     head, *rest = [ABLATION_ORDER[start:stop]
                    for start, stop in block_partition(len(ABLATION_ORDER), count)]
@@ -405,7 +402,8 @@ def _add_hyper_flags(sub):
     sub.add_argument("--k", type=int,
                      help="concept-space dimension (required; no default)")
     sub.add_argument("--preset", choices=sorted(PRESETS),
-                     help="published lambda preset; explicit flags override it")
+                     help="the paper's lambda values for a dataset, not validated "
+                          "here on real features; explicit flags override them")
     for name in LAMBDAS:
         sub.add_argument(f"--{name}", type=float)
     sub.add_argument("--t-max", type=int, help="iteration cap")

@@ -99,8 +99,8 @@ MATRIX_READ = {"delimiter": ",", "dtype": np.float64, "ndmin": 2}
 # Each worker of a matrix read or write gets at least this many bytes: the
 # file's for a read, the array's for a write.  That is about 22 ms of parsing
 # or 100 ms of formatting, against a median 3.0 ms to fork, pipe and reap one
-# child of a process holding the large synth (58 MB resident; 4.1 ms at 79 MB
-# once a fit has loaded scipy; 2-core x86-64 host, numpy 2.4, Python 3.11).
+# child of a process holding the large synth (58 MB resident; 3.8 ms at 70 MB
+# after a fit; 2-core x86-64 host, numpy 2.4, Python 3.11).
 PARALLEL_MIN_BYTES = 1_000_000
 # np.loadtxt decompresses files with these suffixes; they are read serially
 COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")

@@ -8,14 +8,16 @@ two symmetric eigendecompositions regardless of the right-hand side.
 A dense Kronecker-product solver is kept alongside as an independent
 cross-check for small problems.
 
-scipy enters the package here only: ``scipy_linalg`` imports it on the
-first call that solves with LAPACK (a fit), so recognition, which only
-projects and ranks, never pays for the import.
+The positive definite routines are numpy only: ``solve_spd`` multiplies
+by an inverse formed from a Cholesky factor, and ``pivoted_cholesky``
+is a blocked, LAPACK-style pivoted Cholesky of a positive semidefinite
+Gram (Hammarling, Higham and Lucas, "LAPACK-style codes for pivoted
+Cholesky and QR updating", 2007).
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,35 +217,43 @@ def sylvester_oracle(R, S, T) -> np.ndarray:
     return z.reshape((r, s), order="F")
 
 
-@functools.cache
-def scipy_linalg():
-    """``scipy.linalg``, imported by the first call in a process."""
-    import scipy.linalg
-    return scipy.linalg
+# columns per product of an in-place ``solve_spd``: its one temporary
+SOLVE_COLUMNS = 64
+# columns per panel of ``pivoted_cholesky``, and per strip of its update.
+# numpy has no in-place GEMM, so a pass over the trailing matrix costs
+# about twice LAPACK's; 192 is about 4 sqrt(p) at the paper's p ~ 2150,
+# where a panel's wider column products and one such pass cost the same.
+PANEL = 192
 
 
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower Cholesky factor of a symmetric positive definite matrix, in
-    the ``(c, lower)`` form of ``scipy.linalg.cho_factor``."""
+    """A symmetric positive definite matrix ``L L^T`` held as its inverse
+    ``L^-T L^-1``, from the lower Cholesky factor L."""
 
-    factor: tuple
+    inverse: np.ndarray
 
 
 def cholesky_factor(M, name: str = "M") -> CholeskyFactor:
-    """Factor a symmetric positive definite matrix.
+    """Factor a symmetric positive definite matrix for ``solve_spd``.
 
     Symmetry is checked up to relative roundoff and the input is
     symmetrized first; a failed factorization is reported as
-    ``NotPositiveDefiniteError``.
+    ``NotPositiveDefiniteError``.  The inverse's error grows with M's
+    condition number, as a Cholesky solve's does.  The trainer's C-step
+    matrix is at least ``(1 + lambda1 + lambda2) I``, so that number is
+    at most ``1 + (lambda3 |A|^2 + lambda4 |B|^2) / (1 + lambda1 + lambda2)``
+    in spectral norms.
     """
     M = as_matrix(M, name)
     _require_square(M, name)
     Ms = _require_symmetric(M, name)
     try:
-        return CholeskyFactor(scipy_linalg().cho_factor(Ms, lower=True))
-    except np.linalg.LinAlgError as exc:  # scipy raises numpy's class
-        raise NotPositiveDefiniteError(str(exc)) from exc
+        L = np.linalg.cholesky(Ms)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"{name} is not positive definite") from exc
+    L_inv = np.linalg.inv(L)
+    return CholeskyFactor(L_inv.T @ L_inv)
 
 
 def solve_spd(M, rhs, overwrite_rhs: bool = False) -> np.ndarray:
@@ -252,13 +262,12 @@ def solve_spd(M, rhs, overwrite_rhs: bool = False) -> np.ndarray:
     ``M`` is a matrix, factored by ``cholesky_factor``, or the
     ``CholeskyFactor`` of one when the caller solves many right-hand
     sides against it.  ``rhs`` may be a vector or a matrix of stacked
-    right-hand-side columns; it must be finite.  With ``overwrite_rhs``
-    the solve is done in place: ``rhs`` must then be an F- or
-    C-contiguous float64 array, and it holds the solution on return.
-    Its layout picks the solve: F order takes LAPACK's Cholesky solve,
-    and a C-contiguous matrix, whose transpose is F-contiguous, is solved
-    as ``X^T L L^T = rhs^T`` by two right-side BLAS triangular solves with
-    the same lower factor L (no inverse is formed).
+    right-hand-side columns; it must be finite.  The solution is the
+    product with ``M^-1``, in either layout.  With ``overwrite_rhs`` the
+    solve is done in place: ``rhs`` must then be an F- or C-contiguous
+    float64 array, and it holds the solution on return, each slice of
+    ``SOLVE_COLUMNS`` columns multiplied into one reused buffer and
+    copied back.
     """
     chol = M if isinstance(M, CholeskyFactor) else cholesky_factor(M, "M")
     b = np.asarray(rhs, dtype=np.float64)
@@ -266,12 +275,84 @@ def solve_spd(M, rhs, overwrite_rhs: bool = False) -> np.ndarray:
         raise ValueError("an in-place solve needs an F- or C-contiguous float64 rhs")
     if not np.all(np.isfinite(b)):
         raise NonFiniteError("rhs contains non-finite entries")
-    L = chol.factor[0]
-    if b.shape[0] != L.shape[0]:
-        raise DimensionMismatchError(f"rhs must have {L.shape[0]} rows, got {b.shape[0]}")
-    if overwrite_rhs and not b.flags.f_contiguous:
-        # W L^T = rhs^T, then X^T L = W, both in place in rhs^T
-        for trans in (1, 0):
-            scipy_linalg().blas.dtrsm(1.0, L, b.T, side=1, lower=1, trans_a=trans, overwrite_b=1)
-        return b
-    return scipy_linalg().cho_solve(chol.factor, b, overwrite_b=overwrite_rhs)
+    inverse = chol.inverse
+    k = len(inverse)
+    if b.shape[0] != k:
+        raise DimensionMismatchError(f"rhs must have {k} rows, got {b.shape[0]}")
+    if not overwrite_rhs:
+        return inverse @ b
+    columns = b.reshape(k, -1)
+    buffer = np.empty(k * min(SOLVE_COLUMNS, columns.shape[1]))
+    for start in range(0, columns.shape[1], SOLVE_COLUMNS):
+        part = columns[:, start:start + SOLVE_COLUMNS]
+        part[...] = np.matmul(inverse, part, out=buffer[:part.size].reshape(part.shape))
+    return b
+
+
+def _swap(a, b) -> None:
+    """Exchange the entries of two equally shaped views."""
+    held = a.copy()
+    a[...] = b
+    b[...] = held
+
+
+def pivoted_cholesky(G, tol: float) -> np.ndarray:
+    """A factor Z with ``Z Z^T = G`` of a positive semidefinite G, with
+    as many columns as G's rank, by the pivoted Cholesky of LAPACK's
+    ``dpstrf``; G is overwritten.
+
+    ``G`` is a float64 array in Fortran order whose lower triangle is
+    read.  Step j pivots on the largest diagonal entry of the updated
+    trailing matrix, kept in a vector from which each new column's
+    squares are subtracted, and the factor stops before the first pivot
+    at most ``tol``: the rank is the number of steps taken.  Z's rows are
+    G's; taken in pivot order P they are the lower trapezoidal L of
+    ``P^T G P = L L^T``.
+
+    The columns go in panels of ``PANEL``.  Within a panel, a column is
+    updated by the panel's earlier columns only, and after the panel the
+    lower trapezoid of the trailing matrix by one product per
+    ``PANEL``-column strip.  A pivot's rows are exchanged in the trailing
+    matrix and in its panel's columns; the columns of earlier panels keep
+    the row order they ended with, and each panel's rows are put back in
+    G's order as Z is filled.  Besides Z, no temporary is wider than a
+    panel.
+    """
+    p = len(G)
+    piv = list(range(p))
+    schur = G.diagonal().copy()
+    panels = []
+    rank = p
+    for start in range(0, p, PANEL):
+        stop = min(start + PANEL, p)
+        for j in range(start, stop):
+            pivot = j + int(schur[j:].argmax())
+            ajj = float(schur[pivot])
+            if not ajj > tol:
+                rank = stop = j
+                break
+            if pivot != j:
+                _swap(G[j, start:j], G[pivot, start:j])
+                _swap(G[pivot + 1:, j], G[pivot + 1:, pivot])
+                _swap(G[j + 1:pivot, j], G[pivot, j + 1:pivot])
+                schur[pivot] = schur[j]  # schur[j] is not read again
+                piv[j], piv[pivot] = piv[pivot], piv[j]
+            ajj = math.sqrt(ajj)
+            G[:j, j] = 0.0
+            G[j, j] = ajj
+            column = G[j + 1:, j]
+            if j > start:
+                column -= G[j + 1:, start:j] @ G[j, start:j]
+            column /= ajj
+            schur[j + 1:] -= column * column
+        panels.append((slice(start, stop), np.array(piv)))
+        if rank < p:
+            break
+        panel = G[stop:, start:stop]
+        for s in range(0, p - stop, PANEL):
+            # the transposed product is laid out as G is
+            G[stop + s:, stop + s:stop + s + PANEL] -= (panel[s:s + PANEL] @ panel[s:].T).T
+    Z = np.empty((p, rank))
+    for columns, order in panels:
+        Z[order, columns] = G[:, columns]
+    return Z

@@ -49,8 +49,8 @@ blocks on the caller and the second beside it.  A C step is fused with
 the loss that follows it: each block's ``A X`` serves both the C step
 and the five residuals, and no temporary is wider than a block.  C is
 row-major, as every product of a block is: each block's right-hand side
-is built in one contiguous buffer and solved there by right-side
-triangular solves with the step's one Cholesky factor.  So ``update_C``
+is built in one contiguous buffer and solved there, as a product with
+the inverse from the step's one Cholesky factor.  So ``update_C``
 and ``loss`` agree with ``fit`` bit for bit by construction.
 """
 
@@ -78,7 +78,7 @@ from .errors import (
 from .linalg import (
     SymmetricEigen,
     cholesky_factor,
-    scipy_linalg,
+    pivoted_cholesky,
     solve_spd,
     sylvester_solve,
     symmetric_eigen,
@@ -613,7 +613,7 @@ def _stacked_gram(x_stats, c0_stats, R, positions) -> np.ndarray:
     m, k = len(xx), len(cc)
     r, num_classes = R.shape
     counts = np.bincount(positions, minlength=num_classes)
-    # dpstrf reads the lower triangle only, so only that is filled
+    # pivoted_cholesky reads the lower triangle only, so only that is filled
     G = np.zeros((m + r + k, m + r + k), order="F")
     G[:m, :m] = xx
     G[m:m + r, :m] = R @ x_sums.T
@@ -624,21 +624,16 @@ def _stacked_gram(x_stats, c0_stats, R, positions) -> np.ndarray:
     return G
 
 
-def dpstrf(*args, **kwargs):
-    """LAPACK's pivoted Cholesky, ``scipy.linalg.lapack.dpstrf``."""
-    return scipy_linalg().lapack.dpstrf(*args, **kwargs)
-
-
 def _gram_factor(G, m: int, Q, d: int):
     """Rows ``(Xc, Yc, Hc, Cc)`` of a factor ``Zc`` with ``Zc Zc^T`` the
     Gram of ``[X; Y; H; C0]`` (m, d, q - d and k rows for the q x r
     ``Q``; ``Hc`` is None when q == d), from the Gram G of
     ``[X; R E; C0]`` of ``_stacked_gram``, which is overwritten.
 
-    LAPACK's pivoted Cholesky ``P^T G P = L L^T`` stops at the first
-    pivot at most ``p * eps * max(diag G)``, so ``Zc = P L`` keeps only
-    its first ``rank`` columns: the rest are 0 or roundoff in a singular
-    Gram, and kept they would add directions the data does not have,
+    ``pivoted_cholesky`` stops, as LAPACK's ``dpstrf`` does, at the first
+    pivot at most ``p * eps * max(diag G)``, so ``Zc`` has only ``rank``
+    columns: the rest would be 0 or roundoff in a singular Gram, and
+    kept they would add directions the data does not have,
     which shifts a near-zero loss by far more than roundoff.  The class
     rows map back as ``[Yc; Hc] = Q Fc``, which leaves ``Zc Zc^T`` equal
     to the Gram of ``[X; Y; H; C0]``.  ``Zc`` needs no orthogonal columns,
@@ -646,12 +641,10 @@ def _gram_factor(G, m: int, Q, d: int):
     of finite data) raises NonFiniteError.
     """
     if not np.all(np.isfinite(G)):
-        # dpstrf would pass over a NaN pivot and an infinite tolerance
+        # a NaN pivot or an infinite tolerance would only cut the rank short
         raise NonFiniteError("the Gram of [X; Y; H; C0] contains non-finite entries")
     tol = len(G) * np.finfo(float).eps * np.max(np.diag(G))
-    L, piv, rank, _ = dpstrf(G, tol=tol, lower=1, overwrite_a=1)
-    Zc = np.empty((len(L), rank))
-    Zc[piv - 1] = np.tril(L[:, :rank])
+    Zc = pivoted_cholesky(G, tol)
     r = Q.shape[1]
     classes = Q @ Zc[m:m + r]
     Hc = classes[d:] if len(Q) > d else None

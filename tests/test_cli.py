@@ -376,38 +376,34 @@ def test_console_entry_point_reports_version():
 
 NO_SCIPY_SCRIPT = """
 import json, sys
-import jcmspl
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 from jcmspl.cli import main
 out = sys.argv[1]
 manifest, model = out + "/data/manifest.json", out + "/data/planted_model.bin"
 scored = ["--model", model, "--manifest", manifest]
-try:
-    main(["--version"])
-except SystemExit as exc:
-    codes = [exc.code]
-codes += [
+codes = [
     main(["synth", "--out", out + "/data"]),
-    main(["eval", *scored, "--out", out + "/hit", "--hit-k", "3"]),
+    main(["train", "--manifest", manifest, "--out", out + "/run", "--k", "40", "--t-max", "5"]),
+    main(["eval", *scored, "--out", out + "/eval"]),
     main(["eval", *scored, "--out", out + "/gzsl", "--gzsl"]),
+    main(["ablate", "--manifest", manifest, "--out", out + "/ablate", "--k", "40",
+          "--t-max", "5"]),
 ]
-before = "scipy" in sys.modules
-codes.append(main(["train", "--manifest", manifest, "--out", out + "/run",
-                   "--k", "40", "--t-max", "5"]))
-print(json.dumps([codes, before, "scipy" in sys.modules]))
+del sys.modules["scipy"]
+print(json.dumps([codes, sorted(name for name in sys.modules if name.startswith("scipy"))]))
 """
 
 
-def test_only_training_imports_scipy(tmp_path):
-    # recognition only projects and ranks; scipy's import is most of a
-    # synth or eval process, so only a fit loads it (the test session
-    # already has it, hence a fresh interpreter)
+def test_no_command_imports_scipy(tmp_path):
+    # the numerics are numpy only; a fresh interpreter in which importing
+    # scipy fails runs every subcommand (the test session may have it)
     env = dict(os.environ, PYTHONPATH=str(Path(jcmspl.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    codes, before_train, after_train = json.loads(proc.stdout.splitlines()[-1])
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0, 0]
-    assert not before_train and after_train
+    assert loaded == []
 
 
 def test_argparse_rejects_unknown_direction(synth_dir, trained_dir, tmp_path):

@@ -239,12 +239,3 @@ def test_forked_ablate_with_two_blas_threads_is_the_serial_run(default_dir, tmp_
     assert serial == forked
     assert serial[0] == 0 and serial[2] == b""
     assert len(serial[3]) == 2 + len(ABLATION_ORDER)
-
-
-def test_forked_ablate_children_inherit_scipy(default_dir, tmp_path):
-    # scipy is imported on first use; ablate loads it before it forks, so
-    # no child spends the import again or relays its warnings
-    (serial, serial_forks), (forked, forks) = fresh_ablates(default_dir, tmp_path, 1)
-    assert (serial_forks, forks) == ([], [True])
-    assert serial == forked
-    assert serial[0] == 0 and serial[2] == b""

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jcmspl import linalg, trainer
+from jcmspl.dataset import SynthSpec, synth_generate
 from jcmspl.errors import (
     DimensionMismatchError,
     NonFiniteError,
@@ -13,6 +17,7 @@ from jcmspl.errors import (
 from jcmspl.linalg import (
     SymmetricEigen,
     cholesky_factor,
+    pivoted_cholesky,
     solve_spd,
     sylvester_oracle,
     sylvester_solve,
@@ -331,8 +336,8 @@ def test_solve_spd_with_one_factor_per_block_and_in_place():
 
 @pytest.mark.parametrize("shape", [(6, 9), (64, 1024)])
 def test_solve_spd_in_place_on_a_row_major_rhs(shape):
-    # C order is solved by right-side triangular solves on the transpose,
-    # F order by LAPACK's Cholesky solve: the same factor, the same X
+    # either layout is solved in place, a slice of columns at a time, by
+    # the product with the one factor's inverse: the same X
     # (64 x 1024 is a C-step block of the large benchmark fit)
     rng = np.random.default_rng(4)
     M = random_psd(rng, shape[0], shift=shape[0])
@@ -344,3 +349,86 @@ def test_solve_spd_in_place_on_a_row_major_rhs(shape):
     assert rows.flags.c_contiguous
     assert np.linalg.norm(rows - by_columns) <= 1e-14 * np.linalg.norm(by_columns)
     assert np.linalg.norm(M @ rows - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def lapack_reference(G):
+    """``(rank, ||Z Z^T - G||_F)`` of LAPACK's ``dpstrf`` on the lower
+    triangle of G, at the trainer's tolerance ``p eps max(diag G)``, and
+    that tolerance."""
+    lapack = pytest.importorskip("scipy.linalg").lapack
+    tol = len(G) * np.finfo(float).eps * np.max(np.diag(G))
+    L, piv, rank, _ = lapack.dpstrf(np.asfortranarray(np.tril(G)), tol=tol, lower=1)
+    Z = np.empty((len(G), rank))
+    Z[piv - 1] = np.tril(L[:, :rank])
+    return rank, np.linalg.norm(Z @ Z.T - G), tol
+
+
+def check_against_lapack(G):
+    """The factor has dpstrf's rank, and its residual is at most 10 times
+    dpstrf's plus the stopping tolerance; only G's lower triangle is read."""
+    rank, lapack_residual, tol = lapack_reference(G)
+    lower = np.tril(G)
+    lower[np.triu_indices(len(G), 1)] = np.nan
+    Z = pivoted_cholesky(np.asfortranarray(lower), tol)
+    assert Z.shape == (len(G), rank)
+    assert np.linalg.norm(Z @ Z.T - G) <= 10 * lapack_residual + tol
+    return Z
+
+
+@pytest.mark.parametrize("p", [1, 64, 65, 200, 450])
+def test_pivoted_cholesky_matches_lapack_on_a_full_rank_gram(p):
+    # 200 and 450 take two and three panels
+    rng = np.random.default_rng(p)
+    check_against_lapack(random_psd(rng, p, rank=p + 5))
+
+
+@pytest.mark.parametrize("p, rank", [(64, 20), (65, 64), (200, 150), (450, 200)])
+def test_pivoted_cholesky_matches_lapack_on_a_rank_deficient_gram(p, rank):
+    rng = np.random.default_rng(p + rank)
+    check_against_lapack(random_psd(rng, p, rank=rank))
+
+
+def test_pivoted_cholesky_matches_lapack_on_the_large_synth_gram(monkeypatch):
+    # the Gram of [X; R E; C0] of a large-synth fit: X has rank 64 of
+    # m = 256, so the 360 x 360 Gram has rank 168
+    grams, stacked = [], trainer._stacked_gram
+
+    def keep(*args):
+        G = stacked(*args)
+        grams.append(np.tril(G) + np.tril(G, -1).T)
+        return G
+
+    monkeypatch.setattr(trainer, "_stacked_gram", keep)
+    dataset, _ = synth_generate(SynthSpec(m=256, d=64, k=64, num_seen_classes=40,
+                                          num_unseen_classes=10, samples_per_class=200))
+    trainer.fit(dataset, trainer.Hyperparams(k=64, t_max=1))
+    G, = grams
+    assert check_against_lapack(G).shape == (360, 168)
+
+
+def test_pivoted_cholesky_leaves_a_zero_row_zero():
+    rng = np.random.default_rng(7)
+    G = random_psd(rng, 70, rank=30)
+    G[11] = G[:, 11] = 0.0
+    Z = check_against_lapack(G)
+    assert not np.any(Z[11])
+
+
+def test_pivoted_cholesky_stops_at_once_on_a_zero_gram():
+    Z = pivoted_cholesky(np.zeros((5, 5), order="F"), 0.0)
+    assert Z.shape == (5, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 40), rank=st.integers(1, 40), panel=st.integers(1, 9),
+       scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_pivoted_cholesky_matches_lapack_on_random_low_rank_grams(p, rank, panel, scale, seed):
+    # narrow panels, so that a small Gram takes many of them
+    rng = np.random.default_rng(seed)
+    G = scale * random_psd(rng, p, rank=min(rank, p))
+    previous, linalg.PANEL = linalg.PANEL, panel
+    try:
+        check_against_lapack(G)
+    finally:
+        linalg.PANEL = previous
+

@@ -411,22 +411,22 @@ def test_fit_decomposes_each_gram_once(monkeypatch, variant):
     # are the left Grams of both blocks, once per iteration; the ridge
     # (every jcmspl0 iteration) shifts the eigenvalues it already has and
     # decomposes nothing.  The factor's Gram takes one pivoted Cholesky
-    # (dpstrf) per fit and no eigh.
+    # per fit and no eigh.
     from jcmspl import trainer
 
     calls, factorizations = [], []
-    eigh, dpstrf = np.linalg.eigh, trainer.dpstrf
+    eigh, pivoted_cholesky = np.linalg.eigh, trainer.pivoted_cholesky
 
     def counting(a, *args, **kwargs):
         calls.append(a.shape)
         return eigh(a, *args, **kwargs)
 
-    def counting_dpstrf(a, *args, **kwargs):
+    def counting_factor(a, *args, **kwargs):
         factorizations.append(a.shape)
-        return dpstrf(a, *args, **kwargs)
+        return pivoted_cholesky(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    monkeypatch.setattr(trainer, "dpstrf", counting_dpstrf)
+    monkeypatch.setattr(trainer, "pivoted_cholesky", counting_factor)
     dataset, _ = synth_generate(SynthSpec())
     _, trace = fit(dataset, Hyperparams(k=40, variant=variant))
     assert bool(trace.warnings) == (variant == "jcmspl0")
