@@ -39,10 +39,10 @@ Both passes run partly on a second core (``jcmspl.workers.beside``).
 
 An iteration decomposes one matrix, ``C C^T``: the left Grams of the A
 and B steps are its multiples ``lambda3 C C^T`` and ``lambda4 C C^T``.
-The right Grams ``X X^T`` and ``lambda1 Y Y^T`` are fixed, and on the
-factor the loop runs in their eigenbases (A and B times those bases,
-the factor's X and Y rows rotated to match), where they are diagonal
-and each Sylvester solve rotates one side only.  One routine sweeps
+The right Grams ``X X^T`` and ``lambda1 Y Y^T`` are fixed, and the loop
+runs in their eigenbases (A and B times those bases, the factor's X and
+Y rows rotated to match), where they are diagonal and each Sylvester
+solve rotates one side only.  One routine sweeps
 the column blocks for every C step and every objective: ``loss``,
 ``update_C``, the loop and the pass after it, the first half of the
 blocks on the caller and the second beside it.  A C step is fused with
@@ -293,11 +293,12 @@ def loss(A, B, C, X, Y, H, hyper: Hyperparams) -> float:
     zero.  A ``C`` of None evaluates the objective at the C step of
     (A, B), ``update_C(A, B, X, Y, H, hyper)``, bit for bit, as ``fit``'s
     ``losses[-1]`` does.  Each residual is summed over blocks of ``CHUNK``
-    columns, the blocks of ``fit``'s final pass, so no temporary is n wide.
+    columns, the blocks of ``fit``'s final pass, so no temporary is n wide,
+    and a C of None is held one block at a time.
     """
     _check_joint_shapes(A, B, C, X, Y, H, hyper)
     gather = _columns(X, Y, H if hyper.lambda2 > 0 else None)
-    return _sweep(A, B, gather, X.shape[1], hyper, C=C)[1]
+    return _sweep(A, B, gather, X.shape[1], hyper, C=C, keep=False)[1]
 
 
 def loss_gradients(A, B, C, X, Y, H, hyper: Hyperparams):
@@ -680,26 +681,24 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
     with standard deviation 0.01, so identical inputs reproduce the run
     bitwise.  The ``fpl`` variant bypasses the loop entirely.
 
-    When the sample count n exceeds the ``p = m + d + k`` rows of
-    ``[X; Y; C0]`` (``+ k`` for H when the effective lambda2 is positive),
-    the whole loop, ``losses[0]`` included, runs on a rank-wide factor of
-    those rows (see the module docstring), so no iteration's cost grows
-    with n, and in the eigenbases of ``X X^T`` and ``lambda1 Y Y^T``
-    (the factor's rows are rotated in place; A and B are rotated back
-    once after the loop).  ``X X^T`` is the exact block of the factored
-    Gram, ``Y Y^T`` the Gram of the factor's Y rows.  Read from the
-    n-wide data: ``X X^T``, ``C0 X^T``, ``C0 C0^T`` and the per-class
-    sums of X and C0, once, before the loop; then, after it, the last
-    entry ``losses[-1]``, which is exactly what ``loss()`` gives at
-    ``update_C(A, B, ...)``.  That final pass runs over blocks of
-    ``CHUNK`` columns, solves the C step of each block and gathers its Y
-    and H columns as it goes, so no n-wide matrix is allocated after the
-    Grams, and no n-wide Y, H or C at all.  Where ``workers.beside``
-    allows, each of the two passes runs in part on a pinned helper thread
-    (``X X^T`` and the class sums of X; the second half of the blocks of
-    ``_sweep``), with the bits of the one-thread run.
-    With ``n <= p`` every entry is computed directly on the n-wide data
-    as ``update_A``, ``update_B``, ``update_C`` and ``loss`` compute it.
+    The whole loop, ``losses[0]`` included, runs on a rank-wide factor of
+    the p rows ``[X; Y; H; C0]`` (see the module docstring), at most
+    ``min(n, p)`` columns wide, so no iteration costs more than one on the
+    n-wide data, and none grows with the sample count n past p.  It runs
+    in the eigenbases of ``X X^T`` and ``lambda1 Y Y^T`` (the factor's
+    rows are rotated in place; A and B are rotated back once after the
+    loop).  ``X X^T`` is the exact block of the factored Gram, ``Y Y^T``
+    the Gram of the factor's Y rows.  Read from the n-wide data:
+    ``X X^T``, ``C0 X^T``, ``C0 C0^T`` and the per-class sums of X and C0,
+    once, before the loop; then, after it, the last entry ``losses[-1]``,
+    which is exactly what ``loss()`` gives at ``update_C(A, B, ...)``.
+    That final pass runs over blocks of ``CHUNK`` columns, solves the C
+    step of each block and gathers its Y and H columns as it goes, so no
+    n-wide matrix is allocated after the Grams, and no n-wide Y, H or C at
+    all.  Where ``workers.beside`` allows, each of the two passes runs in
+    part on a pinned helper thread (``X X^T`` and the class sums of X; the
+    second half of the blocks of ``_sweep``), with the bits of the
+    one-thread run.
 
     Returns the model, whose C is None (``update_C`` at its A and B
     gives the final C), together with a TrainingTrace of losses, block
@@ -725,46 +724,35 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
     if eff.lambda2 > 0:
         indicators = _block_indicators(hyper.k, dataset.c_seen)
         V = np.vstack([V, indicators])
-    factored = dataset.n_seen > dataset.m + V.shape[0] + hyper.k
 
     # the right Grams of the two Sylvester steps are fixed: eigendecompose
-    # them once
-    if factored:
-        # C0 and every later C lie in the row space of [X; Y; H; C0] =
-        # [X; Q R E; C0], so the factor carries every Gram and norm the
-        # loop needs.  The X-only statistics are formed beside the draw
-        # and those of C0, and the n-wide C0 goes before G is allocated,
-        # to keep the allocation peak down.
-        Q, R = np.linalg.qr(V)
+    # them once.  C0 and every later C lie in the row space of
+    # [X; Y; H; C0] = [X; Q R E; C0], so the factor carries every Gram and
+    # norm the loop needs.  The X-only statistics are formed beside the
+    # draw and those of C0, and the n-wide C0 goes before G is allocated,
+    # to keep the allocation peak down.
+    Q, R = np.linalg.qr(V)
 
-        def draw():
-            A, B, C = _initial_blocks(dataset, hyper)
-            return A, B, (C @ X.T, C @ C.T, _class_sums(C, positions, dataset.c_seen))
-
-        (A, B, c0_stats), x_stats = workers.beside(
-            len(_column_blocks(dataset.n_seen)), draw,
-            lambda: _x_statistics(X, positions, dataset.c_seen))
-        G = _stacked_gram(x_stats, c0_stats, R, positions)
-        del x_stats, c0_stats
-        # before the factorization overwrites G
-        x_eig = symmetric_eigen(G[:dataset.m, :dataset.m], "X X^T")
-        Xw, Yw, Hw, C = _gram_factor(G, dataset.m, Q, dataset.d)
-        del G, Q, R, V
-        y_eig = symmetric_eigen(eff.lambda1 * (Yw @ Yw.T), "Y Y^T")
-        # the loop runs in the fixed Grams' eigenbases: A U_x and B U_y
-        # against the rows U_x^T X and U_y^T Y, which leaves every norm
-        # and A A^T, B B^T as they are and makes X X^T and Y Y^T diagonal
-        x_basis, y_basis = x_eig.vectors, y_eig.vectors
-        A, x_eig = _into_eigenbasis(A, Xw, x_eig)
-        B, y_eig = _into_eigenbasis(B, Yw, y_eig)
-    else:
-        # the loop works on the n-wide matrices
+    def draw():
         A, B, C = _initial_blocks(dataset, hyper)
-        Xw = X
-        Yw = expand_prototypes(dataset.prototypes, dataset.labels_seen)
-        Hw = indicators.take(positions, axis=1) if indicators is not None else None
-        x_eig = symmetric_eigen(X @ X.T, "X X^T")
-        y_eig = symmetric_eigen(eff.lambda1 * (Yw @ Yw.T), "Y Y^T")
+        return A, B, (C @ X.T, C @ C.T, _class_sums(C, positions, dataset.c_seen))
+
+    (A, B, c0_stats), x_stats = workers.beside(
+        len(_column_blocks(dataset.n_seen)), draw,
+        lambda: _x_statistics(X, positions, dataset.c_seen))
+    G = _stacked_gram(x_stats, c0_stats, R, positions)
+    del x_stats, c0_stats
+    # before the factorization overwrites G
+    x_eig = symmetric_eigen(G[:dataset.m, :dataset.m], "X X^T")
+    Xw, Yw, Hw, C = _gram_factor(G, dataset.m, Q, dataset.d)
+    del G, Q, R, V
+    y_eig = symmetric_eigen(eff.lambda1 * (Yw @ Yw.T), "Y Y^T")
+    # the loop runs in the fixed Grams' eigenbases: A U_x and B U_y
+    # against the rows U_x^T X and U_y^T Y, which leaves every norm
+    # and A A^T, B B^T as they are and makes X X^T and Y Y^T diagonal
+    x_basis, y_basis = x_eig.vectors, y_eig.vectors
+    A, x_eig = _into_eigenbasis(A, Xw, x_eig)
+    B, y_eig = _into_eigenbasis(B, Yw, y_eig)
 
     f_prev = loss(A, B, C, Xw, Yw, Hw, eff)
     trace = TrainingTrace(
@@ -799,15 +787,13 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
             break
         f_prev = f_t
 
-    if factored:
-        # back to the standard basis and on the n-wide data, so that
-        # losses[-1] is exactly what loss() gives at update_C(A, B, ...);
-        # what only the loop used goes first, to keep the allocation peak
-        # down
-        A, B = A @ x_basis.T, B @ y_basis.T
-        del Xw, Yw, Hw, C, C_next, A_next, B_next, cc_eig, K, x_eig, y_eig, \
-            x_basis, y_basis
-        trace.losses[-1] = _final_pass(A, B, dataset, positions, indicators, eff)
+    # back to the standard basis and on the n-wide data, so that
+    # losses[-1] is exactly what loss() gives at update_C(A, B, ...); what
+    # only the loop used goes first, to keep the allocation peak down
+    A, B = A @ x_basis.T, B @ y_basis.T
+    del Xw, Yw, Hw, C, C_next, A_next, B_next, cc_eig, K, x_eig, y_eig, \
+        x_basis, y_basis
+    trace.losses[-1] = _final_pass(A, B, dataset, positions, indicators, eff)
     model = JcmsplModel(A=A, B=B, variant=hyper.variant, hyper=hyper)
     return model, trace
 

@@ -698,7 +698,7 @@ def direct_fit(dataset, hyper):
 LOOP_VARIANTS = ("full", "jcmspl1", "jcmspl0", "ipl")
 
 
-def bit_identity_cases():
+def n_at_most_p_cases():
     # unit lambda, and the random set of the floor test below, where
     # lambda3 != lambda4 scale the one eigendecomposition of C C^T apart
     for lambdas in ("unit", "random"):
@@ -708,21 +708,101 @@ def bit_identity_cases():
                 yield pytest.param(variant, noise, lambdas, id=f"{variant}-{noise}{suffix}")
 
 
-@pytest.mark.parametrize("variant,noise,lambdas", bit_identity_cases())
-def test_fit_is_bit_identical_to_direct_loop_when_n_at_most_p(variant, noise, lambdas):
-    # n = 20 samples against the 29 rows of [X; Y; C0] (34 with H):
-    # nothing to compress
-    dataset, _ = synth_generate(
+def n_at_most_p_synth(noise=0.05):
+    # n = 20 samples against the 29 rows of [X; Y; C0] (34 with H)
+    return synth_generate(
         SynthSpec(m=16, d=8, k=12, num_seen_classes=4, num_unseen_classes=2,
                   samples_per_class=5, noise_sigma=noise, seed=1)
-    )
+    )[0]
+
+
+@pytest.mark.parametrize("variant,noise,lambdas", n_at_most_p_cases())
+def test_fit_is_bit_identical_to_direct_loop_when_n_at_most_p(variant, noise, lambdas):
+    # fit trains on the factor, here at most n wide, so these cases take
+    # the bounds of the tests on the default synth: the fixed ones where
+    # lambda is unit, the data noisy and no ridge event occurs, else 10
+    # times the direct loop's own 1-ulp spread plus the fixed ones.  (The
+    # name is kept so that the case ids stay stable.)
+    dataset = n_at_most_p_synth(noise)
     hyper = Hyperparams(k=5, seed=2, variant=variant, **NON_UNIT_LAMBDAS.get(lambdas, {}))
     model, trace = fit(dataset, hyper)
-    A, B, C, losses, _, _ = direct_fit(dataset, hyper)
-    assert np.array_equal(model.A, A)
-    assert np.array_equal(model.B, B)
-    assert np.array_equal(fitted_C(model, dataset), C)
-    assert trace.losses == losses
+    ref = direct_fit(dataset, hyper)
+    iterations, ridge = ref[4:]
+    assert trace.iterations == iterations
+    gap = fit_distances(trace.losses, model.A, model.B, ref)
+    floor = np.zeros(2)
+    if lambdas != "unit" or noise == 0 or ridge:
+        floor = ulp_floor(dataset, hyper, ref)[1:]
+    print(f"{variant} noise={noise} {lambdas}: iterations={iterations} ridge={len(ridge)} "
+          "floor (A, B) = " + ", ".join(f"{v:.1e}" for v in floor)
+          + "; fit gap (loss, A, B) = " + ", ".join(f"{v:.1e}" for v in gap))
+    assert gap[0] <= 1e-12
+    assert np.all(gap[1:] <= 10.0 * floor + 1e-10)
+
+
+def with_samples(dataset, columns):
+    """``dataset`` with only the seen samples at ``columns``; every class
+    stays seen."""
+    return dataclasses.replace(dataset, visual_seen=dataset.visual_seen[:, columns],
+                               labels_seen=dataset.labels_seen[columns])
+
+
+# edge -> (dataset from the n <= p synth, k); its samples come five per
+# class in class order
+N_AT_MOST_P_EDGES = {
+    "n1": (lambda dataset: with_samples(dataset, [0]), 5),
+    "n3-below-k": (lambda dataset: with_samples(dataset, [0, 5, 10]), 5),
+    "class-without-samples": (lambda dataset: without_class(dataset, 1), 5),
+    "k-below-c": (lambda dataset: dataset, 3),
+}
+
+
+@pytest.mark.parametrize("edge", N_AT_MOST_P_EDGES)
+@pytest.mark.parametrize("variant", LOOP_VARIANTS)
+def test_fit_agrees_with_direct_loop_at_the_edges_of_n_at_most_p(variant, edge):
+    # a factor one or three columns wide, a zero class count in the
+    # stacked Gram, and k < c, which H cannot take
+    reduce, k = N_AT_MOST_P_EDGES[edge]
+    dataset = reduce(n_at_most_p_synth())
+    hyper = Hyperparams(k=k, seed=2, variant=variant)
+    if k < dataset.c_seen and hyper.effective().lambda2 > 0:
+        for run in (fit, direct_fit):
+            with pytest.raises(TooFewRowsError):
+                run(dataset, hyper)
+        return
+    model, trace = fit(dataset, hyper)
+    ref = direct_fit(dataset, hyper)
+    iterations, ridge = ref[4:]
+    assert trace.iterations == iterations
+    gap = fit_distances(trace.losses, model.A, model.B, ref)
+    print(f"{variant} {edge}: iterations={iterations} ridge={len(ridge)} "
+          "fit gap (loss, A, B) = " + ", ".join(f"{v:.1e}" for v in gap))
+    assert gap[0] <= 1e-12
+    if not ridge:
+        assert max(gap[1:]) <= 1e-10
+
+
+@pytest.mark.parametrize("variant", LOOP_VARIANTS)
+def test_fit_at_n_at_most_p_takes_the_one_training_path(monkeypatch, variant):
+    # every joint fit factors its Gram once and ends with one final pass
+    from jcmspl import trainer
+
+    calls = {"pivoted_cholesky": 0, "_final_pass": 0}
+
+    def counting(name):
+        original = getattr(trainer, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(trainer, name, counting(name))
+    dataset = n_at_most_p_synth()
+    assert dataset.n_seen <= dataset.m + dataset.d + 5
+    fit(dataset, Hyperparams(k=5, seed=2, variant=variant))
+    assert calls == {"pivoted_cholesky": 1, "_final_pass": 1}
 
 
 @pytest.mark.parametrize("noise", [0.05, 0.0])
@@ -798,6 +878,18 @@ def fit_distances(losses, A, B, ref):
     )
 
 
+def ulp_floor(dataset, hyper, ref):
+    """The larger ``fit_distances`` of two ``direct_fit`` runs on
+    ``with_ulp_noise`` copies of ``dataset`` (seeds 0 and 1) from the
+    ``direct_fit`` result ``ref``, whose iteration count both take."""
+    floor = np.zeros(3)
+    for seed in (0, 1):
+        A, B, _, losses, iterations, _ = direct_fit(with_ulp_noise(dataset, seed), hyper)
+        assert iterations == ref[4]
+        floor = np.maximum(floor, fit_distances(losses, A, B, ref))
+    return floor
+
+
 NON_UNIT_LAMBDAS = {
     **PRESETS,
     "random": {"lambda1": 0.7, "lambda2": 2.3, "lambda3": 0.31, "lambda4": 3.7},
@@ -829,11 +921,7 @@ def test_fit_agrees_with_direct_loop_within_its_perturbation_floor(lambdas, vari
     model, trace = fit(dataset, hyper)
     ref = direct_fit(dataset, hyper)
     iterations, ridge = ref[4:]
-    floor = np.zeros(3)
-    for seed in (0, 1):
-        A, B, _, losses, nudged_iterations, _ = direct_fit(with_ulp_noise(dataset, seed), hyper)
-        assert nudged_iterations == iterations
-        floor = np.maximum(floor, fit_distances(losses, A, B, ref))
+    floor = ulp_floor(dataset, hyper, ref)
     assert trace.iterations == iterations
     gap = fit_distances(trace.losses, model.A, model.B, ref)
     print(f"{lambdas} {variant} noise={noise}: iterations={iterations} "
@@ -960,6 +1048,30 @@ def test_final_pass_holds_one_block_of_c(monkeypatch, variant):
     print(f"{variant}: final pass peak {peaks[0] / c_bytes:.2f} of a k x n C")
     assert model.C is None and len(peaks) == 1
     assert peaks[0] < c_bytes
+
+
+@pytest.mark.parametrize("variant", LOOP_VARIANTS)
+def test_loss_without_c_holds_one_block_of_c(variant):
+    # the synth of the test above: the C step that loss solves is held
+    # one block at a time, as the final pass holds it
+    dataset, _ = synth_generate(
+        SynthSpec(m=16, d=8, k=12, num_seen_classes=8, num_unseen_classes=2,
+                  samples_per_class=CHUNK)
+    )
+    hyper = Hyperparams(k=12, variant=variant, t_max=2)
+    model, _ = fit(dataset, hyper)
+    Y = expand_prototypes(dataset.prototypes, dataset.labels_seen)
+    H = build_class_matrix(dataset.labels_seen, hyper.k, dataset.seen_classes).H
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loss(model.A, model.B, None, dataset.visual_seen, Y, H, hyper.effective())
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    c_bytes = 12 * dataset.n_seen * 8
+    print(f"{variant}: loss peak {peak / c_bytes:.2f} of a k x n C")
+    assert peak < c_bytes
 
 
 @pytest.mark.parametrize("variant", LOOP_VARIANTS)
@@ -1113,7 +1225,7 @@ def check_first_iteration_moduli(dataset):
 
 
 def test_fit_records_the_moduli_of_its_first_iteration():
-    # n = 32 against the 36 rows of [X; Y; H; C0]: the direct loop
+    # n = 32 against the 36 rows of [X; Y; H; C0]: a factor at most n wide
     check_first_iteration_moduli(small_benchmark(noise=0.05)[0])
 
 
