@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -415,7 +416,11 @@ def _add_hyper_flags(sub):
                      help="visual feature normalization (default l2_columns)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` leaves
+    it as it is, and each build leaves hundreds of argparse objects in
+    reference cycles for the garbage collector."""
     parser = argparse.ArgumentParser(
         prog="jcmspl",
         description="Joint concept matching-space projection learning for "

@@ -7,19 +7,26 @@ column, and class ids index prototype columns directly.
 On disk a dataset is a JSON manifest pointing at headerless CSV files
 (matrices row-major, comma separated; label files one integer per
 line).  Paths in the manifest are resolved relative to the manifest's
-directory.
+directory.  ``read_matrix`` keeps each parse of an uncompressed matrix
+file in a hidden sidecar file beside it, which later reads of the same
+bytes return instead of parsing them again.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import io
 import itertools
 import json
 import lzma
 import math
 import mmap
+import os
 import shutil
+import stat
 import struct
+import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,10 +132,11 @@ def _parse_lines(pipe, bounds: tuple[int, int], path: Path) -> None:
     pipe.write(rows.data)
 
 
-def _read_forked(path: Path) -> np.ndarray | None:
+def _read_forked(path: Path, meanwhile) -> np.ndarray | None:
     """``read_matrix`` on forked workers, each parsing one range of whole
-    lines; None when one worker suffices, when a range gets no child, or
-    when any child fails, parses no row or disagrees on the column count."""
+    lines, while the caller runs ``meanwhile()``; None when one worker
+    suffices, when a range gets no child, or when any child fails, parses
+    no row or disagrees on the column count."""
     size = path.stat().st_size
     count = _workers(size, size)  # a range holds at least one line
     if count < 2:
@@ -141,6 +149,7 @@ def _read_forked(path: Path) -> np.ndarray | None:
         return None
     ranges = list(zip(bounds, bounds[1:]))
     with workers.forked(_parse_lines, ranges, path) as children:
+        meanwhile()
         if len(children) < len(ranges):
             return None
         shapes = []
@@ -160,19 +169,120 @@ def _read_forked(path: Path) -> np.ndarray | None:
         return out
 
 
+# The sidecar of a matrix file: SIDECAR_FIELDS (the magic, the version, the
+# SHA-256 of the matrix file's bytes, rows and cols), the SHA-256 of those
+# fields and the payload, then the payload: the parsed float64 array,
+# little-endian and row-major.  Its size follows from the fields, and the
+# second digest covers the shape as well as the values.
+SIDECAR_FIELDS = struct.Struct("<8sQ32sqq")
+SIDECAR_HEADER = SIDECAR_FIELDS.size + 32
+SIDECAR_MAGIC = b"jcmspl\x00p"
+SIDECAR_VERSION = 1
+
+
+def _sidecar_path(path: Path) -> Path:
+    return path.with_name(f".{path.name}.parsed")
+
+
+def _sha256(path: Path) -> bytes | None:
+    """SHA-256 of the file's bytes, hashed through ``mmap`` so that no Python
+    buffer holds them; None where the file cannot be mapped (it is empty,
+    say, or gone)."""
+    try:
+        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as text:
+            return hashlib.sha256(text).digest()
+    except (OSError, ValueError):
+        return None
+
+
+def _identity(path: Path) -> tuple[int, int, int]:
+    info = os.stat(path)
+    return info.st_size, info.st_mtime_ns, info.st_ino
+
+
+def _read_sidecar(sidecar: Path, digest) -> np.ndarray | None:
+    """The array kept in ``sidecar``; None unless it is a regular file whose
+    size matches its fields, checked before anything is allocated, and
+    whose two digests hold: the matrix file's, ``digest()``, and the one of
+    the fields and the payload."""
+    try:
+        # a FIFO opened without O_NONBLOCK would wait for a writer
+        with open(os.open(sidecar, os.O_RDONLY | os.O_NONBLOCK), "rb", buffering=0) as fh:
+            info = os.fstat(fh.fileno())
+            if not stat.S_ISREG(info.st_mode) or info.st_size < SIDECAR_HEADER:
+                return None
+            fields = fh.read(SIDECAR_FIELDS.size)
+            check = fh.read(32)
+            magic, version, source, rows, cols = SIDECAR_FIELDS.unpack(fields)
+            if ((magic, version) != (SIDECAR_MAGIC, SIDECAR_VERSION) or min(rows, cols) < 1
+                    or info.st_size != SIDECAR_HEADER + 8 * rows * cols
+                    or source != digest()):
+                return None
+            kept = np.empty((rows, cols), dtype="<f8")
+            if not workers.read_into(fh, kept):
+                return None
+    except (OSError, struct.error):  # struct.error: a file cut short while read
+        return None
+    actual = hashlib.sha256(fields)
+    actual.update(kept)
+    return kept.astype(np.float64, copy=False) if actual.digest() == check else None
+
+
+def _write_sidecar(path: Path, before: tuple[int, int, int], source: bytes | None,
+                   parsed: np.ndarray) -> None:
+    """Keep ``parsed``, the parse of ``path``'s bytes with SHA-256 ``source``,
+    in its sidecar: written to a temporary file in the same directory, then
+    renamed over it.  Nothing is kept of an empty parse, or when the file's
+    size, mtime or inode differs from ``before``, taken ahead of the parse;
+    on any OSError nothing is kept and no temporary file stays."""
+    try:
+        if source is None or parsed.size == 0 or _identity(path) != before:
+            return
+        payload = np.ascontiguousarray(parsed, dtype="<f8")
+        fields = SIDECAR_FIELDS.pack(SIDECAR_MAGIC, SIDECAR_VERSION, source, *payload.shape)
+        check = hashlib.sha256(fields)
+        check.update(payload)
+        sidecar = _sidecar_path(path)
+        fd, temp = tempfile.mkstemp(prefix=f"{sidecar.name}.", dir=path.parent)
+        try:
+            with open(fd, "wb") as fh:
+                fh.write(fields)
+                fh.write(check.digest())
+                fh.write(payload)
+            os.replace(temp, sidecar)
+        except BaseException:
+            os.unlink(temp)
+            raise
+    except OSError:
+        pass
+
+
 def read_matrix(path) -> np.ndarray:
     """Read a headerless comma-separated numeric matrix.
 
     A file of at least 2 * PARALLEL_MIN_BYTES is parsed by forked workers,
     one range of whole lines each, into one array.  Should a range get no
     worker, or any worker fail, the file is read again serially, which
-    raises every error."""
+    raises every error.
+
+    The parse of an uncompressed file is kept in its sidecar,
+    ``.<name>.parsed`` in the same directory (``_write_sidecar``).  A later
+    read returns the sidecar's array instead, bit for bit the parse, when
+    its digests show that it was parsed from the file's current bytes."""
     path = Path(path)
-    if path.is_file() and path.suffix not in COMPRESSED_SUFFIXES:
-        parsed = _read_forked(path)
-        if parsed is not None:
-            return parsed
-    return _loadtxt(path, "matrix", **MATRIX_READ)
+    if not path.is_file() or path.suffix in COMPRESSED_SUFFIXES:
+        return _loadtxt(path, "matrix", **MATRIX_READ)
+    before = _identity(path)
+    digest = functools.cache(lambda: _sha256(path))
+    kept = _read_sidecar(_sidecar_path(path), digest)
+    if kept is not None:
+        return kept
+    # without a sidecar the caller hashes the file while the workers parse it
+    parsed = _read_forked(path, digest)
+    if parsed is None:
+        parsed = _loadtxt(path, "matrix", **MATRIX_READ)
+    _write_sidecar(path, before, digest(), parsed)
+    return parsed
 
 
 def _write_rows(fh, M: np.ndarray) -> None:

@@ -52,3 +52,10 @@ def child_left():
         return os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
         return None
+
+
+def drop_sidecars(directory):
+    """Delete the sidecar of every matrix file in ``directory`` (a Path), so
+    that the next read of each file parses it."""
+    for path in directory.glob(".*.parsed"):
+        path.unlink()

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jcmspl
-from forked import forked_io
+from forked import drop_sidecars, forked_io
 from jcmspl import cli, errors, recognizer
 from jcmspl.archive import fingerprint_dataset, load_model, save_model
 from jcmspl.cli import ABLATION_ORDER, exit_code, main
@@ -414,6 +414,21 @@ def test_argparse_rejects_unknown_direction(synth_dir, trained_dir, tmp_path):
     assert exc.value.code == 2
 
 
+def test_the_parser_is_built_once_and_left_as_built(synth_dir, trained_dir, tmp_path):
+    # main parses every command line with one parser; no command, flag or
+    # argparse error changes what it parses next
+    parser = cli.build_parser()
+    argv = ["eval", "--model", "m.bin", "--manifest", "x.json"]
+    before = vars(parser.parse_args(argv))
+    assert run(["eval", "--model", str(trained_dir / "model.bin"),
+                "--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path),
+                "--gzsl", "--holdout", "0.5", "--seed", "3", "--normalize", "none"]) == 0
+    with pytest.raises(SystemExit):
+        run(["eval", "--model", "m.bin", "--manifest", "x.json", "--direction", "sideways"])
+    assert cli.build_parser() is parser
+    assert vars(parser.parse_args(argv)) == before
+
+
 def test_every_package_error_has_an_exit_code():
     classes = [obj for obj in vars(errors).values()
                if isinstance(obj, type) and obj.__module__ == errors.__name__]
@@ -471,6 +486,7 @@ def test_malformed_dataset_exits_3(synth_dir, tmp_path, capsys, case):
     data = tmp_path / "data"
     shutil.copytree(synth_dir, data)
     manifest = data / "manifest.json"
+    drop_sidecars(data)
     if case in CSV_HOLES:
         name, corrupt = CSV_HOLES[case]
         (data / name).write_text(corrupt((data / name).read_text()))
@@ -478,7 +494,10 @@ def test_malformed_dataset_exits_3(synth_dir, tmp_path, capsys, case):
         manifest.write_bytes(MANIFEST_HOLES[case](json.loads(manifest.read_text())))
     rc = run(["train", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
               "--k", "6", "--t-max", "2"])
-    assert_data_error(rc, capsys, "train")
+    err = assert_data_error(rc, capsys, "train")
+    if case in CSV_HOLES:  # named, and not kept
+        assert str(data / name) in err
+        assert not (data / f".{name}.parsed").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -739,11 +758,17 @@ def load_outcome(manifest):
                       min_size=1, max_size=4))
 def test_fuzzed_csv_on_forked_workers_loads_and_exits_as_serial(synth_dir, fuzz_dir, key,
                                                                 edits):
-    # the edits of the test above; every matrix file is split across workers
+    # the edits of the test above; every matrix file is split across
+    # workers, and every load parses: none finds a sidecar of the one before
     manifest = fuzzed_copy(synth_dir, fuzz_dir / "forked", key, edits)
-    model = synth_dir / "planted_model.bin"
-    serial, rc = load_outcome(manifest), eval_rc(model, manifest, fuzz_dir)
+    model, data = synth_dir / "planted_model.bin", manifest.parent
+    drop_sidecars(data)
+    serial = load_outcome(manifest)
+    drop_sidecars(data)
+    rc = eval_rc(model, manifest, fuzz_dir)
     with forked_io(3) as forks:
+        drop_sidecars(data)
         assert load_outcome(manifest) == serial
+        drop_sidecars(data)
         assert eval_rc(model, manifest, fuzz_dir) == rc
     assert forks and rc in {0, 3, 5}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forked import forked_io
+from forked import drop_sidecars, forked_io
 from jcmspl.archive import fingerprint_dataset
 from jcmspl.dataset import (
     CHUNK,
@@ -117,10 +117,21 @@ def test_class_without_prototype_rejected():
 def test_manifest_round_trip(tmp_path):
     ds = tiny_dataset()
     manifest = save_manifest(ds, tmp_path / "manifest.json")
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == ["labels_seen.csv", "labels_unseen.csv", "manifest.json",
+                       "prototypes.csv", "visual_seen.csv", "visual_unseen.csv"]
     loaded = load_manifest(manifest)
     for field in ("visual_seen", "labels_seen", "visual_unseen", "labels_unseen",
                   "prototypes", "seen_classes", "unseen_classes"):
         assert np.array_equal(getattr(loaded, field), getattr(ds, field)), field
+    # the load kept a sidecar of each matrix file, none of a label file, and
+    # a second load returns their arrays bit for bit
+    kept = sorted(path.name for path in tmp_path.iterdir() if path.name not in written)
+    assert kept == [".prototypes.csv.parsed", ".visual_seen.csv.parsed",
+                    ".visual_unseen.csv.parsed"]
+    again = load_manifest(manifest)
+    for field in ("visual_seen", "visual_unseen", "prototypes"):
+        assert getattr(again, field).tobytes() == getattr(loaded, field).tobytes(), field
     # a second serialization of the loaded dataset is byte-identical
     second_dir = tmp_path / "again"
     save_manifest(loaded, second_dir / "manifest.json")
@@ -172,6 +183,7 @@ def test_malformed_csv_is_a_dataset_error_naming_the_file(tmp_path, case):
     path.write_text(corrupt(path.read_text()))
     with pytest.raises(DatasetError, match=name):
         load_manifest(manifest)
+    assert not (tmp_path / f".{name}.parsed").exists()
 
 
 @pytest.mark.parametrize("case", sorted(CSV_HOLES))
@@ -182,6 +194,7 @@ def test_malformed_csv_raises_alike_on_forked_workers(tmp_path, case):
     path.write_text(corrupt(path.read_text()))
     with pytest.raises(DatasetError, match=name) as serial:
         load_manifest(manifest)
+    drop_sidecars(tmp_path)  # kept by the first load of the files that parsed
     with forked_io() as forks, pytest.raises(DatasetError) as forked:
         load_manifest(manifest)
     assert forks  # visual_seen.csv, at least

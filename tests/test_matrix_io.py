@@ -1,8 +1,13 @@
 """The forked matrix reader and writer give np.loadtxt's and np.savetxt's
-results, bit for bit and byte for byte, and leave nothing behind."""
+results, bit for bit and byte for byte, and leave nothing behind; the
+reader's sidecar returns its parse, bit for bit, and only for the bytes it
+was parsed from."""
 
+import contextlib
+import errno
 import io
 import os
+import signal
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -16,6 +21,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from forked import child_left, forked_io
 from jcmspl import dataset
 from jcmspl.errors import DatasetError
+from malformed import CODECS
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 EXTREMES = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -41,6 +47,21 @@ def read_outcome(path):
     except Exception as exc:  # compared, not swallowed
         return type(exc), str(exc)
     return M.shape, M.tobytes()
+
+
+@contextlib.contextmanager
+def parses():
+    """Within the block, a list that gets the name of each file that
+    ``read_matrix`` parses; a read that returns a sidecar's array adds none."""
+    names, read_forked = [], dataset._read_forked
+
+    def counting(path, meanwhile):
+        names.append(path.name)
+        return read_forked(path, meanwhile)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_read_forked", counting)
+        yield names
 
 
 def csv_text(M, newline="\n", final_newline=True, extra_lines=()) -> str:
@@ -111,6 +132,27 @@ def test_forked_read_is_loadtxt_bit_for_bit(M, cores, newline, final_newline, ex
         assert got.tobytes() == expected.tobytes() == M.tobytes()
         assert got.flags.c_contiguous and got.flags.writeable
         assert len(forks) >= (2 if M.shape[0] > 1 else 0)
+
+
+@SETTINGS
+@given(M=matrices, cores=st.integers(1, 3))
+@example(M=np.array([EXTREMES]), cores=1)
+@example(M=np.array([EXTREMES]).T, cores=3)
+def test_a_kept_parse_is_returned_bit_for_bit(M, cores):
+    # -0.0, subnormals and the largest floats among them; parsed serially
+    # or on forked workers
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_bytes(savetxt_bytes(M))
+        with forked_io(cores):
+            parsed = dataset.read_matrix(path)
+        assert sorted(os.listdir(tmp)) == [".m.csv.parsed", "m.csv"]
+        with parses() as names:
+            kept = dataset.read_matrix(path)
+        assert names == []
+        assert kept.shape == parsed.shape == M.shape
+        assert kept.tobytes() == parsed.tobytes() == M.tobytes()
+        assert kept.dtype == np.float64 and kept.flags.c_contiguous and kept.flags.writeable
 
 
 @pytest.mark.parametrize("cores", [2, 3])
@@ -195,3 +237,195 @@ def test_worker_count_follows_the_size(monkeypatch):
         assert pool.submit(lambda: workers(256, 41_000_000)).result() == 1
     monkeypatch.delattr(os, "fork")
     assert workers(256, 41_000_000) == 1
+
+
+@pytest.mark.parametrize("at", [0, 2, 6])
+def test_an_edit_that_keeps_size_mtime_and_inode_is_parsed_again(tmp_path, at):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"1,2\n3,4\n")
+    dataset.read_matrix(path)
+    before = path.stat()
+    with open(path, "r+b") as fh:  # one digit, in place
+        fh.seek(at)
+        fh.write(b"9")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns, after.st_ino) == (
+        before.st_size, before.st_mtime_ns, before.st_ino)
+    expected = np.loadtxt(path, delimiter=",", ndmin=2)
+    with parses() as parsed:
+        assert read_outcome(path) == ((2, 2), expected.tobytes())
+    assert parsed == ["m.csv"]
+    with parses() as parsed:  # and kept for the new bytes
+        assert read_outcome(path) == ((2, 2), expected.tobytes())
+    assert parsed == []
+
+
+# sidecar bytes -> bad sidecar bytes; offsets follow dataset.SIDECAR_FIELDS
+# (magic 0, version 8, source digest 16, rows 48, cols 56; check digest 64)
+BAD_SIDECARS = {
+    "truncated": lambda raw: raw[:-1],
+    "header_only": lambda raw: raw[:dataset.SIDECAR_HEADER],
+    "empty": lambda raw: b"",
+    "oversized": lambda raw: raw + bytes(8),
+    "wrong_magic": lambda raw: b"X" + raw[1:],
+    "wrong_version": lambda raw: raw[:8] + bytes([raw[8] + 1]) + raw[9:],
+    "wrong_digest": lambda raw: raw[:16] + bytes([raw[16] ^ 1]) + raw[17:],
+    # 3 x 2 for 2 x 3: the size and the payload still fit
+    "swapped_shape": lambda raw: raw[:48] + raw[56:64] + raw[48:56] + raw[64:],
+    "flipped_payload_bit": lambda raw: raw[:-1] + bytes([raw[-1] ^ 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIDECARS))
+def test_a_bad_sidecar_is_ignored_and_rewritten(tmp_path, case):
+    path, M = tmp_path / "m.csv", np.arange(6.0).reshape(2, 3) / 7
+    path.write_bytes(savetxt_bytes(M))
+    dataset.read_matrix(path)
+    sidecar = tmp_path / ".m.csv.parsed"
+    good = sidecar.read_bytes()
+    sidecar.write_bytes(BAD_SIDECARS[case](good))
+    with parses() as parsed:
+        assert read_outcome(path) == (M.shape, M.tobytes())
+    assert parsed == ["m.csv"]
+    assert sidecar.read_bytes() == good
+    assert sorted(os.listdir(tmp_path)) == [".m.csv.parsed", "m.csv"]
+
+
+class Hung(Exception):
+    """Raised by the alarm of a read that waited too long; not an OSError,
+    which the reader would take for a bad sidecar."""
+
+
+def _hung(signum, frame):
+    raise Hung
+
+
+@pytest.mark.parametrize("kind", ["directory", "fifo"])
+def test_a_sidecar_that_is_no_regular_file_is_ignored(tmp_path, kind):
+    path = tmp_path / "m.csv"
+    M = np.arange(6.0).reshape(2, 3) / 7
+    path.write_bytes(savetxt_bytes(M))
+    sidecar = tmp_path / ".m.csv.parsed"
+    if kind == "directory":
+        sidecar.mkdir()
+    else:
+        os.mkfifo(sidecar)
+    # opening the FIFO to read would wait for a writer: the alarm fails the
+    # test instead of stalling the suite
+    handler = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(10)
+    try:
+        with parses() as parsed:
+            assert read_outcome(path) == (M.shape, M.tobytes())
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert parsed == ["m.csv"]
+    assert sorted(os.listdir(tmp_path)) == [".m.csv.parsed", "m.csv"]
+    # a FIFO is replaced by the parse; a directory, which a rename cannot
+    # replace, is left as it is
+    assert sidecar.is_dir() if kind == "directory" else sidecar.is_file()
+
+
+@SETTINGS
+@given(M=matrices,
+       edits=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)),
+                      min_size=1, max_size=4))
+@example(M=np.array([EXTREMES]), edits=[(55, 0x40)])  # 2**62 rows
+@example(M=np.array([EXTREMES]), edits=[(63, 0x80)])  # negative cols
+@example(M=np.array([EXTREMES]), edits=[(48, 5), (56, 1)])  # 5 x 1 for 1 x 5
+@example(M=np.array([EXTREMES]), edits=[(8, 0)])  # version 0
+def test_an_edited_sidecar_reads_as_the_parse(M, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_bytes(savetxt_bytes(M))
+        dataset.read_matrix(path)
+        sidecar = Path(tmp) / ".m.csv.parsed"
+        raw = bytearray(sidecar.read_bytes())
+        for pos, value in edits:
+            raw[pos % len(raw)] = value
+        sidecar.write_bytes(bytes(raw))
+        assert read_outcome(path) == (M.shape, M.tobytes())
+
+
+@pytest.mark.parametrize("refused", ["mkstemp", "replace"])
+def test_an_unwritable_directory_keeps_no_sidecar(tmp_path, monkeypatch, refused):
+    # refused by the file system, as a chmod of the directory would refuse
+    # any user but root
+    def refuse(*args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr(tempfile if refused == "mkstemp" else os, refused, refuse)
+    path, M = tmp_path / "m.csv", np.arange(6.0).reshape(2, 3) / 7
+    path.write_bytes(savetxt_bytes(M))
+    for _ in range(2):
+        with parses() as parsed:
+            assert read_outcome(path) == (M.shape, M.tobytes())
+        assert parsed == ["m.csv"]
+        assert os.listdir(tmp_path) == ["m.csv"]
+
+
+def _grown(path, before):
+    with open(path, "ab") as fh:
+        fh.write(b"7,8\n")
+
+
+def _retimed(path, before):
+    with open(path, "r+b") as fh:
+        fh.write(b"9")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 1))
+
+
+def _replaced(path, before):
+    other = path.with_name("other.csv")
+    other.write_bytes(b"9" + path.read_bytes()[1:])
+    os.utime(other, ns=(before.st_atime_ns, before.st_mtime_ns))
+    os.replace(other, path)
+
+
+@pytest.mark.parametrize("rewrite", [_grown, _retimed, _replaced],
+                         ids=["size", "mtime", "inode"])
+@pytest.mark.parametrize("parse", ["_loadtxt", "_read_forked"])
+def test_a_file_rewritten_during_the_parse_is_not_kept(tmp_path, monkeypatch, rewrite,
+                                                       parse):
+    # each rewrite changes one of size, mtime and inode, after the parse
+    # read the file; it is forked where the forked reader parses
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"1,2\n3,4\n5,6\n")
+    before, original = path.stat(), getattr(dataset, parse)
+
+    def rewriting(*args, **kwargs):
+        parsed = original(*args, **kwargs)
+        rewrite(path, before)
+        return parsed
+
+    monkeypatch.setattr(dataset, parse, rewriting)
+    with forked_io(3 if parse == "_read_forked" else 1):
+        got = dataset.read_matrix(path)
+    assert got.tobytes() == np.array([[1.0, 2], [3, 4], [5, 6]]).tobytes()
+    assert os.listdir(tmp_path) == ["m.csv"]
+    monkeypatch.undo()
+    now = np.loadtxt(path, delimiter=",", ndmin=2)
+    assert read_outcome(path) == (now.shape, now.tobytes())
+
+
+@pytest.mark.parametrize("text", [b"", b"\n", b"# a comment\n"])
+def test_a_file_without_data_gets_no_sidecar(tmp_path, text):
+    # every read warns, as np.loadtxt does
+    path = tmp_path / "m.csv"
+    path.write_bytes(text)
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="input contained no data"):
+            assert dataset.read_matrix(path).shape == (0, 1)
+    assert os.listdir(tmp_path) == ["m.csv"]
+
+
+@pytest.mark.parametrize("suffix", sorted(CODECS))
+def test_a_compressed_file_gets_no_sidecar(tmp_path, suffix):
+    M = np.arange(6.0).reshape(2, 3) / 7
+    path = tmp_path / f"m.csv{suffix}"
+    path.write_bytes(CODECS[suffix](savetxt_bytes(M)))
+    for _ in range(2):
+        assert read_outcome(path) == (M.shape, M.tobytes())
+    assert os.listdir(tmp_path) == [path.name]

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from forked import child_left, forked_ablate, forked_io
+from forked import child_left, drop_sidecars, forked_ablate, forked_io
 from jcmspl import workers
 from jcmspl.cli import main
 
@@ -137,8 +137,11 @@ def test_a_failed_fork_gives_the_serial_run(synth_dir, capsys, tmp_path, monkeyp
                   "--manifest", manifest], forked_io),
         "ablate": (["ablate", "--manifest", manifest, "--k", "40"], forked_ablate),
     }[command]
+    # each run parses every matrix file: none finds a sidecar of a read before
+    drop_sidecars(synth_dir)
     with forked_ablate(1):
         serial = run(capsys, argv, tmp_path / "serial")
+    drop_sidecars(synth_dir)
     fork, calls = os.fork, []
 
     def failing_fork():
