@@ -47,11 +47,15 @@ the column blocks for every C step and every objective: ``loss``,
 ``update_C``, the loop and the pass after it, the first half of the
 blocks on the caller and the second beside it.  A C step is fused with
 the loss that follows it: each block's ``A X`` serves both the C step
-and the five residuals, and no temporary is wider than a block.  C is
-row-major, as every product of a block is: each block's right-hand side
-is built in one contiguous buffer and solved there, as a product with
-the inverse from the step's one Cholesky factor.  So ``update_C``
-and ``loss`` agree with ``fit`` bit for bit by construction.
+and the residuals.  The two reconstruction norms come from k x k Grams,
+``||X - A^T C||^2 = ||X||^2 - 2 <A X, C> + <A A^T, C C^T>`` and so for Y
+and B, unless that form cancels too far, as at the larger presets; then
+they are formed in panels.  So no temporary is wider than k x b for a
+block of b columns.  C is row-major, as every product of a block is:
+each block's right-hand side is built in one contiguous buffer and
+solved there, as a product with the inverse from the step's one
+Cholesky factor.  So ``update_C`` and ``loss`` agree with ``fit`` bit
+for bit by construction.
 """
 
 from __future__ import annotations
@@ -230,6 +234,13 @@ def build_class_matrix(labels_seen, k: int, seen_classes) -> ClassSpecificMatrix
 
 def _fro2(E) -> float:
     return float(np.vdot(E, E))
+
+
+def _fro2_rows(M) -> float:
+    """``||M||^2`` as the sum of its row sums: for rows contiguous in
+    memory, a view and its copy give the same bits, and unlike ``np.vdot``
+    a strided view is not copied."""
+    return float(np.einsum("ij,ij->i", M, M).sum())
 
 
 def _fro2_minus(P, Q) -> float:
@@ -436,42 +447,90 @@ def _solve_c_block(chol, AX, B, Y, H, hyper: Hyperparams) -> np.ndarray:
     return solve_spd(chol, rhs, overwrite_rhs=True)
 
 
-def _block_norms(A, B, gather, slices, hyper: Hyperparams, chol, C) -> list:
-    """The five squared residual norms of each column block j of ``slices``,
-    whose ``(X_j, Y_j, H_j)`` is ``gather(j)``, in block order, at C, or,
-    given the Cholesky factor ``chol`` of ``_c_hessian(A, B)``, at the C
-    step of (A, B), solved into C (held one block at a time when None).
-    Each block's ``A X`` serves the C step and the first residual; Y and H
-    go before the m x b residual, and the block's C before the next block
-    is gathered."""
-    norms = []
+# The reconstruction norms of a block are taken from k x k Grams unless
+# the Gram forms' terms, weighted by lambda3 and lambda4, add up to more
+# than this multiple of twice the block's objective.  Their rounding error
+# measured at most 1.7 eps of that sum, on fits at unit lambda and at the
+# four presets with noisy and noiseless data, so at most 8 bits cancel and
+# the block's objective stays within about 1e-13 of the explicit one's.
+# At unit lambda the sum was 11 to 127 times the objective; fits at the
+# awa, cub and imnet presets can drive the reconstruction residuals so far
+# below ||X||^2 that it reaches 1e3 to 3e7 times, and there the explicit
+# form is used.
+GRAM_CANCELLATION = 256.0
+
+
+def _reconstruction_fro2(P, C, M) -> float:
+    """``||M - P^T C||^2``, summed over panels of ``len(P)`` rows of M, so
+    that no temporary is larger than C."""
+    rows = len(P)
+    return sum(_fro2_minus(P[:, start:start + rows].T @ C, M[start:start + rows])
+               for start in range(0, len(M), rows))
+
+
+def _block_norms(A, B, gather, slices, hyper: Hyperparams, chol, C, grams):
+    """``(norms, CC)``: the five squared residual norms of each column block
+    j of ``slices``, whose ``(X_j, Y_j, H_j)`` is ``gather(j)``, in block
+    order, at C, or, given the Cholesky factor ``chol`` of the C-step
+    matrix, at the C step of (A, B), solved into C (held one block at a time
+    when None); and ``C_j C_j^T`` of the last block.
+
+    The reconstruction norms come from k x k Grams,
+    ``||X_j - A^T C_j||^2 = ||X_j||^2 - 2 <A X_j, C_j> + <A A^T, C_j C_j^T>``
+    and so for Y and B, so no m x b or d x b product is formed, unless that
+    cancels too far (``GRAM_CANCELLATION``): then they are formed in panels
+    no larger than C_j, with Y_j gathered again.  Each block's ``A X``
+    serves the C step and three residuals.  ``grams`` is ``_grams(A, B)``
+    or None; then they are formed once the first block's temporaries are
+    freed, so a one-block sweep does not hold them through its C step.  A
+    given C's block is made contiguous, as a solved one is, and the squares
+    of X_j and Y_j are summed row by row (``_fro2_rows``), so the sums see
+    the same layout, and each sweep takes the same form for a block."""
+    l1, l2, l3, l4 = hyper.lambda1, hyper.lambda2, hyper.lambda3, hyper.lambda4
+    norms, CC = [], None
     for j in slices:
         X, Y, H = gather(j)
         AX = A @ X
         if chol is None:
-            Cj = C[:, j]
+            Cj = np.ascontiguousarray(C[:, j])
         else:
             Cj = _solve_c_block(chol, AX, B, Y, H, hyper)
             if C is not None:
                 C[:, j] = Cj
+        xx, xc = _fro2_rows(X), float(np.vdot(AX, Cj))
         r0 = _fro2_minus(AX, Cj)
         del AX
-        r1 = _fro2_minus(B @ Y, Cj)
-        r4 = _fro2_minus(B.T @ Cj, Y)
+        BY = B @ Y
+        yy, yc = _fro2_rows(Y), float(np.vdot(BY, Cj))
         del Y
-        r2 = _fro2(Cj - H) if hyper.lambda2 > 0 else 0.0
+        r1 = _fro2_minus(BY, Cj)
+        del BY
+        r2 = _fro2(Cj - H) if l2 > 0 else 0.0
         del H
-        norms.append((r0, r1, r2, _fro2_minus(A.T @ Cj, X), r4))
+        CC = Cj @ Cj.T
+        if grams is None:
+            grams = _grams(A, B)
+        acc, bcc = float(np.vdot(grams[0], CC)), float(np.vdot(grams[1], CC))
+        r3, r4 = xx - 2.0 * xc + acc, yy - 2.0 * yc + bcc
+        size = l3 * (xx + 2.0 * abs(xc) + acc) + l4 * (yy + 2.0 * abs(yc) + bcc)
+        if size > GRAM_CANCELLATION * (r0 + l1 * r1 + l2 * r2 + l3 * r3 + l4 * r4):
+            r3, r4 = _reconstruction_fro2(A, Cj, X), _reconstruction_fro2(B, Cj, gather(j)[1])
         del Cj
-    return norms
+        norms.append((r0, r1, r2, r3, r4))
+    return norms, CC
 
 
-def _sweep(A, B, gather, n: int, hyper: Hyperparams, C=None, K=None, keep=True):
-    """``(C, f)`` in one sweep over the ``CHUNK``-column blocks j of n
+def _sweep(A, B, gather, n: int, hyper: Hyperparams, C=None, K=None, grams=None,
+           keep=True):
+    """``(C, f, CC)`` in one sweep over the ``CHUNK``-column blocks j of n
     columns, ``gather(j)`` giving ``(X_j, Y_j, H_j)``: f is the objective at
     C, and a C of None is first solved as the C step at (A, B), block by
-    block on one Cholesky factor of ``K = _c_hessian(A, B)`` (formed here
-    when None), and unless ``keep`` held one block at a time and not returned.
+    block on one Cholesky factor of ``K = _c_hessian(_grams(A, B))``
+    (formed here when None), and unless ``keep`` held one block at a time
+    and not returned.  ``grams`` is ``_grams(A, B)`` or None
+    (``_block_norms``).  CC is ``C C^T`` when there is one block, else
+    None: the same product of the same C-contiguous array as ``C @ C.T`` of
+    the C returned, so the same bits.
 
     The caller sweeps the first half of the blocks while ``workers.beside``
     sweeps the second, and the norms are summed in block order, as the
@@ -480,14 +539,14 @@ def _sweep(A, B, gather, n: int, hyper: Hyperparams, C=None, K=None, keep=True):
     """
     chol = None
     if C is None:
-        chol = cholesky_factor(_c_hessian(A, B, hyper) if K is None else K, "M")
+        chol = cholesky_factor(_c_hessian(_grams(A, B), hyper) if K is None else K, "M")
         C = np.empty((A.shape[0], n)) if keep else None
     slices = _column_blocks(n)
     half = (len(slices) + 1) // 2
-    first, second = workers.beside(
-        len(slices), lambda: _block_norms(A, B, gather, slices[:half], hyper, chol, C),
-        lambda: _block_norms(A, B, gather, slices[half:], hyper, chol, C))
-    return C, _objective(first + second, hyper)
+    (first, CC), (second, _) = workers.beside(
+        len(slices), lambda: _block_norms(A, B, gather, slices[:half], hyper, chol, C, grams),
+        lambda: _block_norms(A, B, gather, slices[half:], hyper, chol, C, grams))
+    return C, _objective(first + second, hyper), CC if len(slices) == 1 else None
 
 
 def _final_pass(A, B, dataset: ZslDataset, positions, indicators, hyper: Hyperparams) -> float:
@@ -535,12 +594,17 @@ def fpl_fit(X, Y, ridge_eps: float = 0.0) -> np.ndarray:
     return solve_spd(G, X @ Y.T).T
 
 
-def _c_hessian(A, B, hyper: Hyperparams) -> np.ndarray:
+def _grams(A, B):
+    """``(A A^T, B B^T)``."""
+    return A @ A.T, B @ B.T
+
+
+def _c_hessian(grams, hyper: Hyperparams) -> np.ndarray:
     """``(1 + lambda1 + lambda2) I + lambda3 A A^T + lambda4 B B^T``, the
-    k x k matrix of the C-step solve."""
+    k x k matrix of the C-step solve, from ``grams = _grams(A, B)``."""
     l1, l2, l3, l4 = hyper.lambda1, hyper.lambda2, hyper.lambda3, hyper.lambda4
-    k = A.shape[0]
-    return (1.0 + l1 + l2) * np.eye(k) + l3 * (A @ A.T) + l4 * (B @ B.T)
+    AA, BB = grams
+    return (1.0 + l1 + l2) * np.eye(len(AA)) + l3 * AA + l4 * BB
 
 
 def descent_constants(A_next, B_next, C, X, Y, hyper: Hyperparams):
@@ -570,7 +634,7 @@ def descent_constants(A_next, B_next, C, X, Y, hyper: Hyperparams):
     CC = C @ C.T
     m_a = np.linalg.eigvalsh(l3 * CC)[0] + np.linalg.eigvalsh(X @ X.T)[0]
     m_b = np.linalg.eigvalsh(l4 * CC)[0] + np.linalg.eigvalsh(l1 * (Y @ Y.T))[0]
-    m_c = float(np.linalg.eigvalsh(_c_hessian(A_next, B_next, hyper))[0])
+    m_c = float(np.linalg.eigvalsh(_c_hessian(_grams(A_next, B_next), hyper))[0])
     return max(float(m_a), 0.0), max(float(m_b), 0.0), m_c
 
 
@@ -758,9 +822,10 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
     trace = TrainingTrace(
         losses=[f_prev], delta_norms=[], descent_constants=[], converged_at=None
     )
+    CC = None  # C C^T of the last sweep, when it had one block
     for t in range(1, hyper.t_max + 1):
         # lambda3 C C^T and lambda4 C C^T share one eigendecomposition
-        cc_eig = symmetric_eigen(C @ C.T, "C C^T")
+        cc_eig = symmetric_eigen(C @ C.T if CC is None else CC, "C C^T")
         A_next, m_a, ridge_a = _solve_block(
             _scaled(cc_eig, eff.lambda3), x_eig,
             (1.0 + eff.lambda3) * (C @ Xw.T), eff.ridge_eps, "A",
@@ -770,9 +835,11 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
             (eff.lambda1 + eff.lambda4) * (C @ Yw.T), eff.ridge_eps, "B",
         )
         trace.warnings += [f"iteration {t}: {r}" for r in (ridge_a, ridge_b) if r]
-        K = _c_hessian(A_next, B_next, eff)
+        grams = _grams(A_next, B_next)
+        K = _c_hessian(grams, eff)
         m_c = float(np.linalg.eigvalsh(K)[0])
-        C_next, f_t = _sweep(A_next, B_next, _columns(Xw, Yw, Hw), Xw.shape[1], eff, K=K)
+        C_next, f_t, CC = _sweep(A_next, B_next, _columns(Xw, Yw, Hw), Xw.shape[1], eff,
+                                 K=K, grams=grams)
         deltas = (
             float(np.linalg.norm(A_next - A)),
             float(np.linalg.norm(B_next - B)),
@@ -791,7 +858,7 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
     # losses[-1] is exactly what loss() gives at update_C(A, B, ...); what
     # only the loop used goes first, to keep the allocation peak down
     A, B = A @ x_basis.T, B @ y_basis.T
-    del Xw, Yw, Hw, C, C_next, A_next, B_next, cc_eig, K, x_eig, y_eig, \
+    del Xw, Yw, Hw, C, CC, C_next, A_next, B_next, cc_eig, K, grams, x_eig, y_eig, \
         x_basis, y_basis
     trace.losses[-1] = _final_pass(A, B, dataset, positions, indicators, eff)
     model = JcmsplModel(A=A, B=B, variant=hyper.variant, hyper=hyper)

@@ -109,6 +109,19 @@ def test_write_matrix_and_write_labels_are_savetxt_byte_for_byte(tmp_path, shape
     assert (tmp_path / "l.csv").read_bytes() == out.getvalue()
 
 
+def read_forks(text: bytes, cores: int) -> int:
+    """The children the forked reader starts for a file of bytes ``text`` on
+    ``cores`` workers, by its cut rule: range i of ``count`` ends just past
+    the first newline at or after byte ``size * i // count``, or at the end
+    of the file where there is none, and a file cut into fewer than two
+    ranges is read serially."""
+    size = len(text)
+    count = min(cores, size)
+    cuts = {text.find(b"\n", size * i // count) + 1 or size for i in range(1, count)}
+    ranges = len(cuts | {0, size}) - 1
+    return ranges if ranges >= 2 else 0
+
+
 @SETTINGS
 @given(M=matrices, cores=st.integers(2, 5), newline=st.sampled_from(["\n", "\r\n"]),
        final_newline=st.booleans(),
@@ -121,17 +134,20 @@ def test_write_matrix_and_write_labels_are_savetxt_byte_for_byte(tmp_path, shape
          extra_lines=[])  # one column
 @example(M=np.eye(2), cores=5, newline="\n", final_newline=True,
          extra_lines=[])  # fewer rows than workers
+@example(M=np.array([[1.0], [EXTREMES[3]]]), cores=2, newline="\n", final_newline=False,
+         extra_lines=[])  # the second half is one line with no newline: read serially
 def test_forked_read_is_loadtxt_bit_for_bit(M, cores, newline, final_newline, extra_lines):
+    text = csv_text(M, newline, final_newline, extra_lines).encode()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.csv"
-        path.write_bytes(csv_text(M, newline, final_newline, extra_lines).encode())
+        path.write_bytes(text)
         expected = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
         with forked_io(cores) as forks:
             got = dataset.read_matrix(path)
         assert got.shape == expected.shape == M.shape
         assert got.tobytes() == expected.tobytes() == M.tobytes()
         assert got.flags.c_contiguous and got.flags.writeable
-        assert len(forks) >= (2 if M.shape[0] > 1 else 0)
+        assert len(forks) == read_forks(text, cores)
 
 
 @SETTINGS

@@ -62,6 +62,21 @@ def random_instance(rng, k=4, m=5, d=3, n=6):
     return A, B, C, X, Y, H, hyper
 
 
+def reference_loss(A, B, C, X, Y, H, hyper):
+    """The five-term objective of the trainer's module docstring, each
+    residual formed explicitly over all n columns at once (H may be None
+    when lambda2 is 0): the direct formula that ``loss`` and every sweep
+    are checked against."""
+    def fro2(E):
+        return float(np.sum(E * E))
+
+    value = 0.5 * (fro2(A @ X - C) + hyper.lambda1 * fro2(B @ Y - C)
+                   + hyper.lambda3 * fro2(X - A.T @ C) + hyper.lambda4 * fro2(Y - B.T @ C))
+    if hyper.lambda2 > 0:
+        value += 0.5 * hyper.lambda2 * fro2(C - H)
+    return value
+
+
 def fd_gradient(f, M, h=1e-5):
     g = np.zeros_like(M)
     for idx in np.ndindex(M.shape):
@@ -664,7 +679,8 @@ def test_trace_csv_round_trip(tmp_path):
 
 def direct_fit(dataset, hyper):
     """Reference loop: every iteration on the n-wide data, as ``fit`` ran
-    before it switched to the Gram factor.  Returns (A, B, C, losses,
+    before it switched to the Gram factor, each loss from the direct
+    formula ``reference_loss``.  Returns (A, B, C, losses,
     iterations, ridge_warned), where ridge_warned lists the RidgeWarnings
     of the block updates in the ``trace.warnings`` format of ``fit``."""
     X = dataset.visual_seen
@@ -677,7 +693,7 @@ def direct_fit(dataset, hyper):
     A = 0.01 * rng.standard_normal((hyper.k, dataset.m))
     B = 0.01 * rng.standard_normal((hyper.k, dataset.d))
     C = 0.01 * rng.standard_normal((hyper.k, dataset.n_seen))
-    f_prev = loss(A, B, C, X, Y, H, eff)
+    f_prev = reference_loss(A, B, C, X, Y, H, eff)
     losses = [f_prev]
     ridge_warned = []
     for t in range(1, hyper.t_max + 1):
@@ -687,7 +703,7 @@ def direct_fit(dataset, hyper):
             B = update_B(C, Y, eff.lambda1, eff.lambda4, eff.ridge_eps)
         ridge_warned += [f"iteration {t}: {w.message}" for w in caught]
         C = update_C(A, B, X, Y, H, eff)
-        f_t = loss(A, B, C, X, Y, H, eff)
+        f_t = reference_loss(A, B, C, X, Y, H, eff)
         losses.append(f_t)
         if abs(f_t - f_prev) / (1.0 + f_prev) < hyper.tol:
             break
@@ -960,17 +976,6 @@ def test_n_wide_work_happens_a_fixed_number_of_times(monkeypatch):
     assert iterations[0] < iterations[1] < iterations[2]
 
 
-def unblocked_loss(A, B, C, X, Y, H, hyper):
-    """The five-term objective of the module docstring, each residual
-    formed over all n columns at once."""
-    def fro2(E):
-        return float(np.sum(E * E))
-
-    return 0.5 * (fro2(A @ X - C) + hyper.lambda1 * fro2(B @ Y - C)
-                  + hyper.lambda2 * fro2(C - H) + hyper.lambda3 * fro2(X - A.T @ C)
-                  + hyper.lambda4 * fro2(Y - B.T @ C))
-
-
 @pytest.mark.parametrize("variant", LOOP_VARIANTS)
 def test_final_pass_is_exact_across_column_blocks(variant):
     # n = 2500: two whole column blocks and a short one, whose products
@@ -991,7 +996,7 @@ def test_final_pass_is_exact_across_column_blocks(variant):
     assert model.C is None
     f = loss(A, B, C, X, Y, H, eff)
     assert trace.losses[-1] == f
-    assert abs(f - unblocked_loss(A, B, C, X, Y, H, eff)) <= 1e-12 * (1.0 + f)
+    assert abs(f - reference_loss(A, B, C, X, Y, H, eff)) <= 1e-12 * (1.0 + f)
     # the C step solved over all n columns at once
     l1, l2, l3, l4 = eff.lambda1, eff.lambda2, eff.lambda3, eff.lambda4
     M = (1.0 + l1 + l2) * np.eye(hyper.k) + l3 * (A @ A.T) + l4 * (B @ B.T)
@@ -1072,6 +1077,71 @@ def test_loss_without_c_holds_one_block_of_c(variant):
     c_bytes = 12 * dataset.n_seen * 8
     print(f"{variant}: loss peak {peak / c_bytes:.2f} of a k x n C")
     assert peak < c_bytes
+
+
+@pytest.mark.parametrize("samples_per_class", [5, 50], ids=["n_at_most_p", "n_above_p"])
+@pytest.mark.parametrize("noise", [0.05, 0.0])
+@pytest.mark.parametrize("lambdas", ["unit", *PRESETS])
+def test_loss_agrees_with_the_reference_objective(lambdas, noise, samples_per_class):
+    # at a fitted (A, B) and its C step, where the reconstruction residuals
+    # are smallest against ||X||^2 and ||Y||^2 and their Gram forms cancel
+    # the most; n = 20 or 200 samples against the 25 rows of [X; R E; C0].
+    # C is given as it is, as a strided view and as None
+    dataset, _ = synth_generate(
+        SynthSpec(m=16, d=8, k=12, num_seen_classes=4, num_unseen_classes=2,
+                  samples_per_class=samples_per_class, noise_sigma=noise, seed=1)
+    )
+    hyper = Hyperparams(k=5, seed=2, **NON_UNIT_LAMBDAS.get(lambdas, {}))
+    model, _ = fit(dataset, hyper)
+    A, B = model.A, model.B
+    X = dataset.visual_seen
+    Y = expand_prototypes(dataset.prototypes, dataset.labels_seen)
+    H = build_class_matrix(dataset.labels_seen, hyper.k, dataset.seen_classes).H
+    C = update_C(A, B, X, Y, H, hyper)
+    wide = np.zeros((hyper.k, 2 * C.shape[1]))
+    wide[:, 1::2] = C
+    f_ref = reference_loss(A, B, C, X, Y, H, hyper)
+    for given in (C, wide[:, 1::2], None):
+        f = loss(A, B, given, X, Y, H, hyper)
+        print(f"{lambdas} noise={noise}: gap {abs(f - f_ref) / (1.0 + f_ref):.1e}")
+        assert abs(f - f_ref) <= 1e-12 * (1.0 + f_ref)
+
+
+@pytest.mark.parametrize("form", ["gram", "explicit"])
+def test_no_sweep_forms_an_m_by_b_temporary(monkeypatch, form):
+    # m = 512 against k = 8: an m x CHUNK block is 4 MB, a k x CHUNK one
+    # 64 kB.  n is just over 2 CHUNK, so the helper thread (where there is
+    # one) sweeps its half of the blocks while the caller sweeps the other.
+    # At the C step of random data the reconstruction norms take the Gram
+    # form.  With orthonormal rows in A and B and X = A^T H, Y = B^T H,
+    # every residual at C = H is roundoff, and the Gram forms cancel to it:
+    # the norms are formed explicitly, in panels
+    from jcmspl import trainer
+
+    rng = np.random.default_rng(4)
+    m, d, k, n = 512, 8, 8, 2 * CHUNK + 5
+    H = build_class_matrix(rng.integers(0, 2, size=n), k, [0, 1]).H
+    if form == "gram":
+        A, B, C = rng.standard_normal((k, m)), rng.standard_normal((k, d)), None
+        X, Y = rng.standard_normal((m, n)), rng.standard_normal((d, n))
+    else:
+        A = np.linalg.qr(rng.standard_normal((m, k)))[0].T
+        B = np.linalg.qr(rng.standard_normal((d, k)))[0].T
+        C, X, Y = H, A.T @ H, B.T @ H
+    explicit, original = [], trainer._reconstruction_fro2
+    monkeypatch.setattr(trainer, "_reconstruction_fro2",
+                        lambda *args: (explicit.append(1), original(*args))[1])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loss(A, B, C, X, Y, H, Hyperparams(k=k))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    block_bytes = m * CHUNK * 8
+    print(f"{form}: loss peak {peak / block_bytes:.3f} of an m x CHUNK block")
+    assert len(explicit) == (0 if form == "gram" else 2 * 3)
+    assert peak < block_bytes
 
 
 @pytest.mark.parametrize("variant", LOOP_VARIANTS)

@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Alternating perfbench pairs of the working tree and a parent commit.
+
+Run from the repository root:
+
+    python3 tools/perf_pairs.py --parent HEAD~1 --workload large_train \\
+        --seeds 31 32 33 34 51 52 53 54 55 56
+
+Pair i runs ``perfbench/run.py --workload W --seed seeds[i] --seconds S
+--trace 0`` once in the working tree and once in a clean tree of the
+parent commit, the parent first on even pairs and the working tree first
+on odd ones.  The parent tree is exported with ``git archive`` into a
+temporary directory, which is removed at the end: unlike a ``git
+worktree`` it registers nothing in the repository, so an interrupted run
+leaves nothing behind there.  Nothing else should run on the host
+meanwhile: both sides time the same cores.
+
+It prints, for each end-to-end metric of BENCHMARK.json, every pair's
+values and relative change, the wins of the working tree (ties count for
+neither), each side's median and quartiles, and whether the gain rule of
+the benchmark's guides holds: the change wins at least nine tenths of the
+pairs, and the medians differ by more than the distance between the
+parent's quartiles.  Failed operations are counted per side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def export_commit(rev: str, into: Path) -> None:
+    """A clean tree of commit ``rev`` of the repository at ``into``."""
+    archive = into.parent / "parent.tar"
+    subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", "-o", str(archive),
+                    rev], check=True)
+    into.mkdir()
+    with tarfile.open(archive) as tar:
+        tar.extractall(into, filter="data")
+    archive.unlink()
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON result line of one untraced perfbench run in ``tree``."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=False)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise RuntimeError(f"perfbench in {tree} exited {done.returncode}: "
+                           f"{done.stderr.strip()[-500:]}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), inclusive method."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(parent: list[float], change: list[float], better: str) -> dict:
+    """Wins of ``change`` over ``parent`` pair by pair (ties count for
+    neither), each side's quartiles, and whether the gain rule holds."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    p_q, c_q = quartiles(parent), quartiles(change)
+    gain = sign * (p_q[1] - c_q[1])
+    return {
+        "wins": wins,
+        "pairs": len(parent),
+        "parent": p_q,
+        "change": c_q,
+        "claim_holds": wins >= 0.9 * len(parent) and gain > p_q[2] - p_q[0],
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="commit to compare against")
+    parser.add_argument("--workload", default="large_train")
+    parser.add_argument("--seeds", type=int, nargs="+", required=True,
+                        help="one perfbench seed per pair")
+    parser.add_argument("--seconds", type=float, default=20.0)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    values = {side: {name: [] for name in metrics} for side in ("parent", "change")}
+    failed = {"parent": 0, "change": 0}
+    with tempfile.TemporaryDirectory() as scratch:
+        parent_tree = Path(scratch) / "parent"
+        export_commit(args.parent, parent_tree)
+        trees = {"parent": parent_tree, "change": ROOT}
+        for i, seed in enumerate(args.seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run_bench(trees[side], args.workload, seed, args.seconds)
+                failed[side] += result["failed"]
+                for name in metrics:
+                    values[side][name].append(result["metrics"][name]["value"])
+            row = ", ".join(
+                f"{name} {values['parent'][name][-1]:.4g} -> {values['change'][name][-1]:.4g}"
+                f" ({values['change'][name][-1] / values['parent'][name][-1] - 1:+.1%})"
+                for name in metrics)
+            print(f"pair {i + 1} seed {seed} ({order[0]} first): {row}", flush=True)
+
+    print(f"{args.workload}: {len(args.seeds)} pairs of {args.seconds:g} s runs against "
+          f"{args.parent}; failed operations: parent {failed['parent']}, "
+          f"change {failed['change']}")
+    for name, metric in metrics.items():
+        if len(args.seeds) < 2:
+            break
+        s = summarize(values["parent"][name], values["change"][name], metric["better"])
+        p_q1, p_med, p_q3 = s["parent"]
+        c_q1, c_med, c_q3 = s["change"]
+        print(f"  {name} ({metric['unit']}, {metric['better']} is better): "
+              f"parent median {p_med:.4g} [Q1 {p_q1:.4g}, Q3 {p_q3:.4g}]; "
+              f"change median {c_med:.4g} [Q1 {c_q1:.4g}, Q3 {c_q3:.4g}]; "
+              f"median change {c_med / p_med - 1:+.1%}; change wins {s['wins']}/{s['pairs']}; "
+              f"gain rule {'holds' if s['claim_holds'] else 'does not hold'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
