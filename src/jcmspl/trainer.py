@@ -49,12 +49,12 @@ blocks on the caller and the second beside it.  A C step is fused with
 the loss that follows it: each block's ``A X`` serves both the C step
 and the residuals.  The two reconstruction norms come from k x k Grams,
 ``||X - A^T C||^2 = ||X||^2 - 2 <A X, C> + <A A^T, C C^T>`` and so for Y
-and B, unless that form cancels too far, as at the larger presets; then
-they are formed in panels.  So no temporary is wider than k x b for a
-block of b columns.  C is row-major, as every product of a block is:
-each block's right-hand side is built in one contiguous buffer and
-solved there, as a product with the inverse from the step's one
-Cholesky factor.  So ``update_C`` and ``loss`` agree with ``fit`` bit
+and B, unless that form cancels too far, as X's does at the larger
+presets; then that norm is formed in panels.  So no temporary is wider
+than k x b for a block of b columns.  C is row-major, as every product
+of a block is: each block's right-hand side is built in one contiguous
+buffer and solved there, as a product with the inverse from the step's
+one Cholesky factor.  So ``update_C`` and ``loss`` agree with ``fit`` bit
 for bit by construction.
 """
 
@@ -280,6 +280,12 @@ def _columns(X, Y, H):
     return lambda j: (X[:, j], Y[:, j], H[:, j] if H is not None else None)
 
 
+def _block_squares(X, Y) -> list:
+    """``(||X_j||^2, ||Y_j||^2)`` of each column block j, as ``_block_norms``
+    takes them from the blocks of ``_columns(X, Y, H)``."""
+    return [(_fro2_rows(X[:, j]), _fro2_rows(Y[:, j])) for j in _column_blocks(X.shape[1])]
+
+
 def _objective(block_norms, hyper: Hyperparams) -> float:
     """The objective from the five squared residual norms of each column
     block, each norm summed over the blocks in block order."""
@@ -447,28 +453,39 @@ def _solve_c_block(chol, AX, B, Y, H, hyper: Hyperparams) -> np.ndarray:
     return solve_spd(chol, rhs, overwrite_rhs=True)
 
 
-# The reconstruction norms of a block are taken from k x k Grams unless
-# the Gram forms' terms, weighted by lambda3 and lambda4, add up to more
-# than this multiple of twice the block's objective.  Their rounding error
-# measured at most 1.7 eps of that sum, on fits at unit lambda and at the
-# four presets with noisy and noiseless data, so at most 8 bits cancel and
-# the block's objective stays within about 1e-13 of the explicit one's.
-# At unit lambda the sum was 11 to 127 times the objective; fits at the
-# awa, cub and imnet presets can drive the reconstruction residuals so far
-# below ||X||^2 that it reaches 1e3 to 3e7 times, and there the explicit
-# form is used.
-GRAM_CANCELLATION = 256.0
+# Each reconstruction norm of a block is taken from k x k Grams unless the
+# scale of that form's rounding, weighted by its lambda (lambda3 for X,
+# lambda4 for Y), is more than this multiple of twice the block's
+# objective; then that norm alone is formed explicitly.  For X the scale
+# is ||X_j||^2 + 2 |<A X_j, C_j>| + <A A^T, C_j C_j^T> plus
+# sum_i (A A^T)_ii (C_j C_j^T)_ii, the last for the rounding of the two
+# Grams' entries, which dominates where A or C_j is large against A^T C_j
+# (at awa, a jcmspl1 fit's B); and so for Y and B.  On fits of five synth
+# shapes (m = 50 to 2048, k = 8 to 64, noisy and noiseless; seeds 1 and 2;
+# full and jcmspl1; unit lambda and the four presets), every block's
+# objective stayed within 1.1e-13 of the explicit one's.  At unit lambda
+# the ratio was 0.1 to 40, but up to 140 on an m = 2048, k = 8 shape,
+# whose blocks then take the explicit form.  At the awa, cub and imnet
+# presets a fit drives the X residual so far below ||X_j||^2 that X's
+# ratio reaches 250 to 2e10, while Y's stayed below 50 in full fits.
+GRAM_CANCELLATION = 64.0
+
+
+# The explicit reconstruction norms of a block of b columns are summed
+# over panels of max(k, PANEL // b) rows: none of their products is larger
+# than C_j or PANEL elements (512 kB), and a block of the loop's narrow
+# factor is not cut into m / k panels of a few columns each.
+PANEL = 1 << 16
 
 
 def _reconstruction_fro2(P, C, M) -> float:
-    """``||M - P^T C||^2``, summed over panels of ``len(P)`` rows of M, so
-    that no temporary is larger than C."""
-    rows = len(P)
+    """``||M - P^T C||^2``, summed over panels of rows of M (``PANEL``)."""
+    rows = max(len(P), PANEL // max(C.shape[1], 1))
     return sum(_fro2_minus(P[:, start:start + rows].T @ C, M[start:start + rows])
                for start in range(0, len(M), rows))
 
 
-def _block_norms(A, B, gather, slices, hyper: Hyperparams, chol, C, grams):
+def _block_norms(A, B, gather, slices, hyper: Hyperparams, chol, C, grams, squares):
     """``(norms, CC)``: the five squared residual norms of each column block
     j of ``slices``, whose ``(X_j, Y_j, H_j)`` is ``gather(j)``, in block
     order, at C, or, given the Cholesky factor ``chol`` of the C-step
@@ -478,18 +495,19 @@ def _block_norms(A, B, gather, slices, hyper: Hyperparams, chol, C, grams):
     The reconstruction norms come from k x k Grams,
     ``||X_j - A^T C_j||^2 = ||X_j||^2 - 2 <A X_j, C_j> + <A A^T, C_j C_j^T>``
     and so for Y and B, so no m x b or d x b product is formed, unless that
-    cancels too far (``GRAM_CANCELLATION``): then they are formed in panels
-    no larger than C_j, with Y_j gathered again.  Each block's ``A X``
-    serves the C step and three residuals.  ``grams`` is ``_grams(A, B)``
-    or None; then they are formed once the first block's temporaries are
-    freed, so a one-block sweep does not hold them through its C step.  A
-    given C's block is made contiguous, as a solved one is, and the squares
-    of X_j and Y_j are summed row by row (``_fro2_rows``), so the sums see
-    the same layout, and each sweep takes the same form for a block."""
+    cancels too far (``GRAM_CANCELLATION``): then that norm is formed in
+    panels (``_reconstruction_fro2``), Y's with Y_j gathered again.  Each
+    block's ``A X`` serves the C step and three residuals; ``grams`` is
+    ``_grams(A, B)``.  A given C's block is made contiguous, as a solved
+    one is, and the squares of X_j and Y_j are summed row by row
+    (``_fro2_rows``), so the sums see the same layout, and each sweep takes
+    the same form for a block.  ``squares`` holds those two sums for each
+    block of ``slices``, or is None to take them from each block."""
     l1, l2, l3, l4 = hyper.lambda1, hyper.lambda2, hyper.lambda3, hyper.lambda4
     norms, CC = [], None
-    for j in slices:
+    for i, j in enumerate(slices):
         X, Y, H = gather(j)
+        xx, yy = squares[i] if squares else (_fro2_rows(X), _fro2_rows(Y))
         AX = A @ X
         if chol is None:
             Cj = np.ascontiguousarray(C[:, j])
@@ -497,55 +515,60 @@ def _block_norms(A, B, gather, slices, hyper: Hyperparams, chol, C, grams):
             Cj = _solve_c_block(chol, AX, B, Y, H, hyper)
             if C is not None:
                 C[:, j] = Cj
-        xx, xc = _fro2_rows(X), float(np.vdot(AX, Cj))
+        xc = float(np.vdot(AX, Cj))
         r0 = _fro2_minus(AX, Cj)
         del AX
         BY = B @ Y
-        yy, yc = _fro2_rows(Y), float(np.vdot(BY, Cj))
+        yc = float(np.vdot(BY, Cj))
         del Y
         r1 = _fro2_minus(BY, Cj)
         del BY
         r2 = _fro2(Cj - H) if l2 > 0 else 0.0
         del H
         CC = Cj @ Cj.T
-        if grams is None:
-            grams = _grams(A, B)
         acc, bcc = float(np.vdot(grams[0], CC)), float(np.vdot(grams[1], CC))
         r3, r4 = xx - 2.0 * xc + acc, yy - 2.0 * yc + bcc
-        size = l3 * (xx + 2.0 * abs(xc) + acc) + l4 * (yy + 2.0 * abs(yc) + bcc)
-        if size > GRAM_CANCELLATION * (r0 + l1 * r1 + l2 * r2 + l3 * r3 + l4 * r4):
-            r3, r4 = _reconstruction_fro2(A, Cj, X), _reconstruction_fro2(B, Cj, gather(j)[1])
+        bound = GRAM_CANCELLATION * (r0 + l1 * r1 + l2 * r2 + l3 * r3 + l4 * r4)
+        if l3 * (xx + 2.0 * abs(xc) + acc + np.einsum("ii,ii", grams[0], CC)) > bound:
+            r3 = _reconstruction_fro2(A, Cj, X)
+        if l4 * (yy + 2.0 * abs(yc) + bcc + np.einsum("ii,ii", grams[1], CC)) > bound:
+            r4 = _reconstruction_fro2(B, Cj, gather(j)[1])
         del Cj
         norms.append((r0, r1, r2, r3, r4))
     return norms, CC
 
 
 def _sweep(A, B, gather, n: int, hyper: Hyperparams, C=None, K=None, grams=None,
-           keep=True):
+           squares=None, keep=True):
     """``(C, f, CC)`` in one sweep over the ``CHUNK``-column blocks j of n
     columns, ``gather(j)`` giving ``(X_j, Y_j, H_j)``: f is the objective at
     C, and a C of None is first solved as the C step at (A, B), block by
-    block on one Cholesky factor of ``K = _c_hessian(_grams(A, B))``
-    (formed here when None), and unless ``keep`` held one block at a time
-    and not returned.  ``grams`` is ``_grams(A, B)`` or None
-    (``_block_norms``).  CC is ``C C^T`` when there is one block, else
-    None: the same product of the same C-contiguous array as ``C @ C.T`` of
-    the C returned, so the same bits.
+    block on one Cholesky factor of ``K = _c_hessian(grams)``, and unless
+    ``keep`` held one block at a time and not returned.  ``grams`` is
+    ``_grams(A, B)``, and it and K are formed here when None; ``squares``
+    is ``_block_squares`` of the columns, or None.  CC is
+    ``C C^T`` when there is one block, else None: the same product of the
+    same C-contiguous array as ``C @ C.T`` of the C returned, so the same
+    bits.
 
     The caller sweeps the first half of the blocks while ``workers.beside``
     sweeps the second, and the norms are summed in block order, as the
     serial sweep sums them.  Every C step and every objective, in ``loss``,
     ``update_C`` and ``fit``, is this sweep, so they agree bit for bit.
     """
+    if grams is None:
+        grams = _grams(A, B)
     chol = None
     if C is None:
-        chol = cholesky_factor(_c_hessian(_grams(A, B), hyper) if K is None else K, "M")
+        chol = cholesky_factor(_c_hessian(grams, hyper) if K is None else K, "M")
         C = np.empty((A.shape[0], n)) if keep else None
     slices = _column_blocks(n)
     half = (len(slices) + 1) // 2
+    first_sq, second_sq = (squares[:half], squares[half:]) if squares else (None, None)
     (first, CC), (second, _) = workers.beside(
-        len(slices), lambda: _block_norms(A, B, gather, slices[:half], hyper, chol, C, grams),
-        lambda: _block_norms(A, B, gather, slices[half:], hyper, chol, C, grams))
+        len(slices),
+        lambda: _block_norms(A, B, gather, slices[:half], hyper, chol, C, grams, first_sq),
+        lambda: _block_norms(A, B, gather, slices[half:], hyper, chol, C, grams, second_sq))
     return C, _objective(first + second, hyper), CC if len(slices) == 1 else None
 
 
@@ -823,6 +846,7 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
         losses=[f_prev], delta_norms=[], descent_constants=[], converged_at=None
     )
     CC = None  # C C^T of the last sweep, when it had one block
+    squares = _block_squares(Xw, Yw)  # the factor's rows are fixed
     for t in range(1, hyper.t_max + 1):
         # lambda3 C C^T and lambda4 C C^T share one eigendecomposition
         cc_eig = symmetric_eigen(C @ C.T if CC is None else CC, "C C^T")
@@ -839,7 +863,7 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
         K = _c_hessian(grams, eff)
         m_c = float(np.linalg.eigvalsh(K)[0])
         C_next, f_t, CC = _sweep(A_next, B_next, _columns(Xw, Yw, Hw), Xw.shape[1], eff,
-                                 K=K, grams=grams)
+                                 K=K, grams=grams, squares=squares)
         deltas = (
             float(np.linalg.norm(A_next - A)),
             float(np.linalg.norm(B_next - B)),

@@ -1107,6 +1107,27 @@ def test_loss_agrees_with_the_reference_objective(lambdas, noise, samples_per_cl
         assert abs(f - f_ref) <= 1e-12 * (1.0 + f_ref)
 
 
+def test_loss_agrees_with_the_reference_objective_where_b_is_large_against_b_t_c():
+    # B's first two rows are 1e6 in size and cancel on C's two nearly equal
+    # rows, so B^T C is of order one while the entries of B B^T and C C^T
+    # are of order 1e12 and n: their rounding alone would move the Gram
+    # form of the lambda4 norm by about 1e-6 of the objective.  With
+    # lambda1 = 0, nothing else in the objective is that large
+    rng = np.random.default_rng(7)
+    k, m, d, n = 4, 6, 5, 300
+    C = rng.standard_normal((k, n))
+    C[1] = C[0] + 1e-6 * rng.standard_normal(n)
+    B = rng.standard_normal((k, d))
+    B[1] = -1e6 * B[0]
+    B[0] *= 1e6
+    A = rng.standard_normal((k, m))
+    X = A.T @ C + rng.standard_normal((m, n))
+    Y = B.T @ C + rng.standard_normal((d, n))
+    hyper = Hyperparams(k=k, lambda1=0.0, lambda2=0.0)
+    f, f_ref = loss(A, B, C, X, Y, None, hyper), reference_loss(A, B, C, X, Y, None, hyper)
+    assert abs(f - f_ref) <= 1e-12 * (1.0 + f_ref)
+
+
 @pytest.mark.parametrize("form", ["gram", "explicit"])
 def test_no_sweep_forms_an_m_by_b_temporary(monkeypatch, form):
     # m = 512 against k = 8: an m x CHUNK block is 4 MB, a k x CHUNK one
