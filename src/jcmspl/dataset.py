@@ -105,7 +105,8 @@ def _loadtxt(path, what: str, **kwargs) -> np.ndarray:
 MATRIX_READ = {"delimiter": ",", "dtype": np.float64, "ndmin": 2}
 # Each worker of a matrix read or write gets at least this many bytes: the
 # file's for a read, the array's for a write.  That is about 22 ms of parsing
-# or 100 ms of formatting, against a median 3.0 ms to fork, pipe and reap one
+# or 15 ms of formatting (a 256 x 500 slice of the large synth's features, best
+# of 15 runs on one core), against a median 3.0 ms to fork, pipe and reap one
 # child of a process holding the large synth (58 MB resident; 3.8 ms at 70 MB
 # after a fit; 2-core x86-64 host, numpy 2.4, Python 3.11).
 PARALLEL_MIN_BYTES = 1_000_000
@@ -285,14 +286,161 @@ def read_matrix(path) -> np.ndarray:
     return parsed
 
 
+# ``_write_rows`` formats BLOCK values at a time.  Each value gets a record of
+# RECORD bytes, five little-endian words, NUL wherever it has no character:
+#   byte 0          '-' for a negative value
+#   bytes 1-5       "0." and the zeros after the point, right-aligned, for e < 0
+#   byte 6 + 2i     digit i of the 17 significant digits, i = 0..16
+#   byte 7 + 2i     '.' after digit i = e (0 <= e <= 14)
+#   byte 39         ',' or, at the end of a row, '\n'
+# Digits past the last nonzero one, and a point with no digit after it, are
+# cleared: that is %g's layout.  One bytes.translate drops every NUL.
+BLOCK = 2048
+RECORD = 40
+NEWLINE_FLIP = np.uint64((ord(",") ^ ord("\n")) << 56)  # flips byte 39 of a record
+
+
+def _text_tables():
+    groups = np.arange(10000)
+    digits = [groups // 10 ** (3 - k) % 10 for k in range(4)]
+    # 4-digit group -> its digits at bytes 0, 2, 4 and 6 of a word
+    group_text = sum((d + ord("0")).astype(np.uint64) << np.uint64(16 * k)
+                     for k, d in enumerate(digits))
+    last = np.zeros(10000, dtype=np.intp)
+    for k, d in enumerate(digits):
+        last[d != 0] = k + 1
+    # group j holds digits 4j+1..4j+4: the index of its last nonzero one, 0 if none
+    last_nonzero = np.stack([np.where(groups != 0, 4 * j + last, 0) for j in range(4)])
+    layout = np.zeros((19, RECORD), dtype=np.uint8)  # row e + 4, e = -4..14
+    for e, row in zip(range(-4, 15), layout):
+        if e < 0:
+            prefix = b"0." + b"0" * (-e - 1)
+            row[6 - len(prefix) : 6] = list(prefix)
+        else:
+            row[7 + 2 * e] = ord(".")
+        row[RECORD - 1] = ord(",")
+    keep = np.zeros((17, RECORD), dtype=np.uint8)  # row K: bytes through digit K
+    for K, row in enumerate(keep):
+        row[: 7 + 2 * K] = 0xFF
+        row[RECORD - 1] = 0xFF
+    return (group_text, last_nonzero, layout.view(f"V{RECORD}").ravel(),
+            np.ascontiguousarray(keep.view("<u8").T))
+
+
+GROUP_TEXT, LAST_NONZERO, LAYOUT, KEEP = _text_tables()
+LEADING_TEXT = (np.arange(10, dtype=np.uint64) + np.uint64(ord("0"))) << np.uint64(48)  # byte 6
+# at e + 4: 10**s and 5**s for s = 16 - e, both exact
+POW10 = 10.0 ** np.arange(20, 1, -1)
+POW5 = np.array([5**s for s in range(20, 1, -1)], dtype=np.uint64)
+HALF = np.array([0] + [1 << (r - 1) for r in range(1, 64)], dtype=np.int64)  # 2**(r-1) at r
+
+
+def _records(x: np.ndarray, rec: np.ndarray) -> np.ndarray:
+    """Fill ``rec`` (len(x) x 5 words) with the records of the float64 vector
+    ``x``, each ending in ','; return the indices of the values that this
+    kernel does not format (their records are left to the caller).
+
+    It formats +-0 and the x with 1e-4 <= |x| < 1e15.  With e = floor(log10
+    |x|) and s = 16 - e, the 17 digits are D = |x| * 10**s rounded half to
+    even, as Python's correctly rounded %-format rounds.  The float64
+    product D~ is within 9 of |x| * 10**s, since 10**s is exact.  With
+    |x| = f * 2**q, the scaled value is V / 2**r for V = f * 5**s and
+    1 <= r = -(q + s) <= 46, so the error V - D~ * 2**r fits in 63 bits,
+    and uint64 arithmetic, which wraps, gives it exactly: its top bits
+    correct D~ and its low r bits round.  Where np.log10 misjudges e next
+    to a power of ten, D comes out at most 10**16 (e one too large) or at
+    least 10**17 (one too small), so every D outside (10**16, 10**17) is
+    left to the caller; of the values whose e is right, at most one per
+    power of ten, the double nearest it, has D = 10**16."""
+    mag = x.view(np.uint64) & np.uint64(0x7FFF_FFFF_FFFF_FFFF)
+    ax = mag.view(np.float64)
+    zero = mag == 0
+    # values out of range (nan too) are estimated as 1.0, never themselves:
+    # its D = 10**16 leaves them to the caller
+    np.copyto(ax, 1.0, where=(ax < 1e-4) | ~(ax < 1e15))
+    e = np.log10(ax)
+    np.floor(e, out=e)
+    e = e.astype(np.intp)
+    np.minimum(e, 14, out=e)
+    np.maximum(e, -4, out=e)
+    e += 4
+    D = (ax * POW10[e]).astype(np.uint64)
+    r = (mag >> np.uint64(52)).view(np.int64)  # the biased exponent
+    np.subtract(1055, r, out=r)
+    r += e  # r = 1075 - exponent - s
+    mag &= np.uint64((1 << 52) - 1)
+    mag |= np.uint64(1 << 52)  # f
+    mag *= POW5[e]
+    mag -= D << r.view(np.uint64)
+    error = mag.view(np.int64)
+    top = error >> r
+    D = D.view(np.int64)
+    D += top
+    top <<= r
+    error -= top  # the low r bits
+    error += D & 1  # a tie goes to the even D
+    D += error > HALF[r]
+    del mag, ax, error, top, r
+    slow = np.flatnonzero(~(zero | ((D > 10**16) & (D < 10**17))))
+    np.putmask(D, zero, 0)
+    D[slow] = 0  # keeps every table index below in range
+
+    # digit 0, then four groups of 4 digits
+    leading = D // 10**16
+    D -= leading * 10**16
+    high = D // 10**8
+    D -= high * 10**8
+    groups = [high // 10**4, high, D // 10**4, D]
+    groups[1] -= groups[0] * 10**4
+    groups[3] -= groups[2] * 10**4
+    np.take(LAYOUT, e, out=rec.view(f"V{RECORD}").ravel())
+    K = e - 4  # the last digit kept: digit e, or the last nonzero digit after it
+    for last_nonzero, g in zip(LAST_NONZERO, groups):
+        np.maximum(K, last_nonzero[g], out=K)
+    rec[:, 0] |= LEADING_TEXT[leading]
+    rec[:, 0] |= (x.view(np.uint64) >> np.uint64(63)) * np.uint64(ord("-"))
+    for word, g in zip(rec.T[1:], groups):
+        word |= GROUP_TEXT[g]
+    for word, keep in zip(rec.T, KEEP):
+        word &= keep[K]
+    return slow
+
+
 def _write_rows(fh, M: np.ndarray) -> None:
     """``np.savetxt(fh, M, delimiter=",", fmt="%.17g")`` byte for byte into
-    the binary file ``fh``, formatting each row from its Python floats with
-    one bytes format.  %.17g round-trips float64 exactly."""
+    the binary file ``fh``.  %.17g round-trips float64 exactly.
+
+    Pieces of at most BLOCK values (whole rows, or part of a row longer
+    than BLOCK) are formatted by ``_records`` into one buffer of records;
+    the values it leaves, such as subnormals, +-1e300 and nan, each take
+    ``b"%.17g" % v`` in their own record."""
     if M.ndim == 1:  # savetxt writes a vector as a column
         M = M[:, None]
-    line = b",".join([b"%.17g"] * M.shape[1]) + b"\n"
-    fh.writelines(line % tuple(row.tolist()) for row in M)
+    rows, cols = M.shape
+    if cols == 0:
+        fh.write(b"\n" * rows)
+        return
+    if cols <= BLOCK:
+        pieces = ((M[start : start + BLOCK // cols], True)
+                  for start in range(0, rows, BLOCK // cols))
+    else:
+        pieces = ((M[row, None, start : start + BLOCK], start + BLOCK >= cols)
+                  for row in range(rows) for start in range(0, cols, BLOCK))
+    buf = bytearray(RECORD * min(BLOCK, M.size))
+    for piece, row_end in pieces:
+        x = np.ascontiguousarray(piece).ravel()
+        n = x.size
+        rec = np.frombuffer(buf, dtype=np.uint64, count=5 * n).reshape(n, 5)
+        slow = _records(x, rec)
+        if row_end:
+            width = piece.shape[1]
+            rec[width - 1 :: width, 4] ^= NEWLINE_FLIP
+        rec[slow, :4] = 0
+        rec[slow, 4] &= np.uint64(0xFF << 56)
+        for i, value in zip(slow.tolist(), x[slow].tolist()):
+            text = b"%.17g" % value
+            buf[RECORD * i : RECORD * i + len(text)] = text
+        fh.write((buf if len(buf) == RECORD * n else buf[: RECORD * n]).translate(None, b"\0"))
 
 
 def _format_rows(pipe, rows: np.ndarray) -> None:
@@ -312,6 +460,8 @@ def write_matrix(path, M) -> None:
     pipe, and the caller appends them in order.  The caller formats itself
     any range that no child took or delivered."""
     M = np.asarray(M, dtype=np.float64)
+    if M.ndim not in (1, 2):  # as np.savetxt refuses it
+        raise ShapeMismatchError(f"a matrix to write must be 1-D or 2-D, got ndim={M.ndim}")
     count = _workers(M.shape[0] if M.ndim == 2 else 1, M.nbytes)
     head, *rest = [M[start:stop] for start, stop in block_partition(M.shape[0], count)]
     with open(path, "wb") as out, workers.forked(_format_rows, rest) as children:

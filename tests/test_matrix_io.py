@@ -9,6 +9,7 @@ import io
 import os
 import signal
 import tempfile
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -20,16 +21,20 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from forked import child_left, forked_io
 from jcmspl import dataset
-from jcmspl.errors import DatasetError
+from jcmspl.errors import DatasetError, ShapeMismatchError
 from malformed import CODECS
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 EXTREMES = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+# raw 64-bit patterns of either sign whose exponent is one of the %.17g
+# kernel's (the binades from 2**-14 to 2**49, which hold 1e-4 and 1e15)
+KERNEL_BITS = st.tuples(st.integers(1009 << 52, (1073 << 52) - 1), st.booleans()).map(
+    lambda bits: float(np.uint64(bits[0] | bits[1] << 63).view(np.float64)))
 matrices = arrays(
     np.float64,
     array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
     elements=st.one_of(st.sampled_from(EXTREMES),
-                       st.floats(allow_nan=False, allow_infinity=False)),
+                       st.floats(allow_nan=False, allow_infinity=False), KERNEL_BITS),
 )
 
 
@@ -87,8 +92,16 @@ def test_forked_write_is_savetxt_byte_for_byte(M, cores):
         assert os.listdir(tmp) == ["m.csv"]
 
 
+# where the %.17g kernel of the writer can break: ties rounded half to even
+# (down to 0.50000381469726562, up to 0.50001144409179688), integral values,
+# the ends of its range [1e-4, 1e15), both neighbours of every power of ten
+# around it, and the first and last double of each binade in it
+KERNEL_EDGES = [131073 * 2.0**-18, 131075 * 2.0**-18, 123456789.0, 1e14, 1e-4, 1e15,
+                *(np.nextafter(10.0**k, to) for k in range(-5, 17) for to in (0.0, np.inf)),
+                *(v for p in range(-13, 49) for v in (2.0**p, np.nextafter(2.0 ** (p + 1), 0.0)))]
 WRITER_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e300, -1e300, 1e-300,
-                 -1e-300, 1.0, -3.0, 2.0**53, 1e22, 0.1, np.nan, np.inf, -np.inf]
+                 -1e-300, 1.0, -3.0, 2.0**53, 1e22, 0.1, np.nan, np.inf, -np.inf,
+                 *KERNEL_EDGES, *(-v for v in KERNEL_EDGES)]
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (1, 16), (16, 1), (3, dataset.CHUNK + 5), (16,),
@@ -107,6 +120,46 @@ def test_write_matrix_and_write_labels_are_savetxt_byte_for_byte(tmp_path, shape
     out = io.BytesIO()
     np.savetxt(out, labels, fmt="%d")
     assert (tmp_path / "l.csv").read_bytes() == out.getvalue()
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "column_slice"])
+@pytest.mark.parametrize("shape", [(3, 2 * dataset.BLOCK + 3), (dataset.BLOCK + 7, 3),
+                                   (5, dataset.BLOCK), (2, dataset.BLOCK // 2 + 1)])
+def test_blocks_split_rows_as_savetxt_does(shape, layout):
+    # rows longer than a block, blocks of whole rows that end mid-matrix, a
+    # row of exactly one block, and every layout, with fast and fallback
+    # values mixed in each row
+    M = np.resize(WRITER_VALUES, (shape[0], 2 * shape[1]))
+    M = {"C": M[:, : shape[1]].copy(), "F": np.asfortranarray(M[:, : shape[1]]),
+         "column_slice": M[:, ::2]}[layout]
+    out = io.BytesIO()
+    dataset._write_rows(out, M)
+    assert out.getvalue() == savetxt_bytes(M)
+
+
+@pytest.mark.parametrize("shape", [(), (2, 2, 2), (1, 1, 1, 1)])
+def test_an_array_neither_1d_nor_2d_is_refused_before_anything_is_opened(tmp_path, shape):
+    with forked_io(3) as forks, pytest.raises(ShapeMismatchError, match=f"ndim={len(shape)}"):
+        dataset.write_matrix(tmp_path / "m.csv", np.zeros(shape))
+    assert forks == []
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("shape, limit", [((50, 500), 0.4e6), ((256, 8000), 0.76e6)])
+def test_write_matrix_holds_a_block_of_text_not_a_row(tmp_path, shape, limit):
+    # the default synth's visual_seen (written serially) and the large one's
+    # (its first half formatted here, the rest on a forked worker where the
+    # host has two cores): the kernel's buffers are per block, whatever the
+    # width of a row (the row-at-a-time writer held 0.76 MB at 256 x 8000)
+    M = np.random.default_rng(0).standard_normal(shape) / 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        dataset.write_matrix(tmp_path / "m.csv", M)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, peak
 
 
 def read_forks(text: bytes, cores: int) -> int:

@@ -3,24 +3,30 @@
 
 Run from the repository root:
 
-    python3 tools/perf_pairs.py --parent HEAD~1 --workload large_train \\
+    python3 tools/perf_pairs.py --parent HEAD~1 --workload large_io small_cli \\
         --seeds 31 32 33 34 51 52 53 54 55 56
 
-Pair i runs ``perfbench/run.py --workload W --seed seeds[i] --seconds S
---trace 0`` once in the working tree and once in a clean tree of the
-parent commit, the parent first on even pairs and the working tree first
-on odd ones.  The parent tree is exported with ``git archive`` into a
-temporary directory, which is removed at the end: unlike a ``git
-worktree`` it registers nothing in the repository, so an interrupted run
-leaves nothing behind there.  Nothing else should run on the host
-meanwhile: both sides time the same cores.
+For each workload in turn, pair i runs ``perfbench/run.py --workload W
+--seed seeds[i] --seconds S --trace 0`` once in the working tree and once
+in a clean tree of the parent commit, the parent first on even pairs and
+the working tree first on odd ones; every workload gets the same seeds.
+The parent tree is exported with ``git archive`` into a temporary
+directory, which is removed at the end: unlike a ``git worktree`` it
+registers nothing in the repository, so an interrupted run leaves nothing
+behind there.  Nothing else should run on the host meanwhile: both sides
+time the same cores.
 
-It prints, for each end-to-end metric of BENCHMARK.json, every pair's
-values and relative change, the wins of the working tree (ties count for
-neither), each side's median and quartiles, and whether the gain rule of
-the benchmark's guides holds: the change wins at least nine tenths of the
-pairs, and the medians differ by more than the distance between the
-parent's quartiles.  Failed operations are counted per side.
+It prints, for each workload and each end-to-end metric of BENCHMARK.json,
+every pair's values and relative change, the wins of the working tree
+(ties count for neither), each side's median and quartiles, whether the
+change's median is within the metric's ``bound`` of the parent's (no worse
+by more than that fraction: the no-regression rule), and whether the gain
+rule of the benchmark's guides holds: the change wins at least nine tenths
+of the pairs, and the medians differ by more than the distance between the
+parent's quartiles.  A run that gives no value for a metric (its peak
+operation failed) is reported as missing, and the metric's summary uses
+the pairs in which both sides gave one.  Failed operations are counted per
+side.
 """
 
 from __future__ import annotations
@@ -67,9 +73,10 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
+def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     """Wins of ``change`` over ``parent`` pair by pair (ties count for
-    neither), each side's quartiles, and whether the gain rule holds."""
+    neither), each side's quartiles, whether the change's median is within
+    ``bound`` (a fraction) of the parent's, and whether the gain rule holds."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     p_q, c_q = quartiles(parent), quartiles(change)
@@ -79,14 +86,68 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         "pairs": len(parent),
         "parent": p_q,
         "change": c_q,
+        "within_bound": gain >= -bound * abs(p_q[1]),
         "claim_holds": wins >= 0.9 * len(parent) and gain > p_q[2] - p_q[0],
     }
+
+
+def pair_text(parent: float | None, change: float | None) -> str:
+    """One pair's values and relative change; a missing value reads None."""
+    if parent is None or change is None:
+        return f"{parent} -> {change}"
+    relative = f" ({change / parent - 1:+.1%})" if parent else ""
+    return f"{parent:.4g} -> {change:.4g}{relative}"
+
+
+def run_pairs(trees: dict, workload: str, seeds: list[int], seconds: float, metrics: dict):
+    """Per side, each metric's values over the pairs (None where a run gave
+    none), and the failed operations."""
+    values = {side: {name: [] for name in metrics} for side in trees}
+    failed = {side: 0 for side in trees}
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_bench(trees[side], workload, seed, seconds)
+            failed[side] += result["failed"]
+            for name in metrics:
+                values[side][name].append(result["metrics"][name]["value"])
+        row = ", ".join(f"{name} {pair_text(values['parent'][name][-1], values['change'][name][-1])}"
+                        for name in metrics)
+        print(f"{workload} pair {i + 1} seed {seed} ({order[0]} first): {row}", flush=True)
+    return values, failed
+
+
+def report(workload: str, values: dict, failed: dict, metrics: dict, args) -> None:
+    print(f"{workload}: {len(args.seeds)} pairs of {args.seconds:g} s runs against "
+          f"{args.parent}; failed operations: parent {failed['parent']}, "
+          f"change {failed['change']}")
+    for name, metric in metrics.items():
+        pairs = [(p, c) for p, c in zip(values["parent"][name], values["change"][name])
+                 if p is not None and c is not None]
+        missing = len(args.seeds) - len(pairs)
+        head = f"  {name} ({metric['unit']}, {metric['better']} is better, bound {metric['bound']:.0%})"
+        if len(pairs) < 2:
+            print(f"{head}: {len(pairs)} pair(s) with both values, {missing} missing; "
+                  "not summarized")
+            continue
+        parent, change = map(list, zip(*pairs))
+        s = summarize(parent, change, metric["better"], metric["bound"])
+        p_q1, p_med, p_q3 = s["parent"]
+        c_q1, c_med, c_q3 = s["change"]
+        print(f"{head}: parent median {p_med:.4g} [Q1 {p_q1:.4g}, Q3 {p_q3:.4g}]; "
+              f"change median {c_med:.4g} [Q1 {c_q1:.4g}, Q3 {c_q3:.4g}]; "
+              f"median change {c_med / p_med - 1:+.1%}; "
+              f"change wins {s['wins']}/{s['pairs']}; "
+              f"within bound: {'yes' if s['within_bound'] else 'NO'}; "
+              f"gain rule {'holds' if s['claim_holds'] else 'does not hold'}"
+              + (f"; {missing} pair(s) missing a value" if missing else ""))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
-    parser.add_argument("--workload", default="large_train")
+    parser.add_argument("--workload", nargs="+", default=["large_train"],
+                        help="one or more workloads, each run on every seed")
     parser.add_argument("--seeds", type=int, nargs="+", required=True,
                         help="one perfbench seed per pair")
     parser.add_argument("--seconds", type=float, default=20.0)
@@ -94,39 +155,14 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
-    values = {side: {name: [] for name in metrics} for side in ("parent", "change")}
-    failed = {"parent": 0, "change": 0}
     with tempfile.TemporaryDirectory() as scratch:
         parent_tree = Path(scratch) / "parent"
         export_commit(args.parent, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
-        for i, seed in enumerate(args.seeds):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                result = run_bench(trees[side], args.workload, seed, args.seconds)
-                failed[side] += result["failed"]
-                for name in metrics:
-                    values[side][name].append(result["metrics"][name]["value"])
-            row = ", ".join(
-                f"{name} {values['parent'][name][-1]:.4g} -> {values['change'][name][-1]:.4g}"
-                f" ({values['change'][name][-1] / values['parent'][name][-1] - 1:+.1%})"
-                for name in metrics)
-            print(f"pair {i + 1} seed {seed} ({order[0]} first): {row}", flush=True)
-
-    print(f"{args.workload}: {len(args.seeds)} pairs of {args.seconds:g} s runs against "
-          f"{args.parent}; failed operations: parent {failed['parent']}, "
-          f"change {failed['change']}")
-    for name, metric in metrics.items():
-        if len(args.seeds) < 2:
-            break
-        s = summarize(values["parent"][name], values["change"][name], metric["better"])
-        p_q1, p_med, p_q3 = s["parent"]
-        c_q1, c_med, c_q3 = s["change"]
-        print(f"  {name} ({metric['unit']}, {metric['better']} is better): "
-              f"parent median {p_med:.4g} [Q1 {p_q1:.4g}, Q3 {p_q3:.4g}]; "
-              f"change median {c_med:.4g} [Q1 {c_q1:.4g}, Q3 {c_q3:.4g}]; "
-              f"median change {c_med / p_med - 1:+.1%}; change wins {s['wins']}/{s['pairs']}; "
-              f"gain rule {'holds' if s['claim_holds'] else 'does not hold'}")
+        results = {workload: run_pairs(trees, workload, args.seeds, args.seconds, metrics)
+                   for workload in args.workload}
+    for workload, (values, failed) in results.items():
+        report(workload, values, failed, metrics, args)
     return 0
 
 
