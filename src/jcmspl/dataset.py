@@ -104,11 +104,12 @@ def _loadtxt(path, what: str, **kwargs) -> np.ndarray:
 
 MATRIX_READ = {"delimiter": ",", "dtype": np.float64, "ndmin": 2}
 # Each worker of a matrix read or write gets at least this many bytes: the
-# file's for a read, the array's for a write.  That is about 22 ms of parsing
-# or 15 ms of formatting (a 256 x 500 slice of the large synth's features, best
-# of 15 runs on one core), against a median 3.0 ms to fork, pipe and reap one
-# child of a process holding the large synth (58 MB resident; 3.8 ms at 70 MB
-# after a fit; 2-core x86-64 host, numpy 2.4, Python 3.11).
+# file's for a read, the array's for a write.  A 256 x 500 slice of the large
+# synth's features (1 MB of float64, 2.7 MB of text) takes about 16 ms to parse
+# (28 ms by np.loadtxt) and 15 ms to format, best of 15 runs on one core,
+# against a median 3.0 ms to fork, pipe and reap one child of a process holding
+# the large synth (58 MB resident; 3.8 ms at 70 MB after a fit; 2-core x86-64
+# host, numpy 2.4, Python 3.11).
 PARALLEL_MIN_BYTES = 1_000_000
 # np.loadtxt decompresses files with these suffixes; they are read serially
 COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
@@ -120,17 +121,217 @@ def _workers(rows: int, nbytes: int) -> int:
     return workers.count(min(rows, nbytes // PARALLEL_MIN_BYTES))
 
 
+# ``_parse_block`` reads each field of 1 to FIELD bytes from the FIELD-byte
+# window that ends at its separator: three little-endian words, XORed with
+# '0' so that a digit byte holds its value.  The bytes before the field and a
+# leading '-' are cleared (KEEP_FROM, by the count of bytes to clear), and so
+# is a point, found by a byte compare.  Where every other byte is a digit,
+# the words give the integer D' of the field's digits with a 0 for its point.
+FIELD = 24
+PARSE_BLOCK = 1 << 18  # bytes of whole lines per kernel call
+KEEP_FROM = (np.uint8(0xFF) * (np.arange(FIELD) >= np.arange(FIELD + 1)[:, None])).view(
+    f"V{FIELD}")[:, 0]
+ZEROS = np.uint64(0x3030_3030_3030_3030)  # '0' in every byte
+POINTS = np.uint64(0x1E1E_1E1E_1E1E_1E1E)  # '.' ^ '0' in every byte
+LOW7 = np.uint64(0x7F7F_7F7F_7F7F_7F7F)
+TOP_BITS = np.uint64(0x8080_8080_8080_8080)
+OVER_NINE = np.uint64(0x7676_7676_7676_7676)  # + 0x76 sets bit 7 of a byte above 9
+# byte 7 of (1 at byte p of word j) * POINT_AT[j] is 24 - 8j - p: 1 + the
+# digits after a point there
+POINT_AT = np.array([sum((17 - 8 * j + p) << (8 * p) for p in range(8)) for j in range(3)],
+                    dtype=np.uint64)
+INT_POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
+FLOAT_POW10 = np.array([float(10**k) for k in range(FIELD)])  # exact through 10**22
+INT_POW5 = np.array([5**k for k in range(FIELD)], dtype=np.uint64)
+FLOAT_CHARS = b"0123456789.eE+-"
+
+
+def _quotients(D: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The doubles nearest D / 10**f (D < 10**19 uint64, f <= 23), and a
+    mask of those it leaves unsettled.
+
+    Where D < 2**53 and f <= 22 both are exact doubles, and one division
+    rounds correctly (Clinger's fast path).  Otherwise that quotient
+    x = F * 2**E (2**52 <= F < 2**53) is within 3 ulps of D / 10**f.  With
+    a - b = 1 - E - f and a, b >= 0, r = D * 2**a - (2F - 1) * 5**f * 2**b is
+    D / 10**f less x's lower midpoint, and w = 2 * 5**f * 2**b is one ulp,
+    on one scale where both stay below 2**62 in magnitude; so uint64
+    arithmetic, which wraps, gives them exactly (after Lemire, "Number
+    Parsing at a Gigabyte per Second", 2021).  The result is x where
+    0 < r < w, the double below x where -w < r < 0 and the one above where
+    w < r < 2w.  A tie (r = 0 or w), a miss by more, and x at F = 2**52 or
+    2**52 + 1 unless it steps up (the spacing below 2**52 * 2**E halves)
+    are left unsettled."""
+    x = D.astype(np.float64)
+    x /= FLOAT_POW10[f]
+    near = np.flatnonzero((D >= np.uint64(1 << 53)) | (f > 22))
+    unsettled = np.zeros(x.shape, dtype=bool)
+    if near.size:
+        D, f = D[near], f[near]
+        bits = x[near].view(np.uint64)
+        F = bits & np.uint64((1 << 52) - 1)
+        edge = F <= 1
+        F |= np.uint64(1 << 52)
+        c = (bits >> np.uint64(52)).view(np.int64)
+        c += f
+        np.subtract(1076, c, out=c)  # 1 - E - f, the exponent field being E + 1075
+        a = np.maximum(c, 0)
+        b = np.subtract(a, c, out=c).view(np.uint64)
+        D <<= a.view(np.uint64)
+        F += F
+        F -= np.uint64(1)
+        w = INT_POW5[f]
+        F *= w
+        F <<= b
+        D -= F
+        b += np.uint64(1)
+        w <<= b
+        r = D.view(np.int64)
+        w = w.view(np.int64)
+        r += w  # the double below in (0, w), x in (w, 2w), the one above in (2w, 3w)
+        down = r < w
+        up = r > 2 * w
+        unsettled[near] = (r <= 0) | (r >= 3 * w) | (r == w) | (r == 2 * w) | (edge & ~up)
+        bits += up
+        bits -= down
+        x[near] = bits.view(np.float64)
+    return x, unsettled
+
+
+def _parse_block(u: np.ndarray, windows: np.ndarray, lo: int, hi: int) -> np.ndarray | None:
+    """The rows of ``u[lo:hi]``, whole lines each ending in a newline, bit
+    for bit as ``np.loadtxt(..., **MATRIX_READ)`` parses them; None for text
+    that it leaves to np.loadtxt.  ``windows`` views ``u`` as one FIELD-byte
+    item per offset, and ``u`` holds FIELD bytes before ``lo``.
+
+    Every line must have the first line's field count and every field 1 to
+    FIELD bytes.  A field of an optional '-', digits and at most one point,
+    with D < 10**19 for its digits and f digits after the point, is
+    +-D / 10**f (``_quotients``).  Every other field, and any that
+    ``_quotients`` leaves, takes Python's ``float`` if its bytes are in
+    FLOAT_CHARS (an exponent, a '+'): ``float`` also takes '_' and spaces,
+    which np.loadtxt may refuse."""
+    seg = u[lo:hi]
+    seps = seg == ord(",")
+    seps |= seg == ord("\n")
+    ends = np.flatnonzero(seps)
+    newline = seg[ends] == ord("\n")
+    cols = int(newline.argmax()) + 1
+    rows = ends.size // cols
+    if (rows * cols != ends.size or np.count_nonzero(newline) != rows
+            or not newline[cols - 1 :: cols].all()):
+        return None
+    ends += lo
+    starts = np.empty_like(ends)
+    starts[0] = lo
+    np.add(ends[:-1], 1, out=starts[1:])
+    width = ends - starts
+    if not (width.view(np.uint64) - np.uint64(1) < np.uint64(FIELD)).all():
+        return None
+    neg = u[starts] == ord("-")
+    V = windows[ends - FIELD].view(np.uint64).reshape(-1, 3)
+    V ^= ZEROS
+    cleared = FIELD - width
+    cleared += neg
+    V &= KEEP_FROM[cleared].view(np.uint64).reshape(-1, 3)
+    # 1 at each byte that was '.': bit 7 of a byte's low 7 bits plus 0x7F,
+    # ORed with the byte, is clear only for a zero byte
+    t = V ^ POINTS
+    point = t & LOW7
+    point += LOW7
+    point |= t
+    point |= LOW7
+    np.invert(point, out=point)
+    point >>= np.uint64(7)
+    np.multiply(point, POINT_AT, out=t)
+    t >>= np.uint64(56)
+    f1 = t[:, 0] + t[:, 1]
+    f1 += t[:, 2]  # f + 1 where the field has one point, 0 where none
+    dotted = f1 != 0
+    if np.count_nonzero(seg == ord(".")) != np.count_nonzero(dotted):
+        return None  # a field with two points
+    point *= np.uint64(0x1E)
+    V ^= point
+    bad = V + OVER_NINE
+    bad |= V
+    high = bad[:, 0] | bad[:, 1]
+    high |= bad[:, 2]
+    high &= TOP_BITS
+    plain = high == 0
+    plain &= width - neg > dotted  # a digit at least
+    # 8 digits per word: pairs, then groups of 4, then 8
+    for shift, mask, scale in ((8, 0x00FF_00FF_00FF_00FF, 10), (16, 0x0000_FFFF_0000_FFFF, 100),
+                               (32, 0xFFFF_FFFF, 10000)):
+        np.right_shift(V, np.uint64(shift), out=t)
+        V *= np.uint64(scale)
+        V += t
+        V &= np.uint64(mask)
+    plain &= V[:, 0] < 1000  # D' < 10**19
+    D = V[:, 0] * np.uint64(10**16)
+    D += V[:, 1] * np.uint64(10**8)
+    D += V[:, 2]
+    # D = D' - 9 * floor(D' / 10**(f + 1)) * 10**f takes the point's 0 out
+    at = np.minimum(f1, 19).view(np.int64)
+    at[~dotted] = 19
+    whole = D // INT_POW10[at]
+    at -= 1
+    np.maximum(at, 0, out=at)
+    whole *= INT_POW10[at]
+    whole *= np.uint64(9)
+    D -= whole
+    D[~plain] = 0
+    x, unsettled = _quotients(D, f1.view(np.int64) - dotted)
+    x.view(np.uint64)[neg] |= np.uint64(1 << 63)
+    for i in np.flatnonzero(unsettled | ~plain).tolist():
+        text = u[starts[i] : ends[i]].tobytes()
+        if text.translate(None, FLOAT_CHARS):
+            return None
+        try:
+            x[i] = float(text)
+        except ValueError:
+            return None
+    return x.reshape(rows, cols)
+
+
+def _parse_range(raw: bytearray) -> list[np.ndarray] | None:
+    """The rows of ``raw[FIELD:]``, whole lines, as ``_parse_block`` parses
+    them, PARSE_BLOCK bytes of whole lines at a time; None where a block is
+    left to np.loadtxt or blocks disagree on the column count.  A newline is
+    appended to ``raw`` where its last line has none."""
+    if raw[-1] != ord("\n"):
+        raw.append(ord("\n"))
+    u = np.frombuffer(raw, dtype=np.uint8)
+    windows = np.ndarray((len(raw) - FIELD + 1,), dtype=f"V{FIELD}", buffer=raw, strides=(1,))
+    blocks = []
+    start = FIELD
+    while start < len(raw):
+        stop = raw.find(b"\n", start + PARSE_BLOCK - 1) + 1 or len(raw)
+        block = _parse_block(u, windows, start, stop)
+        if block is None or (blocks and block.shape[1] != blocks[0].shape[1]):
+            return None
+        blocks.append(block)
+        start = stop
+    return blocks
+
+
 def _parse_lines(pipe, bounds: tuple[int, int], path: Path) -> None:
-    # bytes [start, stop) of path are whole lines; each range is decoded with
-    # the encoding and universal newlines np.loadtxt(path) uses
+    # bytes [start, stop) of path are whole lines; a range that the kernel
+    # leaves is decoded with the encoding and universal newlines np.loadtxt(path)
+    # uses
     start, stop = bounds
-    warnings.simplefilter("ignore")  # loadtxt warns on a range with no data
+    raw = bytearray(FIELD + stop - start)
     with open(path, "rb") as fh:
         fh.seek(start)
-        text = io.TextIOWrapper(io.BytesIO(fh.read(stop - start)))
-    rows = np.ascontiguousarray(np.loadtxt(text, **MATRIX_READ))
-    pipe.write(struct.pack("<2q", *rows.shape))
-    pipe.write(rows.data)
+        got = fh.readinto(memoryview(raw)[FIELD:])
+    del raw[FIELD + got :]  # a file cut short since its size was taken
+    blocks = _parse_range(raw) if got else None
+    if blocks is None:
+        warnings.simplefilter("ignore")  # loadtxt warns on a range with no data
+        text = io.TextIOWrapper(io.BytesIO(raw[FIELD : FIELD + got]))
+        blocks = [np.ascontiguousarray(np.loadtxt(text, **MATRIX_READ))]
+    pipe.write(struct.pack("<2q", sum(len(block) for block in blocks), blocks[0].shape[1]))
+    for block in blocks:
+        pipe.write(block.data)
 
 
 def _read_forked(path: Path, meanwhile) -> np.ndarray | None:

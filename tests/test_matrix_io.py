@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from forked import child_left, forked_io
+from forked import child_left, drop_sidecars, forked_io
 from jcmspl import dataset
 from jcmspl.errors import DatasetError, ShapeMismatchError
 from malformed import CODECS
@@ -30,10 +30,14 @@ EXTREMES = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e3
 # kernel's (the binades from 2**-14 to 2**49, which hold 1e-4 and 1e15)
 KERNEL_BITS = st.tuples(st.integers(1009 << 52, (1073 << 52) - 1), st.booleans()).map(
     lambda bits: float(np.uint64(bits[0] | bits[1] << 63).view(np.float64)))
+# powers of two and the doubles beside them, where the spacing of doubles
+# halves below: the parse kernel's F = 2**52 edge
+BINADE_EDGES = [float(v) for k in range(-40, 64, 3)
+                for v in (2.0**k, np.nextafter(2.0**k, 0.0), np.nextafter(2.0**k, np.inf))]
 matrices = arrays(
     np.float64,
     array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
-    elements=st.one_of(st.sampled_from(EXTREMES),
+    elements=st.one_of(st.sampled_from(EXTREMES), st.sampled_from(BINADE_EDGES),
                        st.floats(allow_nan=False, allow_infinity=False), KERNEL_BITS),
 )
 
@@ -262,6 +266,171 @@ def test_ranges_that_disagree_on_the_column_count_give_the_serial_error(tmp_path
     with forked_io(2) as forks:
         assert read_outcome(path) == serial
     assert len(forks) == 2
+
+
+def kernel_parse(text: str) -> np.ndarray | None:
+    """The forked workers' parse of ``text``, whole lines: an array, or None
+    where it leaves the range to np.loadtxt."""
+    blocks = dataset._parse_range(bytearray(dataset.FIELD) + text.encode())
+    return None if blocks is None else np.concatenate(blocks)
+
+
+def loadtxt_text(text: str) -> np.ndarray:
+    return np.loadtxt(io.StringIO(text), delimiter=",", dtype=np.float64, ndmin=2)
+
+
+# fields outside the parse kernel's grammar: Python's float takes those
+# made of FLOAT_CHARS (an exponent, a '+', a point with no digit on one
+# side, overflow and underflow, a tie that the even ...992 takes, mantissas
+# of 19 digits and more), and np.loadtxt the whole range of any other ('_'
+# and spaces, which float also takes, and fields that are no number)
+FALLBACK_FIELDS = ["1E5", "1e5", "+.5", "5.", ".5", "-0", "-.5", "1e0400", "-1e0400",
+                   "1e-400", "9007199254740993", "-9007199254740993",
+                   "1234567890123456789", "12345678901234567890",
+                   "0.1234567890123456789", "-0.12345678901234567890", "007", "1.5e-05"]
+LOADTXT_FIELDS = ["1_0", " 1", "1 ", "1.2.3", "-", ".", "--1", "1-", "1:0", "1/2", "0x10",
+                  "nan", ""]
+
+
+@pytest.mark.parametrize("field", FALLBACK_FIELDS + LOADTXT_FIELDS)
+def test_fields_outside_the_kernel_read_as_the_serial_parse(tmp_path, field):
+    path = tmp_path / "m.csv"
+    lines = ["1,2,3"] * 6
+    lines[3] = f"4,{field},6"
+    text = "\n".join(lines) + "\n"
+    path.write_text(text)
+    serial = read_outcome(path)
+    if field == "1_0":  # float("1_0") is 10.0
+        assert serial[0] is DatasetError
+    drop_sidecars(tmp_path)
+    with forked_io(2) as forks:
+        assert read_outcome(path) == serial
+    assert len(forks) == 2
+    kernel = kernel_parse(text)
+    if field in LOADTXT_FIELDS:
+        assert kernel is None
+    else:
+        assert kernel.tobytes() == loadtxt_text(text).tobytes()
+
+
+def decimal_text(negative: bool, digits: str, fraction: int) -> str:
+    """``digits`` with a point before the last ``fraction`` of them (zeros
+    filled in after the point where there are fewer), '-' if ``negative``."""
+    digits = digits.rjust(fraction, "0")
+    cut = len(digits) - fraction
+    return "-" * negative + digits[:cut] + ("." + digits[cut:] if fraction else "")
+
+
+def scaled_text(n: int, k: int, keep: int, nudge: int) -> str:
+    """n / 10**k in decimal, cut to its first ``keep`` significant digits
+    and moved by ``nudge`` in the last of them."""
+    drop = max(len(str(n)) - keep, 0)
+    digits = str(n // 10**drop + nudge)
+    return decimal_text(False, digits, k - drop) if k >= drop else digits + "0" * (drop - k)
+
+
+def binary_text(n: int, e: int, keep: int, nudge: int) -> str:
+    """``scaled_text`` of n * 2**e."""
+    if e >= 0:
+        return scaled_text(n << e, 0, keep, nudge)
+    return scaled_text(n * 5**-e, -e, keep, nudge)
+
+
+SIGNIFICANDS = st.one_of(st.sampled_from([2**52, 2**52 + 1, 2**53 - 1]),
+                         st.integers(2**52, 2**53 - 1))
+# where the kernel's exactness can break: 1 to 19 digits with a point
+# anywhere (fields over FIELD bytes are np.loadtxt's); the midpoints
+# (2F + 1) * 2**e between neighbouring doubles, exact and one unit in the
+# last digit off, and cut to 17 to 19 digits, just below and above them;
+# powers of two, where the spacing below halves, and the decimals beside them
+DECIMAL_FIELDS = st.one_of(
+    st.builds(decimal_text, st.booleans(), st.text("0123456789", min_size=1, max_size=19),
+              st.integers(0, 27)),
+    st.builds(binary_text, SIGNIFICANDS.map(lambda F: 2 * F + 1), st.integers(-4, 9),
+              st.just(19), st.integers(-1, 1)),
+    st.builds(binary_text, SIGNIFICANDS.map(lambda F: 2 * F + 1), st.integers(-70, 9),
+              st.integers(17, 19), st.integers(0, 1)),
+    st.builds(binary_text, st.just(1), st.integers(-30, 63), st.integers(17, 19),
+              st.integers(-1, 1)),
+)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(fields=st.lists(DECIMAL_FIELDS, min_size=1, max_size=32))
+@example(fields=["9007199254740993", "4503599627370496.5", "4503599627370497.5",
+                 "0.1", "-0.0", "123456789012345678.9", ".1234567890123456789012",
+                 # 23 digits after the point: 1e23 is no double
+                 ".00000003229401980715162",
+                 # midpoints whose estimate is the odd double below them
+                 "5916394334022203.5", "4005670680742562.75"])
+def test_decimal_fields_parse_as_loadtxt_bit_for_bit(fields):
+    # one field per line, each parsed on its own: one that is too long
+    # leaves its range to np.loadtxt
+    for field in fields:
+        text = field + "\n"
+        kernel = kernel_parse(text)
+        if len(field) > dataset.FIELD:
+            assert kernel is None
+        else:
+            assert kernel.tobytes() == loadtxt_text(text).tobytes(), field
+
+
+@SETTINGS
+@given(rows=st.integers(2, 6).flatmap(lambda cols: st.lists(
+    st.lists(st.one_of(DECIMAL_FIELDS.filter(lambda f: len(f) <= dataset.FIELD),
+                       st.floats(allow_nan=False, allow_infinity=False).map("%.16e".__mod__),
+                       st.sampled_from(FALLBACK_FIELDS)),
+             min_size=cols, max_size=cols), min_size=2, max_size=8)))
+def test_rows_that_mix_kernel_and_fallback_fields_read_as_loadtxt(rows):
+    text = "".join(",".join(row) + "\n" for row in rows)
+    expected = loadtxt_text(text)
+    assert kernel_parse(text).tobytes() == expected.tobytes()
+    with tempfile.TemporaryDirectory() as tmp, forked_io(2) as forks:
+        path = Path(tmp) / "m.csv"
+        path.write_text(text)
+        got = dataset.read_matrix(path)
+    assert len(forks) == read_forks(text.encode(), 2)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_lines_and_blocks_that_disagree_on_the_column_count_go_to_loadtxt(monkeypatch):
+    # np.loadtxt then raises for the range: as many fields as 3 rows of 2,
+    # and blocks that each parse on their own
+    assert kernel_parse("1,2\n3\n4,5,6\n") is None
+    monkeypatch.setattr(dataset, "PARSE_BLOCK", 8)
+    assert kernel_parse("1,2,3\n" * 4 + "1,2,3\n4,5\n") is None
+    assert kernel_parse("1,2,3\n" * 4 + "1,2,3,4,5,6\n") is None
+    assert kernel_parse("1,2,3\n" * 4).tobytes() == loadtxt_text("1,2,3\n" * 4).tobytes()
+
+
+def test_only_fields_with_an_exponent_take_float(monkeypatch):
+    # %.17g text of 1e-4 <= |x| < 1e17 is the kernel's own (the rare ties
+    # and binade edges aside); a miscomputed check would send every field
+    # to float, with the same bits
+    calls = []
+    monkeypatch.setattr(dataset, "float", lambda text: calls.append(text) or float(text),
+                        raising=False)
+    M = np.random.default_rng(0).standard_normal((64, 64)) / 8
+    M[::7, ::5] *= 1e-6
+    text = savetxt_bytes(M).decode()
+    assert kernel_parse(text).tobytes() == M.tobytes()
+    assert sorted(calls) == sorted(f.encode() for f in text.replace("\n", ",").split(",")
+                                   if "e" in f)
+    assert len(calls) > 10
+
+
+def test_a_default_synth_read_holds_under_its_memory_bound(tmp_path):
+    # the serial path: small_cli's largest file stays below 2 MB
+    path = tmp_path / "visual_seen.csv"
+    dataset.write_matrix(path, dataset.synth_generate(dataset.SynthSpec())[0].visual_seen)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        dataset.read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.42e6, peak
 
 
 @pytest.mark.parametrize("failure", ["nothing_sent", "part_sent"])

@@ -26,7 +26,10 @@ of the pairs, and the medians differ by more than the distance between the
 parent's quartiles.  A run that gives no value for a metric (its peak
 operation failed) is reported as missing, and the metric's summary uses
 the pairs in which both sides gave one.  Failed operations are counted per
-side.
+side.  It also prints each side's median of the workload's step metrics
+(``synth_s``, ``eval_s`` and so on: the median time of each CLI step), read
+from the record that each run leaves under its tree's ``.perfbench-out/``.
+They show where a change of ``op_s`` lands; no rule is applied to them.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+STEP_METRICS = ("synth_s", "train_s", "eval_s", "eval_gzsl_s", "ablate_s")
 
 
 def export_commit(rev: str, into: Path) -> None:
@@ -54,8 +58,9 @@ def export_commit(rev: str, into: Path) -> None:
     archive.unlink()
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON result line of one untraced perfbench run in ``tree``."""
+def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """The JSON result line of one untraced perfbench run in ``tree``, and
+    the step metrics of the record it wrote."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -64,7 +69,11 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"perfbench in {tree} exited {done.returncode}: "
                            f"{done.stderr.strip()[-500:]}")
-    return json.loads(lines[-1])
+    record = json.loads((tree / ".perfbench-out" / f"{workload}-seed{seed}-trace0.json")
+                        .read_text())
+    steps = {name: record["metrics"][name] for name in STEP_METRICS
+             if record["metrics"].get(name) is not None}
+    return json.loads(lines[-1]), steps
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -103,21 +112,25 @@ def run_pairs(trees: dict, workload: str, seeds: list[int], seconds: float, metr
     """Per side, each metric's values over the pairs (None where a run gave
     none), and the failed operations."""
     values = {side: {name: [] for name in metrics} for side in trees}
+    steps = {side: {} for side in trees}
     failed = {side: 0 for side in trees}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_bench(trees[side], workload, seed, seconds)
+            result, step_values = run_bench(trees[side], workload, seed, seconds)
             failed[side] += result["failed"]
             for name in metrics:
                 values[side][name].append(result["metrics"][name]["value"])
+            for name, value in step_values.items():
+                steps[side].setdefault(name, []).append(value)
         row = ", ".join(f"{name} {pair_text(values['parent'][name][-1], values['change'][name][-1])}"
                         for name in metrics)
         print(f"{workload} pair {i + 1} seed {seed} ({order[0]} first): {row}", flush=True)
-    return values, failed
+    return values, steps, failed
 
 
-def report(workload: str, values: dict, failed: dict, metrics: dict, args) -> None:
+def report(workload: str, values: dict, steps: dict, failed: dict, metrics: dict,
+           args) -> None:
     print(f"{workload}: {len(args.seeds)} pairs of {args.seconds:g} s runs against "
           f"{args.parent}; failed operations: parent {failed['parent']}, "
           f"change {failed['change']}")
@@ -141,6 +154,12 @@ def report(workload: str, values: dict, failed: dict, metrics: dict, args) -> No
               f"within bound: {'yes' if s['within_bound'] else 'NO'}; "
               f"gain rule {'holds' if s['claim_holds'] else 'does not hold'}"
               + (f"; {missing} pair(s) missing a value" if missing else ""))
+    for name in STEP_METRICS:
+        medians = [f"{side} " + (f"{statistics.median(steps[side][name]):.4g}"
+                                 if steps[side].get(name) else "-")
+                   for side in ("parent", "change")]
+        if any(steps[side].get(name) for side in steps):
+            print(f"  step {name} (s, median, not gated): {'; '.join(medians)}")
 
 
 def main(argv=None) -> int:
@@ -161,8 +180,8 @@ def main(argv=None) -> int:
         trees = {"parent": parent_tree, "change": ROOT}
         results = {workload: run_pairs(trees, workload, args.seeds, args.seconds, metrics)
                    for workload in args.workload}
-    for workload, (values, failed) in results.items():
-        report(workload, values, failed, metrics, args)
+    for workload, (values, steps, failed) in results.items():
+        report(workload, values, steps, failed, metrics, args)
     return 0
 
 
