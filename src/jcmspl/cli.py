@@ -48,6 +48,8 @@ from .dataset import (
     normalize,
     save_manifest,
     synth_generate,
+    write_json,
+    write_table,
 )
 from .errors import (
     ArchiveError,
@@ -155,21 +157,14 @@ def _build_hyper(args, variant: str) -> Hyperparams:
 
 def _load_normalized(manifest, mode: str) -> tuple[DatasetFingerprint, ZslDataset]:
     """Fingerprint the manifest's raw arrays, then normalize its visual
-    features in place, so each matrix is held once."""
+    features in place, so each matrix is held once.  Dividing finite
+    columns by their norms keeps every entry finite and every shape, so
+    the dataset's checks still hold."""
     dataset = load_manifest(manifest)
     fingerprint = fingerprint_dataset(dataset)
-    # replace() runs ZslDataset's checks again on the normalized features
-    return fingerprint, dataclasses.replace(
-        dataset,
-        visual_seen=normalize(dataset.visual_seen, mode, in_place=True),
-        visual_unseen=normalize(dataset.visual_unseen, mode, in_place=True),
-    )
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    normalize(dataset.visual_seen, mode, in_place=True)
+    normalize(dataset.visual_unseen, mode, in_place=True)
+    return fingerprint, dataset
 
 
 def cmd_train(args) -> int:
@@ -195,7 +190,7 @@ def cmd_train(args) -> int:
         "dataset": fingerprint.to_dict(),
         "outputs": {"model": "model.bin", "trace": "trace.csv"},
     }
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     print(
         f"trained variant={hyper.variant} final_loss={trace.losses[-1]:.6g} "
         f"iterations={trace.iterations} converged={trace.converged_at is not None}"
@@ -255,7 +250,7 @@ def cmd_eval(args) -> int:
         "split_seed": args.seed if args.gzsl else None,
         "report": report.to_dict(),
     }
-    _write_json(out / "report.json", payload)
+    write_json(out / "report.json", payload)
     line = (
         f"overall_accuracy={report.overall_accuracy:.6f} "
         f"per_class_mean={report.per_class_mean_accuracy:.6f}"
@@ -360,19 +355,9 @@ def cmd_ablate(args) -> int:
     rows = [row for row, _ in results]
     first_failure = next((code for _, code in results if code != EXIT_OK), EXIT_OK)
 
-    with open(out / "ablation.csv", "w") as fh:
-        fh.write("variant,loss,iters,acc_v2s,acc_s2v\n")
-        for row in rows:
-            cells = [row["variant"]]
-            for key, fmt in (
-                ("loss", "%.17g"),
-                ("iters", "%d"),
-                ("acc_v2s", "%.17g"),
-                ("acc_s2v", "%.17g"),
-            ):
-                cells.append("" if row[key] is None else fmt % row[key])
-            fh.write(",".join(cells) + "\n")
-    _write_json(out / "ablation.json", {"dataset": fingerprint.to_dict(), "rows": rows})
+    columns = ("variant", "loss", "iters", "acc_v2s", "acc_s2v")
+    write_table(out / "ablation.csv", columns, [[row[key] for key in columns] for row in rows])
+    write_json(out / "ablation.json", {"dataset": fingerprint.to_dict(), "rows": rows})
     for row in rows:
         acc = "-" if row["acc_v2s"] is None else f"{row['acc_v2s']:.6f}"
         print(f"{row['variant']:>8s}  acc_v2s={acc}")

@@ -689,6 +689,28 @@ def write_labels(path, labels) -> None:
     Path(path).write_bytes(b"%d\n" * labels.size % tuple(labels.tolist()))
 
 
+def write_json(path, payload) -> None:
+    """Write a report or manifest as JSON: sorted keys, an indent of 2 and
+    a final newline."""
+    Path(path).write_bytes(json.dumps(payload, indent=2, sort_keys=True).encode() + b"\n")
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    return "%d" % value if isinstance(value, int) else "%.17g" % value
+
+
+def write_table(path, header, rows) -> None:
+    """Write a header and rows as comma-separated text with ``\\n`` after
+    every line: a str cell as it is, None as an empty cell, an integer as
+    ``%d`` and any other number as ``%.17g``.  No cell may hold a comma."""
+    lines = [header, *([_cell(value) for value in row] for row in rows)]
+    Path(path).write_bytes("".join(",".join(line) + "\n" for line in lines).encode())
+
+
 @dataclass(frozen=True)
 class ZslDataset:
     """Zero-shot recognition dataset with disjoint seen/unseen class splits.
@@ -885,9 +907,7 @@ def save_manifest(dataset: ZslDataset, manifest_path) -> Path:
         write(out_dir / spec[key], getattr(dataset, key))
     for key in ("seen_classes", "unseen_classes"):
         spec[key] = getattr(dataset, key).tolist()
-    with open(manifest_path, "w") as fh:
-        json.dump(spec, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest_path, spec)
     return manifest_path
 
 

@@ -152,9 +152,7 @@ def distance_matrix(queries, candidates, distance: str = "cosine") -> np.ndarray
             )
         scale = np.outer(np.where(qn == 0.0, 1.0, qn), np.where(dead, 1.0, cn))
         _check_finite(scale)
-        sim = (Q.T @ C) / scale
-    sim[:, dead] = -np.inf
-    dist = 1.0 - sim
+        dist = 1.0 - (Q.T @ C) / scale
     dist[qn == 0.0, :] = 1.0
     _check_finite(dist[:, ~dead])
     dist[:, dead] = np.inf

@@ -60,7 +60,6 @@ for bit by construction.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import warnings
 from dataclasses import dataclass, field
@@ -69,7 +68,7 @@ import numpy as np
 
 from . import workers
 from .dataset import (CHUNK, ZslDataset, block_partition, check_float, check_int,
-                      expand_prototypes)
+                      expand_prototypes, write_table)
 from .errors import (
     InvalidHyperparamsError,
     NonFiniteError,
@@ -538,30 +537,29 @@ def _block_norms(A, B, gather, slices, hyper: Hyperparams, chol, C, grams, squar
     return norms, CC
 
 
-def _sweep(A, B, gather, n: int, hyper: Hyperparams, C=None, K=None, grams=None,
-           squares=None, keep=True):
-    """``(C, f, CC)`` in one sweep over the ``CHUNK``-column blocks j of n
-    columns, ``gather(j)`` giving ``(X_j, Y_j, H_j)``: f is the objective at
-    C, and a C of None is first solved as the C step at (A, B), block by
-    block on one Cholesky factor of ``K = _c_hessian(grams)``, and unless
-    ``keep`` held one block at a time and not returned.  ``grams`` is
-    ``_grams(A, B)``, and it and K are formed here when None; ``squares``
-    is ``_block_squares`` of the columns, or None.  CC is
-    ``C C^T`` when there is one block, else None: the same product of the
-    same C-contiguous array as ``C @ C.T`` of the C returned, so the same
-    bits.
+def _sweep(A, B, gather, n: int, hyper: Hyperparams, C=None, squares=None, keep=True):
+    """``(C, f, CC, K)`` in one sweep over the ``CHUNK``-column blocks j of
+    n columns, ``gather(j)`` giving ``(X_j, Y_j, H_j)``: f is the objective
+    at C, and a C of None is first solved as the C step at (A, B), block by
+    block on one Cholesky factor of ``K = _c_hessian(_grams(A, B))``, and
+    unless ``keep`` held one block at a time and, with K, not returned.  K
+    is None when C was given.  ``squares`` is ``_block_squares`` of the
+    columns, or None.  CC is ``C C^T`` when there is one block, else None: the same
+    product of the same C-contiguous array as ``C @ C.T`` of the C
+    returned, so the same bits.
 
     The caller sweeps the first half of the blocks while ``workers.beside``
     sweeps the second, and the norms are summed in block order, as the
     serial sweep sums them.  Every C step and every objective, in ``loss``,
     ``update_C`` and ``fit``, is this sweep, so they agree bit for bit.
     """
-    if grams is None:
-        grams = _grams(A, B)
-    chol = None
+    grams = _grams(A, B)
+    chol = K = None
     if C is None:
-        chol = cholesky_factor(_c_hessian(grams, hyper) if K is None else K, "M")
-        C = np.empty((A.shape[0], n)) if keep else None
+        K = _c_hessian(grams, hyper)
+        chol = cholesky_factor(K, "M")
+        # unless kept, neither C nor K is held through the sweep
+        C, K = (np.empty((A.shape[0], n)), K) if keep else (None, None)
     slices = _column_blocks(n)
     half = (len(slices) + 1) // 2
     first_sq, second_sq = (squares[:half], squares[half:]) if squares else (None, None)
@@ -569,7 +567,7 @@ def _sweep(A, B, gather, n: int, hyper: Hyperparams, C=None, K=None, grams=None,
         len(slices),
         lambda: _block_norms(A, B, gather, slices[:half], hyper, chol, C, grams, first_sq),
         lambda: _block_norms(A, B, gather, slices[half:], hyper, chol, C, grams, second_sq))
-    return C, _objective(first + second, hyper), CC if len(slices) == 1 else None
+    return C, _objective(first + second, hyper), CC if len(slices) == 1 else None, K
 
 
 def _final_pass(A, B, dataset: ZslDataset, positions, indicators, hyper: Hyperparams) -> float:
@@ -859,11 +857,9 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
             (eff.lambda1 + eff.lambda4) * (C @ Yw.T), eff.ridge_eps, "B",
         )
         trace.warnings += [f"iteration {t}: {r}" for r in (ridge_a, ridge_b) if r]
-        grams = _grams(A_next, B_next)
-        K = _c_hessian(grams, eff)
+        C_next, f_t, CC, K = _sweep(A_next, B_next, _columns(Xw, Yw, Hw), Xw.shape[1],
+                                    eff, squares=squares)
         m_c = float(np.linalg.eigvalsh(K)[0])
-        C_next, f_t, CC = _sweep(A_next, B_next, _columns(Xw, Yw, Hw), Xw.shape[1], eff,
-                                 K=K, grams=grams, squares=squares)
         deltas = (
             float(np.linalg.norm(A_next - A)),
             float(np.linalg.norm(B_next - B)),
@@ -882,8 +878,7 @@ def fit(dataset: ZslDataset, hyper: Hyperparams) -> tuple[JcmsplModel, TrainingT
     # losses[-1] is exactly what loss() gives at update_C(A, B, ...); what
     # only the loop used goes first, to keep the allocation peak down
     A, B = A @ x_basis.T, B @ y_basis.T
-    del Xw, Yw, Hw, C, CC, C_next, A_next, B_next, cc_eig, K, grams, x_eig, y_eig, \
-        x_basis, y_basis
+    del Xw, Yw, Hw, C, CC, C_next, A_next, B_next, cc_eig, K, x_eig, y_eig, x_basis, y_basis
     trace.losses[-1] = _final_pass(A, B, dataset, positions, indicators, eff)
     model = JcmsplModel(A=A, B=B, variant=hyper.variant, hyper=hyper)
     return model, trace
@@ -893,15 +888,8 @@ TRACE_COLUMNS = ("iteration", "loss", "dA", "dB", "dC", "mA", "mB", "mC")
 
 
 def write_trace_csv(trace: TrainingTrace, path) -> None:
-    """Write the trace as CSV.  Row 0 carries the initialization loss
-    with zero step norms and constants; row t the values of iteration t."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerow([0, f"{trace.losses[0]:.17g}"] + ["0"] * 6)
-        for t in range(1, len(trace.losses)):
-            dA, dB, dC = trace.delta_norms[t - 1]
-            mA, mB, mC = trace.descent_constants[t - 1]
-            writer.writerow(
-                [t] + [f"{v:.17g}" for v in (trace.losses[t], dA, dB, dC, mA, mB, mC)]
-            )
+    """Write the trace by ``write_table``.  Row 0 carries the initialization
+    loss with zero step norms and constants; row t the values of iteration t."""
+    steps = zip(trace.losses[1:], trace.delta_norms, trace.descent_constants)
+    rows = [[t, f, *deltas, *constants] for t, (f, deltas, constants) in enumerate(steps, 1)]
+    write_table(path, TRACE_COLUMNS, [[0, trace.losses[0], *[0.0] * 6], *rows])

@@ -365,6 +365,38 @@ def test_ablate_reports_each_failing_variant(synth_dir, tmp_path, capsys):
     assert [line for line in lines if line.endswith(",,,,")] == ["jcmspl0,,,,", "full,,,,"]
 
 
+def test_every_text_file_ends_its_lines_in_newline_and_json_is_canonical(tmp_path):
+    # each CSV and JSON file of synth, train, eval (both protocols) and
+    # ablate: no carriage return, a final newline, and JSON as write_json
+    # writes it
+    data, train = tmp_path / "data", tmp_path / "train"
+    manifest, model = str(data / "manifest.json"), str(train / "model.bin")
+    fit_flags = ["--k", "6", "--t-max", "5"]
+    for argv in (
+        ["synth", "--out", str(data), "--m", "16", "--d", "8", "--k", "12", "--cs", "4",
+         "--cu", "2", "--spc", "8"],
+        ["train", "--manifest", manifest, "--out", str(train), *fit_flags],
+        ["eval", "--model", model, "--manifest", manifest, "--out", str(tmp_path / "eval"),
+         "--hit-k", "2"],
+        ["eval", "--model", model, "--manifest", manifest, "--out", str(tmp_path / "gzsl"),
+         "--gzsl"],
+        ["ablate", "--manifest", manifest, "--out", str(tmp_path / "ablate"), *fit_flags],
+    ):
+        assert run(argv) == 0, argv
+    texts = sorted(path for path in tmp_path.rglob("*")
+                   if path.suffix in (".csv", ".json") and not path.name.startswith("."))
+    assert [path.relative_to(tmp_path).as_posix() for path in texts] == sorted(
+        ["ablate/ablation.csv", "ablate/ablation.json", "data/manifest.json",
+         *(f"data/{key}.csv" for key in FILE_KEYS), "eval/report.json", "gzsl/report.json",
+         "train/summary.json", "train/trace.csv"])
+    for path in texts:
+        text = path.read_bytes().decode()
+        assert "\r" not in text and text.endswith("\n"), path
+        if path.suffix == ".json":
+            with open(path) as fh:
+                assert text == json.dumps(json.load(fh), indent=2, sort_keys=True) + "\n", path
+
+
 def test_console_entry_point_reports_version():
     proc = subprocess.run(
         [sys.executable, "-m", "jcmspl.cli", "--version"],

@@ -18,7 +18,9 @@ from jcmspl.dataset import (
     normalize,
     save_manifest,
     synth_generate,
+    write_json,
     write_labels,
+    write_table,
 )
 from jcmspl.errors import (
     DatasetError,
@@ -138,6 +140,22 @@ def test_manifest_round_trip(tmp_path):
     for name in ("manifest.json", "visual_seen.csv", "labels_seen.csv",
                  "visual_unseen.csv", "labels_unseen.csv", "prototypes.csv"):
         assert (second_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_write_table_formats_each_cell_by_its_type(tmp_path):
+    path = tmp_path / "table.csv"
+    write_table(path, ("a", "b", "c", "d"), [("fpl", 0.1, 3, None),
+                                             (7, np.float64(-0.0), 1e300, np.inf)])
+    assert path.read_bytes() == (b"a,b,c,d\nfpl,0.10000000000000001,3,\n"
+                                 b"7,-0,1.0000000000000001e+300,inf\n")
+    write_table(path, ("a",), [])
+    assert path.read_bytes() == b"a\n"
+
+
+def test_write_json_sorts_keys_and_ends_in_a_newline(tmp_path):
+    path = tmp_path / "report.json"
+    write_json(path, {"b": [1, 2.5], "a": None})
+    assert path.read_bytes() == b'{\n  "a": null,\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
 
 
 def test_manifest_class_ids_from_label_files(tmp_path):

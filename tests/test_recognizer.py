@@ -112,6 +112,16 @@ def test_distance_matrix_shapes_and_zero_query():
     assert abs(D[1, 0]) <= 1e-12
 
 
+def test_distance_matrix_zero_query_against_a_zero_and_a_live_candidate():
+    # the zero-norm candidate stays out of reach even of a zero-norm query,
+    # whose distance to every live candidate is 1
+    Q = np.zeros((2, 1))
+    C = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.warns(RuntimeWarning, match="1 zero-norm candidate column"):
+        D = distance_matrix(Q, C, "cosine")
+    assert D.tolist() == [[np.inf, 1.0]]
+
+
 @pytest.mark.parametrize("distance", ["cosine", "euclidean"])
 @pytest.mark.parametrize("where", ["queries", "candidates"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300])

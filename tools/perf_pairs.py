@@ -30,6 +30,8 @@ side.  It also prints each side's median of the workload's step metrics
 (``synth_s``, ``eval_s`` and so on: the median time of each CLI step), read
 from the record that each run leaves under its tree's ``.perfbench-out/``.
 They show where a change of ``op_s`` lands; no rule is applied to them.
+Each workload's summary also gives each tree's ``wc -l src/jcmspl/*.py``
+total, the package size that a simplification is measured by.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ def export_commit(rev: str, into: Path) -> None:
     with tarfile.open(archive) as tar:
         tar.extractall(into, filter="data")
     archive.unlink()
+
+
+def source_lines(tree: Path) -> int:
+    """The total of ``wc -l src/jcmspl/*.py`` in ``tree``: its newlines."""
+    return sum(path.read_bytes().count(b"\n") for path in tree.glob("src/jcmspl/*.py"))
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -130,10 +137,11 @@ def run_pairs(trees: dict, workload: str, seeds: list[int], seconds: float, metr
 
 
 def report(workload: str, values: dict, steps: dict, failed: dict, metrics: dict,
-           args) -> None:
+           lines: dict, args) -> None:
     print(f"{workload}: {len(args.seeds)} pairs of {args.seconds:g} s runs against "
           f"{args.parent}; failed operations: parent {failed['parent']}, "
-          f"change {failed['change']}")
+          f"change {failed['change']}; wc -l src/jcmspl/*.py: parent {lines['parent']}, "
+          f"change {lines['change']}")
     for name, metric in metrics.items():
         pairs = [(p, c) for p, c in zip(values["parent"][name], values["change"][name])
                  if p is not None and c is not None]
@@ -178,10 +186,11 @@ def main(argv=None) -> int:
         parent_tree = Path(scratch) / "parent"
         export_commit(args.parent, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
+        lines = {side: source_lines(tree) for side, tree in trees.items()}
         results = {workload: run_pairs(trees, workload, args.seeds, args.seconds, metrics)
                    for workload in args.workload}
     for workload, (values, steps, failed) in results.items():
-        report(workload, values, steps, failed, metrics, args)
+        report(workload, values, steps, failed, metrics, lines, args)
     return 0
 
 
