@@ -72,9 +72,10 @@ from .recognizer import (
     eval_generalized,
     eval_hit_at_k,
     eval_standard,
-    holdout_columns,
-    score_generalized,
+    gzsl_holdout_indices,
+    rank_holdout,
     score_standard,
+    score_with_holdout,
 )
 from .trainer import (
     VARIANTS,
@@ -155,15 +156,20 @@ def _build_hyper(args, variant: str) -> Hyperparams:
     return Hyperparams(k=k, variant=variant, **values)
 
 
+def _normalize(dataset: ZslDataset, mode: str, *names: str) -> None:
+    """Normalize the named feature matrices of ``dataset`` in place, so
+    each matrix is held once.  Dividing finite columns by their norms keeps
+    every entry finite and every shape, so the dataset's checks still hold."""
+    for name in names:
+        normalize(getattr(dataset, name), mode, in_place=True)
+
+
 def _load_normalized(manifest, mode: str) -> tuple[DatasetFingerprint, ZslDataset]:
-    """Fingerprint the manifest's raw arrays, then normalize its visual
-    features in place, so each matrix is held once.  Dividing finite
-    columns by their norms keeps every entry finite and every shape, so
-    the dataset's checks still hold."""
+    """Fingerprint the manifest's raw arrays, then normalize both visual
+    feature matrices in place."""
     dataset = load_manifest(manifest)
     fingerprint = fingerprint_dataset(dataset)
-    normalize(dataset.visual_seen, mode, in_place=True)
-    normalize(dataset.visual_unseen, mode, in_place=True)
+    _normalize(dataset, mode, "visual_seen", "visual_unseen")
     return fingerprint, dataset
 
 
@@ -225,17 +231,24 @@ def cmd_eval(args) -> int:
     if args.hit_k is not None and args.hit_k < 1:
         # the upper bound, the unseen class count, needs the manifest
         raise InvalidKError(f"K must be >= 1, got {args.hit_k}")
-    fingerprint, dataset = _load_normalized(args.manifest, args.normalize)
-    model = _load_model_checked(args.model, fingerprint)
-    # keep only what the protocol scores: the dataset, the one holder of
-    # visual_seen, goes before the first embedding
+    dataset = load_manifest(args.manifest)
+    model = _load_model_checked(args.model, fingerprint_dataset(dataset))
+    # normalize and keep only what the protocol scores: --gzsl ranks its
+    # seen holdout a block of columns at a time, and then the dataset, the
+    # one holder of visual_seen, goes before the unseen split is embedded
     prototypes = dataset.prototypes
-    unseen = dataset.visual_unseen, dataset.labels_unseen, dataset.unseen_classes
     if args.gzsl:
-        seen = holdout_columns(dataset, args.holdout, args.seed)
+        _normalize(dataset, args.normalize, "visual_seen", "visual_unseen")
+        holdout = gzsl_holdout_indices(dataset.labels_seen, dataset.seen_classes, args.holdout,
+                                       args.seed)
+        held = rank_holdout(model, prototypes, dataset.visual_seen, dataset.labels_seen, holdout,
+                            dataset.seen_classes, dataset.unseen_classes, args.distance)
+    else:
+        _normalize(dataset, args.normalize, "visual_unseen")
+    unseen = dataset.visual_unseen, dataset.labels_unseen, dataset.unseen_classes
     del dataset
     if args.gzsl:
-        report = score_generalized(model, prototypes, *seen, *unseen, args.distance)
+        report = score_with_holdout(model, prototypes, held, *unseen[:2])
     else:
         report = score_standard(model, prototypes, *unseen, args.direction, args.distance,
                                 args.hit_k)

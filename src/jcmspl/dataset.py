@@ -54,8 +54,12 @@ FILE_KEYS = (
 MANIFEST_KEYS = FILE_KEYS + ("seen_classes", "unseen_classes")
 
 NORMALIZE_MODES = ("none", "l2_columns")
-# columns per block of every n-wide pass (``column_norms``, the trainer's ``_sweep``)
+# columns per block of the trainer's n-wide passes (``_sweep`` and the rest)
 CHUNK = 1024
+# columns per block of the narrow passes over a feature matrix: the finiteness
+# check of ``_as_feature_matrix``, ``column_norms`` and the GZSL holdout's
+# ranking (``recognizer.rank_holdout``); a 256-row block is 128 kB
+NARROW = 64
 
 
 def check_int(value, name: str, low: int, error: type[Exception]) -> None:
@@ -814,7 +818,8 @@ def _as_feature_matrix(a, name):
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeMismatchError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
+    # a block at a time: no boolean as large as the matrix
+    if not all(np.isfinite(block).all() for block in _narrow_blocks(arr)):
         raise DatasetError(f"{name} contains non-finite entries")
     return arr
 
@@ -924,14 +929,20 @@ def expand_prototypes(prototypes, labels) -> np.ndarray:
     return prototypes[:, labels]
 
 
-def column_norms(M: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(M, axis=0)`` of a 2-D float64 array, bit for bit,
-    with no temporary wider than CHUNK columns."""
+def _narrow_blocks(M: np.ndarray):
+    """Views of ``M``'s columns in blocks of NARROW, the last of two to
+    NARROW + 1 columns (one view of M when it has one column or none)."""
     # numpy sums a lone column pairwise, not down the rows, so a last block
     # of one column joins the one before
-    bounds = [*range(0, max(M.shape[1] - 1, 1), CHUNK), M.shape[1]]
-    blocks = [M[:, start:stop] for start, stop in zip(bounds, bounds[1:])]
-    return np.sqrt(np.concatenate([np.add.reduce(B * B, axis=0) for B in blocks]))
+    bounds = [*range(0, max(M.shape[1] - 1, 1), NARROW), M.shape[1]]
+    for start, stop in zip(bounds, bounds[1:]):
+        yield M[:, start:stop]
+
+
+def column_norms(M: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(M, axis=0)`` of a 2-D float64 array, bit for bit,
+    with no temporary wider than NARROW + 1 columns."""
+    return np.sqrt(np.concatenate([np.add.reduce(B * B, axis=0) for B in _narrow_blocks(M)]))
 
 
 def normalize(M, mode: str = "l2_columns", *, in_place: bool = False) -> np.ndarray:

@@ -11,7 +11,10 @@ is defined.
 Each ``eval_*`` function wraps a ``score_*`` one that takes only the
 arrays its protocol reads: the prototype matrix and the visual columns,
 labels and class ids it scores.  ``jcmspl eval`` calls those after
-dropping the rest of its dataset.
+dropping the rest of its dataset; for the generalized protocol it ranks
+the seen holdout first (``rank_holdout``), a block of columns at a time,
+and drops the seen features before it scores the unseen split
+(``score_with_holdout``).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import ZslDataset, check_int, check_number, column_norms
+from .dataset import NARROW, ZslDataset, check_int, check_number, column_norms
 from .errors import (
     AllZeroNormError,
     DimensionMismatchError,
@@ -224,23 +227,30 @@ def _per_class_accuracies(preds, labels, class_ids):
     return accs
 
 
-def _degenerate_count(model: JcmsplModel, inputs, embedded) -> int:
-    """How many columns of ``inputs`` the model embeds to roundoff, given
-    their embeddings (see ``EvalReport``); ``||B^T A||_2`` serves both
-    directions, being ``||A^T B||_2``.  Called after the distances, which
-    reject an embedding that overflows."""
-    # a map that overflows makes every bound infinite
+def _map_norm(model: JcmsplModel) -> float:
+    """``||B^T A||_2`` (``||A||_2`` for fpl), the scale of the degenerate
+    count in both directions, being ``||A^T B||_2``; inf when the map
+    overflows.  An SVD of a d x m matrix: taken once per scored set."""
     with np.errstate(over="ignore", invalid="ignore"):
         M = model.A if model.variant == "fpl" else model.B.T @ model.A
-        scale = np.linalg.norm(M, 2) if np.all(np.isfinite(M)) else np.inf
+        return np.linalg.norm(M, 2) if np.all(np.isfinite(M)) else np.inf
+
+
+def _degenerate_count(scale: float, inputs, embedded) -> int:
+    """How many columns of ``inputs`` the model embeds to roundoff, given
+    their embeddings and the model's ``_map_norm`` (see ``EvalReport``).
+    Called after the distances, which reject an embedding that overflows."""
+    # a map that overflows makes every bound infinite
+    with np.errstate(over="ignore", invalid="ignore"):
         bound = DEGENERATE_RTOL * scale * column_norms(inputs)
         return int(np.count_nonzero(column_norms(embedded) <= bound))
 
 
-def _rank(model, prototypes, visual, classes, direction, distance):
+def _rank(model, prototypes, visual, classes, direction, distance, scale):
     """Rank the ``visual`` columns against the ``prototypes`` columns of
     ``classes`` in ``direction``: the nearest class id of each column, the
-    (columns x classes) distances, and the number of degenerate embeddings."""
+    (columns x classes) distances, and the number of degenerate embeddings
+    by the model's ``_map_norm``, ``scale``."""
     candidates = prototypes[:, classes]
     inputs = visual if direction == "v2s" else candidates
     embedded = _embed(model, inputs, direction)
@@ -249,7 +259,7 @@ def _rank(model, prototypes, visual, classes, direction, distance):
     else:
         dist = distance_matrix(visual, embedded, distance)
     preds = classes[np.argmin(dist, axis=1)]
-    return preds, dist, _degenerate_count(model, inputs, embedded)
+    return preds, dist, _degenerate_count(scale, inputs, embedded)
 
 
 def score_standard(model, prototypes, visual, labels, classes, direction="v2s",
@@ -261,7 +271,8 @@ def score_standard(model, prototypes, visual, labels, classes, direction="v2s",
     if hit_k is not None and (isinstance(hit_k, bool) or not isinstance(hit_k, (int, np.integer))
                               or not 1 <= hit_k <= c_u):
         raise InvalidKError(f"K must satisfy 1 <= K <= {c_u}, got {hit_k!r}")
-    preds, dist, degenerate = _rank(model, prototypes, visual, classes, direction, distance)
+    preds, dist, degenerate = _rank(model, prototypes, visual, classes, direction, distance,
+                                    _map_norm(model))
     hit_at_k = None
     if hit_k is not None:
         order = np.argsort(dist, axis=1, kind="stable")[:, :hit_k]
@@ -336,38 +347,86 @@ def gzsl_holdout_indices(labels_seen, seen_classes, fraction: float, seed: int):
     return np.sort(np.concatenate(picked))
 
 
-def holdout_columns(dataset: ZslDataset, fraction: float, seed: int):
-    """The seen columns that ``gzsl_holdout_indices`` holds out, their
-    labels and the seen class ids: the seen arguments of
-    ``score_generalized``."""
-    holdout = gzsl_holdout_indices(dataset.labels_seen, dataset.seen_classes, fraction, seed)
-    return dataset.visual_seen[:, holdout], dataset.labels_seen[holdout], dataset.seen_classes
+@dataclass(frozen=True)
+class RankedHoldout:
+    """The seen half of the generalized protocol, from ``rank_holdout``:
+    the predicted and true class ids of the held-out seen columns, the seen
+    and unseen class ids, the degenerate embedding count and the distance."""
+
+    preds: np.ndarray
+    labels: np.ndarray
+    seen: np.ndarray
+    unseen: np.ndarray
+    degenerate: int
+    distance: str
 
 
-def score_generalized(model, prototypes, visual_s, labels_s, seen, visual_u, labels_u,
-                      unseen_ids, distance="cosine") -> EvalReport:
-    """``eval_generalized`` of the held-out seen columns ``visual_s`` of
-    classes ``seen`` and the unseen columns ``visual_u`` of classes
-    ``unseen_ids``, each with its labels."""
-    all_classes = np.concatenate([seen, unseen_ids])
-    preds_s, _, degenerate_s = _rank(model, prototypes, visual_s, all_classes, "v2s", distance)
-    preds_u, _, degenerate_u = _rank(model, prototypes, visual_u, all_classes, "v2s", distance)
-    per_class_s = _per_class_accuracies(preds_s, labels_s, seen)
-    per_class_u = _per_class_accuracies(preds_u, labels_u, unseen_ids)
+def rank_holdout(model, prototypes, visual_seen, labels_seen, holdout, seen, unseen_ids,
+                 distance="cosine") -> RankedHoldout:
+    """Rank the held-out seen columns ``visual_seen[:, holdout]`` against
+    the prototypes of ``seen`` and ``unseen_ids``, v2s, NARROW columns at a
+    time: gather, embed, rank and count the degenerate embeddings of each
+    block, so no copy of the whole holdout is held.  A warning or error
+    about the candidates, and a non-finite distance's count of terms, are
+    those of ranking the whole holdout at once."""
+    holdout = np.asarray(holdout)
+    classes = np.concatenate([seen, unseen_ids])
+    scale = _map_norm(model)
+    preds = np.empty(holdout.size, dtype=classes.dtype)
+    degenerate = 0
+    # every block has the same candidates: the first block warns of those of
+    # zero norm, which cosine never picks, and the later ones rank without them
+    live = classes
+    if distance == "cosine":
+        live = classes[column_norms(prototypes[:, classes]) != 0.0]
+    for start in range(0, holdout.size, NARROW):
+        columns = holdout[start:start + NARROW]
+        try:
+            preds[start:start + columns.size], _, count = _rank(
+                model, prototypes, visual_seen[:, columns], classes if start == 0 else live,
+                "v2s", distance, scale)
+        except NonFiniteDistanceError:
+            # the whole holdout at once gives the error its count of terms
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                _rank(model, prototypes, visual_seen[:, holdout], classes, "v2s", distance, scale)
+            raise
+        degenerate += count
+    return RankedHoldout(preds, labels_seen[holdout], seen, unseen_ids, degenerate, distance)
+
+
+def score_with_holdout(model, prototypes, held: RankedHoldout, visual_u, labels_u) -> EvalReport:
+    """``score_generalized`` from the ranked holdout ``held`` and the unseen
+    columns ``visual_u`` with their labels, which it ranks at once."""
+    classes = np.concatenate([held.seen, held.unseen])
+    preds_u, _, degenerate_u = _rank(model, prototypes, visual_u, classes, "v2s", held.distance,
+                                     _map_norm(model))
+    per_class_s = _per_class_accuracies(held.preds, held.labels, held.seen)
+    per_class_u = _per_class_accuracies(preds_u, labels_u, held.unseen)
     acc_s = float(np.mean(per_class_s))
     acc_u = float(np.mean(per_class_u))
-    correct = np.count_nonzero(preds_s == labels_s) + np.count_nonzero(preds_u == labels_u)
-    total = labels_s.size + labels_u.size
+    correct = np.count_nonzero(held.preds == held.labels) + np.count_nonzero(preds_u == labels_u)
+    total = held.labels.size + labels_u.size
     return EvalReport(
         overall_accuracy=correct / total,
         per_class_mean_accuracy=float(np.mean(per_class_s + per_class_u)),
         direction="v2s",
-        distance=distance,
+        distance=held.distance,
         acc_s=acc_s,
         acc_u=acc_u,
         hm=harmonic_mean(acc_s, acc_u),
-        degenerate_queries=degenerate_s + degenerate_u,
+        degenerate_queries=held.degenerate + degenerate_u,
     )
+
+
+def score_generalized(model, prototypes, visual_seen, labels_seen, holdout, seen, visual_u,
+                      labels_u, unseen_ids, distance="cosine") -> EvalReport:
+    """``eval_generalized`` of the held-out seen columns
+    ``visual_seen[:, holdout]`` of classes ``seen`` and the unseen columns
+    ``visual_u`` of classes ``unseen_ids``, each with its labels."""
+    held = rank_holdout(model, prototypes, visual_seen, labels_seen, holdout, seen, unseen_ids,
+                        distance)
+    return score_with_holdout(model, prototypes, held, visual_u, labels_u)
 
 
 def eval_generalized(
@@ -386,7 +445,8 @@ def eval_generalized(
     ``gzsl_holdout_indices`` with the same fraction and seed to build
     that split.
     """
-    return score_generalized(model, dataset.prototypes,
-                             *holdout_columns(dataset, holdout_fraction, seed),
-                             dataset.visual_unseen, dataset.labels_unseen,
-                             dataset.unseen_classes, distance)
+    holdout = gzsl_holdout_indices(dataset.labels_seen, dataset.seen_classes, holdout_fraction,
+                                   seed)
+    return score_generalized(model, dataset.prototypes, dataset.visual_seen, dataset.labels_seen,
+                             holdout, dataset.seen_classes, dataset.visual_unseen,
+                             dataset.labels_unseen, dataset.unseen_classes, distance)

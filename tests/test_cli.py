@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -657,9 +658,13 @@ def test_cli_fingerprints_the_raw_arrays_and_normalizes_as_normalize_does(
 
 def test_cli_holds_each_feature_matrix_about_once(tmp_path):
     # synth fills preallocated feature matrices, the fingerprint hashes
-    # each array's own buffer, and eval normalizes the features in place:
-    # no step holds a second m x n copy (the code before peaked at about
-    # 2.5x the dataset's array bytes in synth and 3.4x in eval)
+    # each array's own buffer, eval normalizes the features in place, and
+    # every pass over a whole feature matrix (the finiteness check, the
+    # column norms, the --gzsl holdout's ranking) takes a narrow block of
+    # columns at a time: no step holds a second m x n copy or an m x n
+    # temporary (the code before peaked at about 2.5x the dataset's array
+    # bytes in synth and 3.4x in eval, and at 1.41x with whole-matrix
+    # checks and a copied holdout)
     data = tmp_path / "data"
     model, manifest = data / "planted_model.bin", data / "manifest.json"
     steps = {
@@ -686,14 +691,16 @@ def test_cli_holds_each_feature_matrix_about_once(tmp_path):
     nbytes = sum(getattr(dataset, f.name).nbytes for f in dataclasses.fields(dataset))
     ratios = {name: peak / nbytes for name, peak in peaks.items()}
     print(", ".join(f"{name}: peak {ratio:.2f}x the arrays" for name, ratio in ratios.items()))
-    assert max(ratios.values()) < 1.6, ratios
+    # measured: synth 1.11x, eval 1.08x, eval --gzsl 1.09x; margin 0.04x
+    assert max(ratios.values()) < 1.15, ratios
 
 
 @pytest.mark.parametrize("flags", [[], ["--hit-k", "2"], ["--gzsl"]])
 def test_eval_drops_the_seen_features_before_it_embeds(synth_dir, trained_dir, tmp_path,
                                                        monkeypatch, flags):
-    # standard and top-K scoring read no seen sample and --gzsl reads a copy
-    # of its holdout: no embedding runs beside the whole seen matrix
+    # standard and top-K scoring read no seen sample: no embedding runs
+    # beside the seen matrix.  --gzsl ranks its holdout beside it, one block
+    # of columns per embedding, and embeds the unseen split once it is gone
     loaded, embeds = [], []
 
     def load(path):
@@ -701,18 +708,46 @@ def test_eval_drops_the_seen_features_before_it_embeds(synth_dir, trained_dir, t
         loaded.append(weakref.ref(dataset.visual_seen))
         return dataset
 
-    def embed(*args):
+    def embed(model, inputs, direction):
         gc.collect()
-        embeds.append(loaded[0]() is None)
-        return original(*args)
+        embeds.append((loaded[0]() is None, inputs.shape[1]))
+        return original(model, inputs, direction)
 
     original = recognizer._embed
     monkeypatch.setattr(cli, "load_manifest", load)
     monkeypatch.setattr(recognizer, "_embed", embed)
+    # blocks of 3 columns split the 8 held-out columns into 3 blocks
+    monkeypatch.setattr(recognizer, "NARROW", 3)
     assert run(["eval", "--model", str(trained_dir / "model.bin"), "--manifest",
                 str(synth_dir / "manifest.json"), "--out", str(tmp_path), *flags]) == 0
     assert len(loaded) == 1
-    assert embeds and all(embeds), embeds
+    if "--gzsl" not in flags:
+        assert embeds and all(gone for gone, _ in embeds), embeds
+        return
+    *holdout, unseen = embeds
+    assert [width for _, width in holdout] == [3, 3, 2], embeds
+    assert not any(gone for gone, _ in holdout), embeds
+    assert unseen == (True, load_manifest(synth_dir / "manifest.json").n_unseen), embeds
+
+
+@pytest.mark.parametrize("flags, shown", [
+    ([], [1]), (["--hit-k", "2"], [1]), (["--gzsl"], [2, 1]),
+], ids=["standard", "hit_k", "gzsl"])
+def test_eval_normalizes_only_the_features_its_protocol_scores(synth_dir, trained_dir, tmp_path,
+                                                               flags, shown):
+    # two zero seen columns and one zero unseen column: standard and top-K
+    # scoring read no seen sample and leave the seen features as loaded, so
+    # only --gzsl warns of the seen ones
+    dataset = load_manifest(synth_dir / "manifest.json")
+    dataset.visual_seen[:, [0, 3]] = 0.0
+    dataset.visual_unseen[:, 1] = 0.0
+    manifest = save_manifest(dataset, tmp_path / "data" / "manifest.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["eval", "--model", str(trained_dir / "model.bin"), "--manifest",
+                    str(manifest), "--out", str(tmp_path), *flags]) == 0
+    assert [str(w.message) for w in caught] == [
+        f"{count} zero-norm column(s) left unnormalized" for count in shown]
 
 
 # derandomized, so every run of the suite draws the same examples

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from forked import drop_sidecars, forked_io
 from jcmspl.archive import fingerprint_dataset
 from jcmspl.dataset import (
     CHUNK,
+    NARROW,
     SynthSpec,
     ZslDataset,
     column_norms,
@@ -114,6 +117,53 @@ def test_class_without_prototype_rejected():
             seen_classes=[0, 1],
             unseen_classes=[5],
         )
+
+
+def wide_arrays(m, n_seen, n_unseen):
+    # one seen and one unseen class; the prototypes have n_seen columns
+    rng = np.random.default_rng(n_seen)
+    return {
+        "visual_seen": rng.standard_normal((m, n_seen)),
+        "labels_seen": np.zeros(n_seen, dtype=np.int64),
+        "visual_unseen": rng.standard_normal((m, n_unseen)),
+        "labels_unseen": np.ones(n_unseen, dtype=np.int64),
+        "prototypes": rng.standard_normal((3, n_seen)),
+        "seen_classes": np.array([0]),
+        "unseen_classes": np.array([1]),
+    }
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [0, NARROW + 3, 2 * NARROW],
+                         ids=["first_column", "middle_block", "one_column_last_block"])
+@pytest.mark.parametrize("name", ["visual_seen", "visual_unseen", "prototypes"])
+def test_a_non_finite_entry_is_found_in_every_narrow_block(name, column, value):
+    # 2 NARROW + 1 columns: two blocks and a lone last column
+    arrays = wide_arrays(4, 2 * NARROW + 1, 2 * NARROW + 1)
+    arrays[name][-1, column] = value
+    with pytest.raises(DatasetError, match=f"^{name} contains non-finite entries$"):
+        ZslDataset(**arrays)
+    with pytest.raises(DatasetError, match="^M contains non-finite entries$"):
+        normalize(arrays[name])
+
+
+def test_the_dataset_checks_hold_one_narrow_block_beyond_the_arrays():
+    # the finiteness check takes NARROW columns at a time, with no boolean
+    # as large as a feature matrix (2 MB for the 256 x 8,000 one)
+    arrays = wide_arrays(256, 8000, 2000)
+    ZslDataset(**arrays)
+    tracemalloc.start()
+    try:
+        dataset = ZslDataset(**arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the label vectors are cast to fresh int64 arrays; the features are kept
+    fresh = [getattr(dataset, f.name) for f in dataclasses.fields(dataset)]
+    fresh = sum(a.nbytes for a in fresh if not any(a is b for b in arrays.values()))
+    block = 256 * NARROW * 8
+    print(f"peak {peak} B: {fresh} B of fresh arrays and {peak - fresh} B beside them")
+    assert peak - fresh <= block
 
 
 def test_manifest_round_trip(tmp_path):
@@ -309,7 +359,9 @@ def test_normalize_in_place_keeps_the_bits_of_a_copy(n, layout):
 
 
 @settings(max_examples=24, deadline=None, database=None, derandomize=True)
-@given(rows=st.integers(1, 300), n=st.sampled_from([1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]),
+@given(rows=st.integers(1, 300),
+       n=st.sampled_from([1, NARROW, NARROW + 1, NARROW + 2, 2 * NARROW + 1, CHUNK, CHUNK + 1,
+                          2 * CHUNK + 1]),
        order=st.sampled_from("CF"), seed=st.integers(0, 2**32 - 1),
        magnitude=st.sampled_from([1e-300, 1.0, 1e150, 1e300]))
 def test_column_norms_are_the_bits_of_np_linalg_norm(rows, n, order, seed, magnitude):
@@ -319,6 +371,18 @@ def test_column_norms_are_the_bits_of_np_linalg_norm(rows, n, order, seed, magni
     M = np.asarray(rng.standard_normal((rows, n)) * magnitude, order=order)
     with np.errstate(over="ignore"):
         assert column_norms(M).tobytes() == np.linalg.norm(M, axis=0).tobytes()
+
+@pytest.mark.parametrize("order", "CF")
+@pytest.mark.parametrize("n", [1, 2, NARROW, NARROW + 1, NARROW + 2, 2 * NARROW + 1,
+                               2 * NARROW + 2])
+@pytest.mark.parametrize("rows", [1, 200])
+def test_column_norms_keep_their_bits_at_every_narrow_block_edge(rows, n, order):
+    # NARROW + 1 and 2 NARROW + 1 leave a last block of one column, which
+    # joins the block before; NARROW + 2 and 2 NARROW + 2 one of two columns
+    rng = np.random.default_rng(n)
+    M = np.asarray(rng.standard_normal((rows, n)) * rng.uniform(0.0, 5.0, n), order=order)
+    assert column_norms(M).tobytes() == np.linalg.norm(M, axis=0).tobytes()
+
 
 def test_normalize_in_place_keeps_zero_and_overflowing_columns_as_a_copy_does():
     M = feature_matrix(CHUNK + 3, "C")

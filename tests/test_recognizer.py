@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from jcmspl.dataset import SynthSpec, ZslDataset, synth_generate
+from jcmspl import recognizer
+from jcmspl.dataset import NARROW, SynthSpec, ZslDataset, synth_generate
 from jcmspl.errors import (
     AllZeroNormError,
     EmptyCandidatesError,
@@ -25,6 +26,8 @@ from jcmspl.recognizer import (
     harmonic_mean,
     infer_semantic,
     infer_visual,
+    rank_holdout,
+    score_generalized,
 )
 from jcmspl.trainer import Hyperparams, JcmsplModel, fit
 
@@ -388,6 +391,81 @@ def test_eval_generalized_hm_consistency():
     report = eval_generalized(model, ds, holdout_fraction=0.25, seed=1)
     assert report.hm == pytest.approx(harmonic_mean(report.acc_s, report.acc_u))
     assert 0.0 <= report.acc_u <= 1.0 and 0.0 <= report.acc_s <= 1.0
+
+
+def integer_problem(seen_columns=3 * NARROW):
+    # integer maps, features and prototypes: every embedding is exact, so a
+    # block ranks as the same columns of one product do.  A ignores the last
+    # visual row, so every 16th column, which has only that row, embeds to 0
+    rng = np.random.default_rng(12)
+    m, d, k, seen, unseen = 7, 5, 6, [0, 1, 2], [3, 4]
+    A = rng.integers(-3, 4, (k, m)).astype(float)
+    A[:, -1] = 0.0
+    model = JcmsplModel(A=A, B=rng.integers(-3, 4, (k, d)).astype(float), C=None,
+                        variant="full", hyper=Hyperparams(k=k))
+    visual = rng.integers(-5, 6, (m, seen_columns)).astype(float)
+    visual[:-1, ::16] = 0.0
+    labels = rng.choice(seen, seen_columns)
+    prototypes = rng.integers(-4, 5, (d, 5)).astype(float)
+    return model, prototypes, visual, labels, np.array(seen), np.array(unseen)
+
+
+def rank_at_once(model, prototypes, visual, holdout, classes, distance):
+    # the ranking of a copied holdout, as score_generalized took it before
+    return recognizer._rank(model, prototypes, visual[:, holdout], classes, "v2s", distance,
+                            recognizer._map_norm(model))
+
+
+@pytest.mark.parametrize("distance", ["cosine", "euclidean"])
+@pytest.mark.parametrize("size", [1, NARROW - 1, NARROW, NARROW + 1])
+def test_blocked_holdout_ranks_as_a_copied_holdout_at_once(size, distance):
+    model, prototypes, visual, labels, seen, unseen = integer_problem()
+    holdout = np.sort(np.random.default_rng(size).choice(visual.shape[1], size, replace=False))
+    classes = np.concatenate([seen, unseen])
+    preds, dist, degenerate = rank_at_once(model, prototypes, visual, holdout, classes, distance)
+    embedded = visual[:-1, holdout].any(axis=0)
+    nearest = np.sort(dist[embedded], axis=1)
+    assert np.all(nearest[:, 0] < nearest[:, 1])  # no ties: one right answer
+    assert degenerate == size - np.count_nonzero(embedded)
+    held = rank_holdout(model, prototypes, visual, labels, holdout, seen, unseen, distance)
+    assert held.preds.tolist() == preds.tolist()
+    assert held.labels.tolist() == labels[holdout].tolist()
+    assert held.degenerate == degenerate
+    assert 0 < np.count_nonzero(preds == labels[holdout]) < size or size == 1
+    assert degenerate > 0 or size == 1
+    report = score_generalized(model, prototypes, visual, labels, holdout, seen,
+                               visual[:, 1:10], labels[1:10] % 2 + 3, unseen, distance)
+    assert report.degenerate_queries == degenerate  # none of the unseen columns
+
+
+def test_blocked_holdout_warns_of_a_zero_candidate_once():
+    model, prototypes, visual, labels, seen, unseen = integer_problem()
+    prototypes[:, 1] = 0.0
+    holdout = np.arange(2 * NARROW + 5)  # three blocks
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        held = rank_holdout(model, prototypes, visual, labels, holdout, seen, unseen)
+    assert [str(w.message) for w in caught] == ["1 zero-norm candidate column(s) skipped"]
+    with pytest.warns(RuntimeWarning, match="1 zero-norm candidate"):
+        preds, _, degenerate = rank_at_once(model, prototypes, visual, holdout,
+                                            np.arange(5), "cosine")
+    assert held.preds.tolist() == preds.tolist() and 1 not in preds
+    assert held.degenerate == degenerate
+
+
+@pytest.mark.parametrize("distance", ["cosine", "euclidean"])
+def test_blocked_holdout_counts_non_finite_distances_over_the_whole_holdout(distance):
+    # a column of 1e200 in each of the three blocks: its embedding's squares
+    # overflow, and the error counts the terms of all three, not the first's
+    model, prototypes, visual, labels, seen, unseen = integer_problem()
+    visual[:, [5, NARROW + 1, 2 * NARROW + 2]] = 1e200
+    holdout = np.arange(3 * NARROW)
+    with pytest.raises(NonFiniteDistanceError) as whole:
+        rank_at_once(model, prototypes, visual, holdout, np.arange(5), distance)
+    assert str(whole.value).startswith("15 distance term(s)")
+    with pytest.raises(NonFiniteDistanceError) as blocked:
+        rank_holdout(model, prototypes, visual, labels, holdout, seen, unseen, distance)
+    assert str(blocked.value) == str(whole.value)
 
 
 def test_eval_report_serialization_fields():
