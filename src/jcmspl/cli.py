@@ -63,7 +63,7 @@ from .errors import (
     OutOfRangeError,
     RecognizerError,
 )
-# eval_hit_at_k and eval_generalized stay for perfbench's tracer to rebind
+# eval_hit_at_k stays for perfbench's tracer to rebind
 from .recognizer import (
     DEGENERATE_RTOL,
     DIRECTIONS,
@@ -72,10 +72,7 @@ from .recognizer import (
     eval_generalized,
     eval_hit_at_k,
     eval_standard,
-    gzsl_holdout_indices,
-    rank_holdout,
     score_standard,
-    score_with_holdout,
 )
 from .trainer import (
     VARIANTS,
@@ -233,25 +230,15 @@ def cmd_eval(args) -> int:
         raise InvalidKError(f"K must be >= 1, got {args.hit_k}")
     dataset = load_manifest(args.manifest)
     model = _load_model_checked(args.model, fingerprint_dataset(dataset))
-    # normalize and keep only what the protocol scores: --gzsl ranks its
-    # seen holdout a block of columns at a time, and then the dataset, the
-    # one holder of visual_seen, goes before the unseen split is embedded
-    prototypes = dataset.prototypes
+    # normalize only the features the protocol scores
     if args.gzsl:
         _normalize(dataset, args.normalize, "visual_seen", "visual_unseen")
-        holdout = gzsl_holdout_indices(dataset.labels_seen, dataset.seen_classes, args.holdout,
-                                       args.seed)
-        held = rank_holdout(model, prototypes, dataset.visual_seen, dataset.labels_seen, holdout,
-                            dataset.seen_classes, dataset.unseen_classes, args.distance)
+        report = eval_generalized(model, dataset, args.holdout, args.seed, args.distance)
     else:
         _normalize(dataset, args.normalize, "visual_unseen")
-    unseen = dataset.visual_unseen, dataset.labels_unseen, dataset.unseen_classes
-    del dataset
-    if args.gzsl:
-        report = score_with_holdout(model, prototypes, held, *unseen[:2])
-    else:
-        report = score_standard(model, prototypes, *unseen, args.direction, args.distance,
-                                args.hit_k)
+        report = score_standard(model, dataset.prototypes, dataset.visual_unseen,
+                                dataset.labels_unseen, dataset.unseen_classes, args.direction,
+                                args.distance, args.hit_k)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {

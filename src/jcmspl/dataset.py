@@ -57,8 +57,8 @@ NORMALIZE_MODES = ("none", "l2_columns")
 # columns per block of the trainer's n-wide passes (``_sweep`` and the rest)
 CHUNK = 1024
 # columns per block of the narrow passes over a feature matrix: the finiteness
-# check of ``_as_feature_matrix``, ``column_norms`` and the GZSL holdout's
-# ranking (``recognizer.rank_holdout``); a 256-row block is 128 kB
+# check of ``_as_feature_matrix``, ``column_norms`` and the ranking of every
+# scored set (``recognizer.rank``); a 256-row block is 128 kB
 NARROW = 64
 
 
@@ -840,7 +840,7 @@ def _as_label_vector(a, name):
         if not np.array_equal(rounded, np.asarray(arr, dtype=np.float64)):
             raise DatasetError(f"{name} must contain integers")
         arr = rounded
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 def load_manifest(path) -> ZslDataset:

@@ -10,11 +10,10 @@ is defined.
 
 Each ``eval_*`` function wraps a ``score_*`` one that takes only the
 arrays its protocol reads: the prototype matrix and the visual columns,
-labels and class ids it scores.  ``jcmspl eval`` calls those after
-dropping the rest of its dataset; for the generalized protocol it ranks
-the seen holdout first (``rank_holdout``), a block of columns at a time,
-and drops the seen features before it scores the unseen split
-(``score_with_holdout``).
+labels and class ids it scores.  Every scored set (the unseen split in
+either direction, its top-K ranking and the generalized protocol's seen
+holdout) is ranked by ``rank``, ``NARROW`` columns at a time, against a
+candidate set it checks once.
 """
 
 from __future__ import annotations
@@ -120,50 +119,73 @@ def distance_matrix(queries, candidates, distance: str = "cosine") -> np.ndarray
     a non-finite entry or one too large for float64 in either input
     gives: ranking NaN would pick the first candidate.
     """
-    _check_distance(distance)
     Q = np.asarray(queries, dtype=np.float64)
-    C = np.asarray(candidates, dtype=np.float64)
-    if Q.ndim != 2 or C.ndim != 2:
-        raise DimensionMismatchError("queries and candidates must be 2-D")
-    if C.shape[1] == 0:
-        raise EmptyCandidatesError("candidate set is empty")
-    if Q.shape[0] != C.shape[0]:
-        raise DimensionMismatchError(
-            f"queries have dimension {Q.shape[0]}, candidates {C.shape[0]}"
-        )
-    # overflow and NaN are reported once, as the error below
-    with np.errstate(over="ignore", invalid="ignore"):
-        if distance == "euclidean":
-            sq = (
-                np.sum(Q * Q, axis=0)[:, None]
-                + np.sum(C * C, axis=0)[None, :]
-                - 2.0 * (Q.T @ C)
-            )
-            dist = np.sqrt(np.maximum(sq, 0.0))
-            _check_finite(dist)
-            return dist
-        qn = np.linalg.norm(Q, axis=0)
-        cn = np.linalg.norm(C, axis=0)
-        dead = cn == 0.0
-        if np.all(dead):
-            raise AllZeroNormError("every candidate column has zero norm")
-        if np.any(dead):
-            warnings.warn(
-                f"{int(dead.sum())} zero-norm candidate column(s) skipped",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        scale = np.outer(np.where(qn == 0.0, 1.0, qn), np.where(dead, 1.0, cn))
-        _check_finite(scale)
-        dist = 1.0 - (Q.T @ C) / scale
-    dist[qn == 0.0, :] = 1.0
-    _check_finite(dist[:, ~dead])
-    dist[:, dead] = np.inf
+    dist, bad = _distances(Q, _candidate_side(Q, candidates, distance, stacklevel=3), distance)
+    _check_finite(*bad)
     return dist
 
 
-def _check_finite(values) -> None:
-    bad = np.count_nonzero(~np.isfinite(values))
+def _candidate_side(queries, candidates, distance, stacklevel=2):
+    """The checks of ``distance_matrix`` that read no query value, made once
+    per candidate set: ``queries`` give only their shape.  Warns of
+    zero-norm cosine candidates at ``stacklevel`` (2: the caller).  Returns the
+    candidates, their column norms (squared for euclidean) and, for cosine,
+    their zero-norm mask, which ``_distances`` takes for every block."""
+    _check_distance(distance)
+    C = np.asarray(candidates, dtype=np.float64)
+    if queries.ndim != 2 or C.ndim != 2:
+        raise DimensionMismatchError("queries and candidates must be 2-D")
+    if C.shape[1] == 0:
+        raise EmptyCandidatesError("candidate set is empty")
+    if queries.shape[0] != C.shape[0]:
+        raise DimensionMismatchError(
+            f"queries have dimension {queries.shape[0]}, candidates {C.shape[0]}"
+        )
+    # overflow is reported with the distances, as the error of _check_finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        if distance == "euclidean":
+            return C, np.sum(C * C, axis=0), None
+        norms = np.linalg.norm(C, axis=0)
+    dead = norms == 0.0
+    if np.all(dead):
+        raise AllZeroNormError("every candidate column has zero norm")
+    if np.any(dead):
+        warnings.warn(
+            f"{int(dead.sum())} zero-norm candidate column(s) skipped",
+            RuntimeWarning,
+            stacklevel=stacklevel,
+        )
+    return C, norms, dead
+
+
+def _distances(Q, side, distance):
+    """``distance_matrix`` of the query columns ``Q`` against the candidates
+    ``side`` of ``_candidate_side``, and its counts of non-finite terms: of
+    the cosine scale (0 for euclidean), then of the distances."""
+    C, norms, dead = side
+    # overflow and NaN are reported once, as the error of _check_finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        if distance == "euclidean":
+            sq = np.sum(Q * Q, axis=0)[:, None] + norms[None, :] - 2.0 * (Q.T @ C)
+            dist = np.sqrt(np.maximum(sq, 0.0))
+            return dist, (0, _non_finite(dist))
+        qn = np.linalg.norm(Q, axis=0)
+        scale = np.outer(np.where(qn == 0.0, 1.0, qn), np.where(dead, 1.0, norms))
+        dist = 1.0 - (Q.T @ C) / scale
+    dist[qn == 0.0, :] = 1.0
+    bad = _non_finite(scale), _non_finite(dist[:, ~dead])
+    dist[:, dead] = np.inf
+    return dist, bad
+
+
+def _non_finite(values) -> int:
+    return np.count_nonzero(~np.isfinite(values))
+
+
+def _check_finite(scale_terms: int, distance_terms: int) -> None:
+    """Reject the non-finite terms that ``_distances`` counted: those of the
+    cosine scale when there are any, which leave the distances unread."""
+    bad = scale_terms or distance_terms
     if bad:
         raise NonFiniteDistanceError(
             f"{bad} distance term(s) are not finite: a query or candidate "
@@ -239,27 +261,71 @@ def _map_norm(model: JcmsplModel) -> float:
 def _degenerate_count(scale: float, inputs, embedded) -> int:
     """How many columns of ``inputs`` the model embeds to roundoff, given
     their embeddings and the model's ``_map_norm`` (see ``EvalReport``).
-    Called after the distances, which reject an embedding that overflows."""
+    An embedding that overflows makes the count meaningless; the distances
+    reject it."""
     # a map that overflows makes every bound infinite
     with np.errstate(over="ignore", invalid="ignore"):
         bound = DEGENERATE_RTOL * scale * column_norms(inputs)
         return int(np.count_nonzero(column_norms(embedded) <= bound))
 
 
-def _rank(model, prototypes, visual, classes, direction, distance, scale):
-    """Rank the ``visual`` columns against the ``prototypes`` columns of
-    ``classes`` in ``direction``: the nearest class id of each column, the
-    (columns x classes) distances, and the number of degenerate embeddings
-    by the model's ``_map_norm``, ``scale``."""
+@dataclass(frozen=True)
+class Ranking:
+    """A scored set of visual columns, from ``rank``: the nearest and the
+    true class id of each column, how many true ids rank among the K
+    nearest (None when no K was given) and the degenerate embedding count."""
+
+    preds: np.ndarray
+    labels: np.ndarray
+    hits: int | None
+    degenerate: int
+
+
+def rank(model, prototypes, visual, labels, classes, direction="v2s", distance="cosine",
+         columns=None, k=None) -> Ranking:
+    """Rank the columns ``visual[:, columns]`` (all of them when ``columns``
+    is None), labelled ``labels[columns]``, against the ``prototypes``
+    columns of ``classes`` in ``direction``, counting top-``k`` hits when a
+    K is given.
+
+    The candidate side is checked once: its shape, an all-zero or a
+    zero-norm cosine candidate, and for s2v the anchors ``A^T B y`` and
+    their degenerate count.  The columns are then gathered, embedded (v2s)
+    and ranked NARROW at a time, so no copy of the whole set is held.  The
+    non-finite distance terms are summed over the blocks and rejected once,
+    with the count of ranking the whole set at once.
+    """
     candidates = prototypes[:, classes]
-    inputs = visual if direction == "v2s" else candidates
-    embedded = _embed(model, inputs, direction)
-    if direction == "v2s":
-        dist = distance_matrix(embedded, candidates, distance)
+    scale = _map_norm(model)
+    degenerate = 0
+    if direction == "s2v":
+        anchors = _embed(model, candidates, direction)
+        degenerate = _degenerate_count(scale, candidates, anchors)
+        side = _candidate_side(visual, anchors, distance)
     else:
-        dist = distance_matrix(visual, embedded, distance)
-    preds = classes[np.argmin(dist, axis=1)]
-    return preds, dist, _degenerate_count(scale, inputs, embedded)
+        # an embedding of no columns checks the model against the visual
+        # rows before the candidates are checked, and has the queries' rows
+        side = _candidate_side(_embed(model, visual[:, :0], direction), candidates, distance)
+    if columns is not None:
+        labels = labels[columns]
+    preds = np.empty(labels.size, dtype=classes.dtype)
+    hits, bad = 0, np.zeros(2, dtype=np.int64)
+    for start in range(0, labels.size, NARROW):
+        block = slice(start, start + NARROW)
+        queries = visual[:, block if columns is None else columns[block]]
+        if direction == "v2s":
+            embedded = _embed(model, queries, direction)
+            degenerate += _degenerate_count(scale, queries, embedded)
+            queries = embedded
+        dist, block_bad = _distances(queries, side, distance)
+        bad += block_bad
+        preds[block] = classes[np.argmin(dist, axis=1)]
+        if k is not None:
+            # class ids are unique, so a hit is a ranked id equal to the label
+            nearest = classes[np.argsort(dist, axis=1, kind="stable")[:, :k]]
+            hits += np.count_nonzero(np.any(nearest == labels[block, None], axis=1))
+    _check_finite(*bad)
+    return Ranking(preds, labels, None if k is None else hits, degenerate)
 
 
 def score_standard(model, prototypes, visual, labels, classes, direction="v2s",
@@ -271,21 +337,16 @@ def score_standard(model, prototypes, visual, labels, classes, direction="v2s",
     if hit_k is not None and (isinstance(hit_k, bool) or not isinstance(hit_k, (int, np.integer))
                               or not 1 <= hit_k <= c_u):
         raise InvalidKError(f"K must satisfy 1 <= K <= {c_u}, got {hit_k!r}")
-    preds, dist, degenerate = _rank(model, prototypes, visual, classes, direction, distance,
-                                    _map_norm(model))
-    hit_at_k = None
-    if hit_k is not None:
-        order = np.argsort(dist, axis=1, kind="stable")[:, :hit_k]
-        # class ids are unique, so a hit is a ranked id equal to the label
-        hit_at_k = hit_k, float(np.mean(np.any(classes[order] == labels[:, None], axis=1)))
-    per_class = _per_class_accuracies(preds, labels, classes)
+    ranked = rank(model, prototypes, visual, labels, classes, direction, distance, k=hit_k)
+    per_class = _per_class_accuracies(ranked.preds, labels, classes)
+    # np.divide: no columns give a nan rate, which EvalReport rejects
     return EvalReport(
-        overall_accuracy=float(np.mean(preds == labels)),
+        overall_accuracy=float(np.mean(ranked.preds == labels)),
         per_class_mean_accuracy=float(np.mean(per_class)),
         direction=direction,
         distance=distance,
-        hit_at_k=hit_at_k,
-        degenerate_queries=degenerate,
+        hit_at_k=None if hit_k is None else (hit_k, float(np.divide(ranked.hits, labels.size))),
+        degenerate_queries=ranked.degenerate,
     )
 
 
@@ -347,86 +408,29 @@ def gzsl_holdout_indices(labels_seen, seen_classes, fraction: float, seed: int):
     return np.sort(np.concatenate(picked))
 
 
-@dataclass(frozen=True)
-class RankedHoldout:
-    """The seen half of the generalized protocol, from ``rank_holdout``:
-    the predicted and true class ids of the held-out seen columns, the seen
-    and unseen class ids, the degenerate embedding count and the distance."""
-
-    preds: np.ndarray
-    labels: np.ndarray
-    seen: np.ndarray
-    unseen: np.ndarray
-    degenerate: int
-    distance: str
-
-
-def rank_holdout(model, prototypes, visual_seen, labels_seen, holdout, seen, unseen_ids,
-                 distance="cosine") -> RankedHoldout:
-    """Rank the held-out seen columns ``visual_seen[:, holdout]`` against
-    the prototypes of ``seen`` and ``unseen_ids``, v2s, NARROW columns at a
-    time: gather, embed, rank and count the degenerate embeddings of each
-    block, so no copy of the whole holdout is held.  A warning or error
-    about the candidates, and a non-finite distance's count of terms, are
-    those of ranking the whole holdout at once."""
-    holdout = np.asarray(holdout)
-    classes = np.concatenate([seen, unseen_ids])
-    scale = _map_norm(model)
-    preds = np.empty(holdout.size, dtype=classes.dtype)
-    degenerate = 0
-    # every block has the same candidates: the first block warns of those of
-    # zero norm, which cosine never picks, and the later ones rank without them
-    live = classes
-    if distance == "cosine":
-        live = classes[column_norms(prototypes[:, classes]) != 0.0]
-    for start in range(0, holdout.size, NARROW):
-        columns = holdout[start:start + NARROW]
-        try:
-            preds[start:start + columns.size], _, count = _rank(
-                model, prototypes, visual_seen[:, columns], classes if start == 0 else live,
-                "v2s", distance, scale)
-        except NonFiniteDistanceError:
-            # the whole holdout at once gives the error its count of terms
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                _rank(model, prototypes, visual_seen[:, holdout], classes, "v2s", distance, scale)
-            raise
-        degenerate += count
-    return RankedHoldout(preds, labels_seen[holdout], seen, unseen_ids, degenerate, distance)
-
-
-def score_with_holdout(model, prototypes, held: RankedHoldout, visual_u, labels_u) -> EvalReport:
-    """``score_generalized`` from the ranked holdout ``held`` and the unseen
-    columns ``visual_u`` with their labels, which it ranks at once."""
-    classes = np.concatenate([held.seen, held.unseen])
-    preds_u, _, degenerate_u = _rank(model, prototypes, visual_u, classes, "v2s", held.distance,
-                                     _map_norm(model))
-    per_class_s = _per_class_accuracies(held.preds, held.labels, held.seen)
-    per_class_u = _per_class_accuracies(preds_u, labels_u, held.unseen)
-    acc_s = float(np.mean(per_class_s))
-    acc_u = float(np.mean(per_class_u))
-    correct = np.count_nonzero(held.preds == held.labels) + np.count_nonzero(preds_u == labels_u)
-    total = held.labels.size + labels_u.size
-    return EvalReport(
-        overall_accuracy=correct / total,
-        per_class_mean_accuracy=float(np.mean(per_class_s + per_class_u)),
-        direction="v2s",
-        distance=held.distance,
-        acc_s=acc_s,
-        acc_u=acc_u,
-        hm=harmonic_mean(acc_s, acc_u),
-        degenerate_queries=held.degenerate + degenerate_u,
-    )
-
-
 def score_generalized(model, prototypes, visual_seen, labels_seen, holdout, seen, visual_u,
                       labels_u, unseen_ids, distance="cosine") -> EvalReport:
     """``eval_generalized`` of the held-out seen columns
     ``visual_seen[:, holdout]`` of classes ``seen`` and the unseen columns
     ``visual_u`` of classes ``unseen_ids``, each with its labels."""
-    held = rank_holdout(model, prototypes, visual_seen, labels_seen, holdout, seen, unseen_ids,
-                        distance)
-    return score_with_holdout(model, prototypes, held, visual_u, labels_u)
+    classes = np.concatenate([seen, unseen_ids])
+    held = rank(model, prototypes, visual_seen, labels_seen, classes, "v2s", distance, holdout)
+    unseen = rank(model, prototypes, visual_u, labels_u, classes, "v2s", distance)
+    per_class_s = _per_class_accuracies(held.preds, held.labels, seen)
+    per_class_u = _per_class_accuracies(unseen.preds, unseen.labels, unseen_ids)
+    acc_s = float(np.mean(per_class_s))
+    acc_u = float(np.mean(per_class_u))
+    correct = sum(np.count_nonzero(r.preds == r.labels) for r in (held, unseen))
+    return EvalReport(
+        overall_accuracy=correct / (held.labels.size + unseen.labels.size),
+        per_class_mean_accuracy=float(np.mean(per_class_s + per_class_u)),
+        direction="v2s",
+        distance=distance,
+        acc_s=acc_s,
+        acc_u=acc_u,
+        hm=harmonic_mean(acc_s, acc_u),
+        degenerate_queries=held.degenerate + unseen.degenerate,
+    )
 
 
 def eval_generalized(

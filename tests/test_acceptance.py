@@ -7,11 +7,14 @@ claim.
 """
 
 import dataclasses
+import importlib
+import importlib.util
 import json
 import statistics
 import time
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,3 +356,17 @@ def test_package_exports_every_public_name():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     print(f"exports: {len(jcmspl.__all__)} names")
     assert sorted(jcmspl.__all__) == sorted(public | {"__version__"})
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # perfbench/tracer.py rebinds each (module, attribute) of WRAPPED in a
+    # traced run; a name that the package drops breaks only that run.  The
+    # tracer imports only the standard library, so it loads by path here
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{attr}" for module, attr, *_ in tracer.WRAPPED
+               if not hasattr(importlib.import_module(module), attr)]
+    print(f"tracer wraps {len(tracer.WRAPPED)} names")
+    assert tracer.WRAPPED and not missing, missing

@@ -158,12 +158,22 @@ def test_the_dataset_checks_hold_one_narrow_block_beyond_the_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the label vectors are cast to fresh int64 arrays; the features are kept
+    # int64 label vectors and float64 features are kept as given; an array
+    # of any other dtype would be cast to a fresh one
     fresh = [getattr(dataset, f.name) for f in dataclasses.fields(dataset)]
     fresh = sum(a.nbytes for a in fresh if not any(a is b for b in arrays.values()))
     block = 256 * NARROW * 8
     print(f"peak {peak} B: {fresh} B of fresh arrays and {peak - fresh} B beside them")
     assert peak - fresh <= block
+
+
+def test_a_dataset_keeps_the_int64_label_arrays_it_is_given():
+    arrays = wide_arrays(4, 10, 5)
+    dataset = ZslDataset(**arrays)
+    for name in ("labels_seen", "labels_unseen", "seen_classes", "unseen_classes"):
+        assert np.shares_memory(getattr(dataset, name), arrays[name]), name
+    cast = ZslDataset(**{**arrays, "labels_seen": arrays["labels_seen"].astype(np.int32)})
+    assert cast.labels_seen.dtype == np.int64
 
 
 def test_manifest_round_trip(tmp_path):

@@ -26,8 +26,9 @@ from jcmspl.recognizer import (
     harmonic_mean,
     infer_semantic,
     infer_visual,
-    rank_holdout,
+    rank,
     score_generalized,
+    score_standard,
 )
 from jcmspl.trainer import Hyperparams, JcmsplModel, fit
 
@@ -411,9 +412,13 @@ def integer_problem(seen_columns=3 * NARROW):
 
 
 def rank_at_once(model, prototypes, visual, holdout, classes, distance):
-    # the ranking of a copied holdout, as score_generalized took it before
-    return recognizer._rank(model, prototypes, visual[:, holdout], classes, "v2s", distance,
-                            recognizer._map_norm(model))
+    # the ranking of a copied holdout in one product: distance_matrix of the
+    # whole set's embedding
+    inputs = visual[:, holdout]
+    embedded = recognizer._embed(model, inputs, "v2s")
+    dist = distance_matrix(embedded, prototypes[:, classes], distance)
+    degenerate = recognizer._degenerate_count(recognizer._map_norm(model), inputs, embedded)
+    return classes[np.argmin(dist, axis=1)], dist, degenerate
 
 
 @pytest.mark.parametrize("distance", ["cosine", "euclidean"])
@@ -427,7 +432,7 @@ def test_blocked_holdout_ranks_as_a_copied_holdout_at_once(size, distance):
     nearest = np.sort(dist[embedded], axis=1)
     assert np.all(nearest[:, 0] < nearest[:, 1])  # no ties: one right answer
     assert degenerate == size - np.count_nonzero(embedded)
-    held = rank_holdout(model, prototypes, visual, labels, holdout, seen, unseen, distance)
+    held = rank(model, prototypes, visual, labels, classes, "v2s", distance, holdout)
     assert held.preds.tolist() == preds.tolist()
     assert held.labels.tolist() == labels[holdout].tolist()
     assert held.degenerate == degenerate
@@ -444,7 +449,7 @@ def test_blocked_holdout_warns_of_a_zero_candidate_once():
     holdout = np.arange(2 * NARROW + 5)  # three blocks
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        held = rank_holdout(model, prototypes, visual, labels, holdout, seen, unseen)
+        held = rank(model, prototypes, visual, labels, np.arange(5), columns=holdout)
     assert [str(w.message) for w in caught] == ["1 zero-norm candidate column(s) skipped"]
     with pytest.warns(RuntimeWarning, match="1 zero-norm candidate"):
         preds, _, degenerate = rank_at_once(model, prototypes, visual, holdout,
@@ -464,8 +469,70 @@ def test_blocked_holdout_counts_non_finite_distances_over_the_whole_holdout(dist
         rank_at_once(model, prototypes, visual, holdout, np.arange(5), distance)
     assert str(whole.value).startswith("15 distance term(s)")
     with pytest.raises(NonFiniteDistanceError) as blocked:
-        rank_holdout(model, prototypes, visual, labels, holdout, seen, unseen, distance)
+        rank(model, prototypes, visual, labels, np.arange(5), "v2s", distance, holdout)
     assert str(blocked.value) == str(whole.value)
+
+
+def score_at_once(model, prototypes, visual, labels, classes, direction, distance, k):
+    # score_standard's report from distance_matrix of the whole set at once
+    candidates = prototypes[:, classes]
+    inputs = visual if direction == "v2s" else candidates
+    embedded = recognizer._embed(model, inputs, direction)
+    if direction == "v2s":
+        dist = distance_matrix(embedded, candidates, distance)
+    else:
+        dist = distance_matrix(visual, embedded, distance)
+    preds = classes[np.argmin(dist, axis=1)]
+    ranked = classes[np.argsort(dist, axis=1, kind="stable")[:, :k]]
+    per_class = [np.mean(preds[labels == c] == c) for c in classes if np.any(labels == c)]
+    return EvalReport(
+        overall_accuracy=float(np.mean(preds == labels)),
+        per_class_mean_accuracy=float(np.mean(per_class)),
+        direction=direction,
+        distance=distance,
+        hit_at_k=None if k is None else (k, float(np.mean(np.any(ranked == labels[:, None], 1)))),
+        degenerate_queries=recognizer._degenerate_count(recognizer._map_norm(model), inputs,
+                                                        embedded),
+    )
+
+
+@pytest.mark.parametrize("distance", ["cosine", "euclidean"])
+@pytest.mark.parametrize("direction", ["v2s", "s2v"])
+@pytest.mark.parametrize("size", [1, NARROW - 1, NARROW, NARROW + 1, 2 * NARROW + 1])
+def test_blocked_standard_scoring_equals_distance_matrix_at_once(size, direction, distance):
+    model, prototypes, visual, labels, seen, _ = integer_problem(size)
+    for k in [None, *range(1, seen.size + 1)]:
+        report = score_standard(model, prototypes, visual, labels, seen, direction, distance, k)
+        assert report == score_at_once(model, prototypes, visual, labels, seen, direction,
+                                       distance, k), k
+
+
+@pytest.mark.parametrize("direction, k", [("v2s", None), ("v2s", 2), ("s2v", None), ("s2v", 3)])
+def test_blocked_standard_scoring_warns_of_a_zero_candidate_once(direction, k):
+    # a zero prototype: a zero-norm candidate for v2s, and for s2v a zero
+    # anchor, whose one degenerate embedding is counted once, not per block
+    model, prototypes, visual, labels, seen, _ = integer_problem()  # three blocks
+    prototypes[:, 1] = 0.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = score_standard(model, prototypes, visual, labels, seen, direction, "cosine", k)
+    assert [str(w.message) for w in caught] == ["1 zero-norm candidate column(s) skipped"]
+    with pytest.warns(RuntimeWarning, match="1 zero-norm candidate"):
+        assert report == score_at_once(model, prototypes, visual, labels, seen, direction,
+                                       "cosine", k)
+    if direction == "s2v":
+        assert report.degenerate_queries == 1
+
+
+@pytest.mark.parametrize("direction", ["v2s", "s2v"])
+@pytest.mark.parametrize("k", [None, 1])
+def test_standard_scoring_of_no_columns_is_rejected_by_the_report(direction, k):
+    # no block is ranked: the nan rates reach EvalReport, not a division
+    model, prototypes, visual, labels, seen, _ = integer_problem(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's mean of nothing
+        with pytest.raises(OutOfRangeError, match="overall_accuracy must lie in"):
+            score_standard(model, prototypes, visual, labels, seen, direction, "cosine", k)
 
 
 def test_eval_report_serialization_fields():
