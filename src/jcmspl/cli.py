@@ -72,7 +72,6 @@ from .recognizer import (
     eval_generalized,
     eval_hit_at_k,
     eval_standard,
-    score_standard,
 )
 from .trainer import (
     VARIANTS,
@@ -236,9 +235,7 @@ def cmd_eval(args) -> int:
         report = eval_generalized(model, dataset, args.holdout, args.seed, args.distance)
     else:
         _normalize(dataset, args.normalize, "visual_unseen")
-        report = score_standard(model, dataset.prototypes, dataset.visual_unseen,
-                                dataset.labels_unseen, dataset.unseen_classes, args.direction,
-                                args.distance, args.hit_k)
+        report = eval_standard(model, dataset, args.direction, args.distance, args.hit_k)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {

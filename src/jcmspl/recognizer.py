@@ -8,12 +8,11 @@ matches visual samples against those anchors.  The fpl variant has no
 concept space: its ``A`` already maps visual to semantic, so only v2s
 is defined.
 
-Each ``eval_*`` function wraps a ``score_*`` one that takes only the
-arrays its protocol reads: the prototype matrix and the visual columns,
-labels and class ids it scores.  Every scored set (the unseen split in
-either direction, its top-K ranking and the generalized protocol's seen
-holdout) is ranked by ``rank``, ``NARROW`` columns at a time, against a
-candidate set it checks once.
+Each ``eval_*`` function scores a ``ZslDataset`` through ``rank``, the
+array-level entry point: every scored set (the unseen split in either
+direction, its top-K ranking and the generalized protocol's seen
+holdout) is ranked ``NARROW`` columns at a time against a candidate set
+checked once.
 """
 
 from __future__ import annotations
@@ -120,7 +119,7 @@ def distance_matrix(queries, candidates, distance: str = "cosine") -> np.ndarray
     gives: ranking NaN would pick the first candidate.
     """
     Q = np.asarray(queries, dtype=np.float64)
-    dist, bad = _distances(Q, _candidate_side(Q, candidates, distance, stacklevel=3), distance)
+    dist, bad, _ = _distances(Q, _candidate_side(Q, candidates, distance, stacklevel=3), distance)
     _check_finite(*bad)
     return dist
 
@@ -128,9 +127,11 @@ def distance_matrix(queries, candidates, distance: str = "cosine") -> np.ndarray
 def _candidate_side(queries, candidates, distance, stacklevel=2):
     """The checks of ``distance_matrix`` that read no query value, made once
     per candidate set: ``queries`` give only their shape.  Warns of
-    zero-norm cosine candidates at ``stacklevel`` (2: the caller).  Returns the
-    candidates, their column norms (squared for euclidean) and, for cosine,
-    their zero-norm mask, which ``_distances`` takes for every block."""
+    zero-norm cosine candidates at ``stacklevel`` (2: the caller).  Returns
+    what ``_distances`` takes for every block: the candidates, their squared
+    column norms for euclidean or for cosine the scale's candidate factor
+    (the norms, 1 where a norm is 0), and the zero-norm mask (None for
+    euclidean)."""
     _check_distance(distance)
     C = np.asarray(candidates, dtype=np.float64)
     if queries.ndim != 2 or C.ndim != 2:
@@ -155,27 +156,33 @@ def _candidate_side(queries, candidates, distance, stacklevel=2):
             RuntimeWarning,
             stacklevel=stacklevel,
         )
-    return C, norms, dead
+    return C, np.where(dead, 1.0, norms), dead
 
 
 def _distances(Q, side, distance):
     """``distance_matrix`` of the query columns ``Q`` against the candidates
-    ``side`` of ``_candidate_side``, and its counts of non-finite terms: of
-    the cosine scale (0 for euclidean), then of the distances."""
+    ``side`` of ``_candidate_side``, its counts of non-finite terms (of the
+    cosine scale, 0 for euclidean, then of the distances) and the column
+    norms of ``Q``, with the bits of ``column_norms``.
+
+    A zero-norm cosine candidate holds only finite entries, so its distances
+    are finite wherever the scale is: the distances of the whole block are
+    counted, and their count is read only when the scale's is 0."""
     C, norms, dead = side
     # overflow and NaN are reported once, as the error of _check_finite
     with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.sum(Q * Q, axis=0)
+        qn = np.sqrt(squares)
         if distance == "euclidean":
-            sq = np.sum(Q * Q, axis=0)[:, None] + norms[None, :] - 2.0 * (Q.T @ C)
+            sq = squares[:, None] + norms[None, :] - 2.0 * (Q.T @ C)
             dist = np.sqrt(np.maximum(sq, 0.0))
-            return dist, (0, _non_finite(dist))
-        qn = np.linalg.norm(Q, axis=0)
-        scale = np.outer(np.where(qn == 0.0, 1.0, qn), np.where(dead, 1.0, norms))
+            return dist, (0, _non_finite(dist)), qn
+        scale = np.outer(np.where(qn == 0.0, 1.0, qn), norms)
         dist = 1.0 - (Q.T @ C) / scale
     dist[qn == 0.0, :] = 1.0
-    bad = _non_finite(scale), _non_finite(dist[:, ~dead])
+    bad = _non_finite(scale), _non_finite(dist)
     dist[:, dead] = np.inf
-    return dist, bad
+    return dist, bad, qn
 
 
 def _non_finite(values) -> int:
@@ -258,15 +265,15 @@ def _map_norm(model: JcmsplModel) -> float:
         return np.linalg.norm(M, 2) if np.all(np.isfinite(M)) else np.inf
 
 
-def _degenerate_count(scale: float, inputs, embedded) -> int:
+def _degenerate_count(scale: float, inputs, embedded_norms) -> int:
     """How many columns of ``inputs`` the model embeds to roundoff, given
-    their embeddings and the model's ``_map_norm`` (see ``EvalReport``).
-    An embedding that overflows makes the count meaningless; the distances
-    reject it."""
+    the column norms of their embeddings and the model's ``_map_norm`` (see
+    ``EvalReport``).  An embedding that overflows makes the count
+    meaningless; the distances reject it."""
     # a map that overflows makes every bound infinite
     with np.errstate(over="ignore", invalid="ignore"):
         bound = DEGENERATE_RTOL * scale * column_norms(inputs)
-        return int(np.count_nonzero(column_norms(embedded) <= bound))
+        return int(np.count_nonzero(embedded_norms <= bound))
 
 
 @dataclass(frozen=True)
@@ -300,7 +307,7 @@ def rank(model, prototypes, visual, labels, classes, direction="v2s", distance="
     degenerate = 0
     if direction == "s2v":
         anchors = _embed(model, candidates, direction)
-        degenerate = _degenerate_count(scale, candidates, anchors)
+        degenerate = _degenerate_count(scale, candidates, column_norms(anchors))
         side = _candidate_side(visual, anchors, distance)
     else:
         # an embedding of no columns checks the model against the visual
@@ -312,12 +319,11 @@ def rank(model, prototypes, visual, labels, classes, direction="v2s", distance="
     hits, bad = 0, np.zeros(2, dtype=np.int64)
     for start in range(0, labels.size, NARROW):
         block = slice(start, start + NARROW)
-        queries = visual[:, block if columns is None else columns[block]]
+        inputs = visual[:, block if columns is None else columns[block]]
+        queries = _embed(model, inputs, direction) if direction == "v2s" else inputs
+        dist, block_bad, norms = _distances(queries, side, distance)
         if direction == "v2s":
-            embedded = _embed(model, queries, direction)
-            degenerate += _degenerate_count(scale, queries, embedded)
-            queries = embedded
-        dist, block_bad = _distances(queries, side, distance)
+            degenerate += _degenerate_count(scale, inputs, norms)
         bad += block_bad
         preds[block] = classes[np.argmin(dist, axis=1)]
         if k is not None:
@@ -328,41 +334,36 @@ def rank(model, prototypes, visual, labels, classes, direction="v2s", distance="
     return Ranking(preds, labels, None if k is None else hits, degenerate)
 
 
-def score_standard(model, prototypes, visual, labels, classes, direction="v2s",
-                   distance="cosine", hit_k=None) -> EvalReport:
-    """``eval_standard`` of the unseen ``visual`` columns, with ``labels``,
-    against the ``prototypes`` columns of ``classes``, and with ``hit_k``
-    given also their ``eval_hit_at_k`` from the same ranking."""
-    c_u = len(classes)
-    if hit_k is not None and (isinstance(hit_k, bool) or not isinstance(hit_k, (int, np.integer))
-                              or not 1 <= hit_k <= c_u):
-        raise InvalidKError(f"K must satisfy 1 <= K <= {c_u}, got {hit_k!r}")
-    ranked = rank(model, prototypes, visual, labels, classes, direction, distance, k=hit_k)
-    per_class = _per_class_accuracies(ranked.preds, labels, classes)
-    # np.divide: no columns give a nan rate, which EvalReport rejects
-    return EvalReport(
-        overall_accuracy=float(np.mean(ranked.preds == labels)),
-        per_class_mean_accuracy=float(np.mean(per_class)),
-        direction=direction,
-        distance=distance,
-        hit_at_k=None if hit_k is None else (hit_k, float(np.divide(ranked.hits, labels.size))),
-        degenerate_queries=ranked.degenerate,
-    )
-
-
 def eval_standard(
     model: JcmsplModel,
     dataset: ZslDataset,
     direction: str = "v2s",
     distance: str = "cosine",
+    hit_k: int | None = None,
 ) -> EvalReport:
     """Unseen-class accuracy with candidates restricted to unseen classes.
 
     Reports both the sample-weighted overall accuracy and the mean of
-    per-class accuracies, and the number of degenerate embeddings.
+    per-class accuracies, and the number of degenerate embeddings.  Given
+    ``hit_k``, it also reports the ``eval_hit_at_k`` rate of that K, taken
+    from the same ranking.
     """
-    return score_standard(model, dataset.prototypes, dataset.visual_unseen,
-                          dataset.labels_unseen, dataset.unseen_classes, direction, distance)
+    classes, labels = dataset.unseen_classes, dataset.labels_unseen
+    c_u = len(classes)
+    if hit_k is not None and (isinstance(hit_k, bool) or not isinstance(hit_k, (int, np.integer))
+                              or not 1 <= hit_k <= c_u):
+        raise InvalidKError(f"K must satisfy 1 <= K <= {c_u}, got {hit_k!r}")
+    ranked = rank(model, dataset.prototypes, dataset.visual_unseen, labels, classes, direction,
+                  distance, k=hit_k)
+    per_class = _per_class_accuracies(ranked.preds, labels, classes)
+    return EvalReport(
+        overall_accuracy=float(np.mean(ranked.preds == labels)),
+        per_class_mean_accuracy=float(np.mean(per_class)),
+        direction=direction,
+        distance=distance,
+        hit_at_k=None if hit_k is None else (hit_k, ranked.hits / labels.size),
+        degenerate_queries=ranked.degenerate,
+    )
 
 
 def eval_hit_at_k(
@@ -375,8 +376,7 @@ def eval_hit_at_k(
     """Fraction of unseen samples whose true class ranks in the K nearest
     candidates.  Ties rank lower-index candidates first, and K=1 agrees
     with the overall accuracy of ``eval_standard``."""
-    return score_standard(model, dataset.prototypes, dataset.visual_unseen, dataset.labels_unseen,
-                          dataset.unseen_classes, direction, distance, k).hit_at_k[1]
+    return eval_standard(model, dataset, direction, distance, k).hit_at_k[1]
 
 
 def check_holdout(fraction: float, seed: int) -> None:
@@ -408,31 +408,6 @@ def gzsl_holdout_indices(labels_seen, seen_classes, fraction: float, seed: int):
     return np.sort(np.concatenate(picked))
 
 
-def score_generalized(model, prototypes, visual_seen, labels_seen, holdout, seen, visual_u,
-                      labels_u, unseen_ids, distance="cosine") -> EvalReport:
-    """``eval_generalized`` of the held-out seen columns
-    ``visual_seen[:, holdout]`` of classes ``seen`` and the unseen columns
-    ``visual_u`` of classes ``unseen_ids``, each with its labels."""
-    classes = np.concatenate([seen, unseen_ids])
-    held = rank(model, prototypes, visual_seen, labels_seen, classes, "v2s", distance, holdout)
-    unseen = rank(model, prototypes, visual_u, labels_u, classes, "v2s", distance)
-    per_class_s = _per_class_accuracies(held.preds, held.labels, seen)
-    per_class_u = _per_class_accuracies(unseen.preds, unseen.labels, unseen_ids)
-    acc_s = float(np.mean(per_class_s))
-    acc_u = float(np.mean(per_class_u))
-    correct = sum(np.count_nonzero(r.preds == r.labels) for r in (held, unseen))
-    return EvalReport(
-        overall_accuracy=correct / (held.labels.size + unseen.labels.size),
-        per_class_mean_accuracy=float(np.mean(per_class_s + per_class_u)),
-        direction="v2s",
-        distance=distance,
-        acc_s=acc_s,
-        acc_u=acc_u,
-        hm=harmonic_mean(acc_s, acc_u),
-        degenerate_queries=held.degenerate + unseen.degenerate,
-    )
-
-
 def eval_generalized(
     model: JcmsplModel,
     dataset: ZslDataset,
@@ -451,6 +426,24 @@ def eval_generalized(
     """
     holdout = gzsl_holdout_indices(dataset.labels_seen, dataset.seen_classes, holdout_fraction,
                                    seed)
-    return score_generalized(model, dataset.prototypes, dataset.visual_seen, dataset.labels_seen,
-                             holdout, dataset.seen_classes, dataset.visual_unseen,
-                             dataset.labels_unseen, dataset.unseen_classes, distance)
+    seen, unseen_ids = dataset.seen_classes, dataset.unseen_classes
+    classes = np.concatenate([seen, unseen_ids])
+    held = rank(model, dataset.prototypes, dataset.visual_seen, dataset.labels_seen, classes,
+                "v2s", distance, holdout)
+    unseen = rank(model, dataset.prototypes, dataset.visual_unseen, dataset.labels_unseen,
+                  classes, "v2s", distance)
+    per_class_s = _per_class_accuracies(held.preds, held.labels, seen)
+    per_class_u = _per_class_accuracies(unseen.preds, unseen.labels, unseen_ids)
+    acc_s = float(np.mean(per_class_s))
+    acc_u = float(np.mean(per_class_u))
+    correct = sum(np.count_nonzero(r.preds == r.labels) for r in (held, unseen))
+    return EvalReport(
+        overall_accuracy=correct / (held.labels.size + unseen.labels.size),
+        per_class_mean_accuracy=float(np.mean(per_class_s + per_class_u)),
+        direction="v2s",
+        distance=distance,
+        acc_s=acc_s,
+        acc_u=acc_u,
+        hm=harmonic_mean(acc_s, acc_u),
+        degenerate_queries=held.degenerate + unseen.degenerate,
+    )

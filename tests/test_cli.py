@@ -717,6 +717,26 @@ def test_eval_embeds_at_most_one_narrow_block_of_visual_columns(synth_dir, train
     assert max(widths) == 3, widths
 
 
+@pytest.mark.parametrize("flags, scorer", [
+    ([], "eval_standard"), (["--hit-k", "3"], "eval_standard"),
+    (["--direction", "s2v"], "eval_standard"), (["--gzsl"], "eval_generalized"),
+], ids=["standard", "hit_k", "s2v", "gzsl"])
+def test_eval_scores_through_one_name_of_the_cli_module(tmp_path, monkeypatch, flags, scorer):
+    # a benchmark that rebinds jcmspl.cli.eval_standard or eval_generalized
+    # sees every protocol of eval score once
+    assert run(["synth", "--out", str(tmp_path), "--m", "16", "--d", "8", "--k", "12",
+                "--cs", "4", "--cu", "3", "--spc", "8", "--seed", "1"]) == 0
+    calls = []
+    for name in ("eval_standard", "eval_generalized"):
+        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    assert run(["eval", "--model", str(tmp_path / "planted_model.bin"), "--manifest",
+                str(tmp_path / "manifest.json"), "--out", str(tmp_path), *flags]) == 0
+    assert calls == [scorer]
+
+
 @pytest.mark.parametrize("flags, shown", [
     ([], [1]), (["--hit-k", "2"], [1]), (["--gzsl"], [2, 1]),
 ], ids=["standard", "hit_k", "gzsl"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jcmspl import recognizer
-from jcmspl.dataset import NARROW, SynthSpec, ZslDataset, synth_generate
+from jcmspl.dataset import NARROW, SynthSpec, ZslDataset, column_norms, synth_generate
 from jcmspl.errors import (
     AllZeroNormError,
     EmptyCandidatesError,
@@ -27,8 +27,6 @@ from jcmspl.recognizer import (
     infer_semantic,
     infer_visual,
     rank,
-    score_generalized,
-    score_standard,
 )
 from jcmspl.trainer import Hyperparams, JcmsplModel, fit
 
@@ -124,6 +122,22 @@ def test_distance_matrix_zero_query_against_a_zero_and_a_live_candidate():
     with pytest.warns(RuntimeWarning, match="1 zero-norm candidate column"):
         D = distance_matrix(Q, C, "cosine")
     assert D.tolist() == [[np.inf, 1.0]]
+
+
+def test_a_candidate_whose_norm_underflows_is_skipped_without_error():
+    # entries of 1e-200 square to 0: the norm of that column is 0, not its
+    # entries, so its distances are finite until they are set to inf
+    rng = np.random.default_rng(3)
+    C = np.array([[1.0, 1e-200, 0.0], [0.0, 1e-200, 1.0]])
+    Q = rng.standard_normal((2, 3 * NARROW))
+    labels = rng.choice([0, 2], Q.shape[1])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        D = distance_matrix(Q, C, "cosine")
+        ranked = rank(identity_model(2), C, Q, labels, np.arange(3))  # three blocks
+    assert [str(w.message) for w in caught] == ["1 zero-norm candidate column(s) skipped"] * 2
+    assert np.all(D[:, 1] == np.inf) and np.all(np.isfinite(D[:, [0, 2]]))
+    assert ranked.preds.tolist() == np.argmin(D, axis=1).tolist() and 1 not in ranked.preds
 
 
 @pytest.mark.parametrize("distance", ["cosine", "euclidean"])
@@ -417,7 +431,8 @@ def rank_at_once(model, prototypes, visual, holdout, classes, distance):
     inputs = visual[:, holdout]
     embedded = recognizer._embed(model, inputs, "v2s")
     dist = distance_matrix(embedded, prototypes[:, classes], distance)
-    degenerate = recognizer._degenerate_count(recognizer._map_norm(model), inputs, embedded)
+    degenerate = recognizer._degenerate_count(recognizer._map_norm(model), inputs,
+                                              column_norms(embedded))
     return classes[np.argmin(dist, axis=1)], dist, degenerate
 
 
@@ -438,9 +453,13 @@ def test_blocked_holdout_ranks_as_a_copied_holdout_at_once(size, distance):
     assert held.degenerate == degenerate
     assert 0 < np.count_nonzero(preds == labels[holdout]) < size or size == 1
     assert degenerate > 0 or size == 1
-    report = score_generalized(model, prototypes, visual, labels, holdout, seen,
-                               visual[:, 1:10], labels[1:10] % 2 + 3, unseen, distance)
-    assert report.degenerate_queries == degenerate  # none of the unseen columns
+    dataset = ZslDataset(visual, labels, visual[:, 1:10], labels[1:10] % 2 + 3, prototypes,
+                         seen, unseen)
+    report = eval_generalized(model, dataset, 0.2, size, distance)
+    drawn = gzsl_holdout_indices(labels, seen, 0.2, size)
+    counts = [rank(model, prototypes, visual, labels, classes, "v2s", distance, drawn).degenerate,
+              rank(model, prototypes, visual[:, 1:10], labels[1:10] % 2 + 3, classes).degenerate]
+    assert report.degenerate_queries == sum(counts)
 
 
 def test_blocked_holdout_warns_of_a_zero_candidate_once():
@@ -474,7 +493,7 @@ def test_blocked_holdout_counts_non_finite_distances_over_the_whole_holdout(dist
 
 
 def score_at_once(model, prototypes, visual, labels, classes, direction, distance, k):
-    # score_standard's report from distance_matrix of the whole set at once
+    # eval_standard's report from distance_matrix of the whole set at once
     candidates = prototypes[:, classes]
     inputs = visual if direction == "v2s" else candidates
     embedded = recognizer._embed(model, inputs, direction)
@@ -492,8 +511,15 @@ def score_at_once(model, prototypes, visual, labels, classes, direction, distanc
         distance=distance,
         hit_at_k=None if k is None else (k, float(np.mean(np.any(ranked == labels[:, None], 1)))),
         degenerate_queries=recognizer._degenerate_count(recognizer._map_norm(model), inputs,
-                                                        embedded),
+                                                        column_norms(embedded)),
     )
+
+
+def eval_scored_set(model, prototypes, visual, labels, classes, direction, distance, k):
+    # eval_standard of a dataset whose unseen split is the scored set
+    other = np.setdiff1d(np.arange(prototypes.shape[1]), classes)[0]
+    dataset = unseen_only_dataset(prototypes, visual, labels, classes, other)
+    return eval_standard(model, dataset, direction, distance, k)
 
 
 @pytest.mark.parametrize("distance", ["cosine", "euclidean"])
@@ -502,7 +528,7 @@ def score_at_once(model, prototypes, visual, labels, classes, direction, distanc
 def test_blocked_standard_scoring_equals_distance_matrix_at_once(size, direction, distance):
     model, prototypes, visual, labels, seen, _ = integer_problem(size)
     for k in [None, *range(1, seen.size + 1)]:
-        report = score_standard(model, prototypes, visual, labels, seen, direction, distance, k)
+        report = eval_scored_set(model, prototypes, visual, labels, seen, direction, distance, k)
         assert report == score_at_once(model, prototypes, visual, labels, seen, direction,
                                        distance, k), k
 
@@ -515,24 +541,13 @@ def test_blocked_standard_scoring_warns_of_a_zero_candidate_once(direction, k):
     prototypes[:, 1] = 0.0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = score_standard(model, prototypes, visual, labels, seen, direction, "cosine", k)
+        report = eval_scored_set(model, prototypes, visual, labels, seen, direction, "cosine", k)
     assert [str(w.message) for w in caught] == ["1 zero-norm candidate column(s) skipped"]
     with pytest.warns(RuntimeWarning, match="1 zero-norm candidate"):
         assert report == score_at_once(model, prototypes, visual, labels, seen, direction,
                                        "cosine", k)
     if direction == "s2v":
         assert report.degenerate_queries == 1
-
-
-@pytest.mark.parametrize("direction", ["v2s", "s2v"])
-@pytest.mark.parametrize("k", [None, 1])
-def test_standard_scoring_of_no_columns_is_rejected_by_the_report(direction, k):
-    # no block is ranked: the nan rates reach EvalReport, not a division
-    model, prototypes, visual, labels, seen, _ = integer_problem(0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's mean of nothing
-        with pytest.raises(OutOfRangeError, match="overall_accuracy must lie in"):
-            score_standard(model, prototypes, visual, labels, seen, direction, "cosine", k)
 
 
 def test_eval_report_serialization_fields():
