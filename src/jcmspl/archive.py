@@ -31,12 +31,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ZslDataset
+from .dataset import DIMENSIONS, MATRIX_FIELDS, ZslDataset
 from .errors import ArchiveError, InvalidHyperparamsError, MissingFileError
 from .trainer import VARIANTS, Hyperparams, JcmsplModel
 
 MAGIC = b"JCMS"
 FORMAT_VERSION = 2
+# the hyperparameter snapshot's numbers in their order on disk; the
+# hyperparameters' variant string follows them
+HYPER_FIELDS = ("lambda1", "lambda2", "lambda3", "lambda4", "k", "t_max", "tol", "seed",
+                "ridge_eps")
+HYPER_RECORD = struct.Struct("<4dqqdqd")
+# the fingerprint's dimensions, in DIMENSIONS order; its digest string follows them
+DIMENSION_RECORD = struct.Struct("<6q")
 
 
 @dataclass(frozen=True)
@@ -64,18 +71,10 @@ def fingerprint_dataset(dataset: ZslDataset) -> DatasetFingerprint:
     """Dimensions plus a SHA-256 digest over the dataset's raw arrays."""
     digest = hashlib.sha256()
     for field in fields(dataset):
-        arr = getattr(dataset, field.name)
-        kind = "<f8" if np.issubdtype(arr.dtype, np.floating) else "<i8"
-        digest.update(np.ascontiguousarray(arr, dtype=kind))
-    return DatasetFingerprint(
-        m=dataset.m,
-        d=dataset.d,
-        n_seen=dataset.n_seen,
-        n_unseen=dataset.n_unseen,
-        c_seen=dataset.c_seen,
-        c_unseen=dataset.c_unseen,
-        sha256=digest.hexdigest(),
-    )
+        kind = "<f8" if field.name in MATRIX_FIELDS else "<i8"
+        digest.update(np.ascontiguousarray(getattr(dataset, field.name), dtype=kind))
+    dims = {name: getattr(dataset, name) for name in DIMENSIONS}
+    return DatasetFingerprint(**dims, sha256=digest.hexdigest())
 
 
 def _pack_str(s: str) -> bytes:
@@ -96,18 +95,9 @@ def save_model(path, model: JcmsplModel, fingerprint: DatasetFingerprint) -> Pat
         MAGIC,
         struct.pack("<I", FORMAT_VERSION),
         _pack_str(model.variant),
-        struct.pack(
-            "<4dqqdqd",
-            h.lambda1, h.lambda2, h.lambda3, h.lambda4,
-            h.k, h.t_max, h.tol, h.seed, h.ridge_eps,
-        ),
+        HYPER_RECORD.pack(*(getattr(h, name) for name in HYPER_FIELDS)),
         _pack_str(h.variant),
-        struct.pack(
-            "<6q",
-            fingerprint.m, fingerprint.d,
-            fingerprint.n_seen, fingerprint.n_unseen,
-            fingerprint.c_seen, fingerprint.c_unseen,
-        ),
+        DIMENSION_RECORD.pack(*(getattr(fingerprint, name) for name in DIMENSIONS)),
         _pack_str(fingerprint.sha256),
         _pack_matrix(model.A),
         _pack_matrix(model.B),
@@ -195,25 +185,20 @@ def load_model(path) -> ModelArchive:
     variant = reader.take_str()
     if variant not in VARIANTS:
         raise ArchiveError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    l1, l2, l3, l4, k, t_max, tol, seed, ridge_eps = reader.take("<4dqqdqd")
+    numbers = dict(zip(HYPER_FIELDS, reader.take(HYPER_RECORD.format)))
     hyper_variant = reader.take_str()
     try:
-        hyper = Hyperparams(
-            k=int(k), lambda1=l1, lambda2=l2, lambda3=l3, lambda4=l4,
-            t_max=int(t_max), tol=tol, seed=int(seed),
-            variant=hyper_variant, ridge_eps=ridge_eps,
-        )
+        hyper = Hyperparams(**numbers, variant=hyper_variant)
     except InvalidHyperparamsError as exc:
         raise ArchiveError(f"archive holds invalid hyperparameters: {exc}") from exc
     if hyper.variant != variant:
         raise ArchiveError(f"{variant} archive holds hyperparameters of {hyper.variant}")
-    dims = reader.take("<6q")
-    sha = reader.take_str()
-    fingerprint = DatasetFingerprint(*[int(v) for v in dims], sha256=sha)
+    dims = dict(zip(DIMENSIONS, reader.take(DIMENSION_RECORD.format)))
+    fingerprint = DatasetFingerprint(**dims, sha256=reader.take_str())
     A = reader.take_matrix()
     B = reader.take_matrix()
     if reader.pos != len(reader.data):
         raise ArchiveError(f"{len(reader.data) - reader.pos} trailing bytes after the B matrix")
     _check_dimensions(A, B, variant, hyper.k, fingerprint)
     model = JcmsplModel(A=A, B=B, variant=variant, hyper=hyper)
-    return ModelArchive(model=model, fingerprint=fingerprint, version=int(version))
+    return ModelArchive(model=model, fingerprint=fingerprint, version=version)

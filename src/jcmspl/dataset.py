@@ -28,7 +28,7 @@ import stat
 import struct
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,11 @@ FILE_KEYS = (
     "prototypes",
 )
 MANIFEST_KEYS = FILE_KEYS + ("seen_classes", "unseen_classes")
+# the ZslDataset fields that are float64 matrices, read and written as CSV
+# matrix files; every other field is an int64 vector of class ids
+MATRIX_FIELDS = ("visual_seen", "visual_unseen", "prototypes")
+# the dataset's dimensions, each a ZslDataset property and a fingerprint field
+DIMENSIONS = ("m", "d", "n_seen", "n_unseen", "c_seen", "c_unseen")
 
 NORMALIZE_MODES = ("none", "l2_columns")
 # columns per block of the trainer's n-wide passes (``_sweep`` and the rest)
@@ -318,6 +323,10 @@ def _parse_range(raw: bytearray) -> list[np.ndarray] | None:
     return blocks
 
 
+# what a ``_parse_lines`` child sends ahead of its rows: their count and width
+RANGE_HEADER = struct.Struct("<2q")
+
+
 def _parse_lines(pipe, bounds: tuple[int, int], path: Path) -> None:
     # bytes [start, stop) of path are whole lines; a range that the kernel
     # leaves is decoded with the encoding and universal newlines np.loadtxt(path)
@@ -333,7 +342,7 @@ def _parse_lines(pipe, bounds: tuple[int, int], path: Path) -> None:
         warnings.simplefilter("ignore")  # loadtxt warns on a range with no data
         text = io.TextIOWrapper(io.BytesIO(raw[FIELD : FIELD + got]))
         blocks = [np.ascontiguousarray(np.loadtxt(text, **MATRIX_READ))]
-    pipe.write(struct.pack("<2q", sum(len(block) for block in blocks), blocks[0].shape[1]))
+    pipe.write(RANGE_HEADER.pack(sum(len(block) for block in blocks), blocks[0].shape[1]))
     for block in blocks:
         pipe.write(block.data)
 
@@ -360,10 +369,10 @@ def _read_forked(path: Path, meanwhile) -> np.ndarray | None:
             return None
         shapes = []
         for child in children:
-            header = bytearray(16)
+            header = bytearray(RANGE_HEADER.size)
             if not workers.read_into(child.pipe, header):
                 return None
-            shapes.append(struct.unpack("<2q", header))
+            shapes.append(RANGE_HEADER.unpack(header))
         if len({cols for _, cols in shapes}) != 1 or any(rows < 1 for rows, _ in shapes):
             return None
         out = np.empty((sum(rows for rows, _ in shapes), shapes[0][1]))
@@ -740,10 +749,10 @@ class ZslDataset:
     unseen_classes: np.ndarray
 
     def __post_init__(self):
-        for name in ("visual_seen", "visual_unseen", "prototypes"):
-            object.__setattr__(self, name, _as_feature_matrix(getattr(self, name), name))
-        for name in ("labels_seen", "labels_unseen", "seen_classes", "unseen_classes"):
-            object.__setattr__(self, name, _as_label_vector(getattr(self, name), name))
+        # the matrices first, then the id vectors
+        for field in sorted(fields(self), key=lambda f: f.name not in MATRIX_FIELDS):
+            check = _as_feature_matrix if field.name in MATRIX_FIELDS else _as_label_vector
+            object.__setattr__(self, field.name, check(getattr(self, field.name), field.name))
         self._validate()
 
     def _validate(self):
@@ -762,7 +771,7 @@ class ZslDataset:
                 f"labels_unseen has {self.labels_unseen.shape[0]} entries for "
                 f"{self.visual_unseen.shape[1]} unseen samples"
             )
-        for name in ("m", "d", "n_seen", "n_unseen", "c_seen", "c_unseen"):
+        for name in DIMENSIONS:
             if getattr(self, name) < 1:
                 raise ShapeMismatchError(f"dataset dimension {name} must be >= 1")
         for name in ("seen_classes", "unseen_classes"):
@@ -884,15 +893,11 @@ def load_manifest(path) -> ZslDataset:
             )
         return value
 
-    return ZslDataset(
-        visual_seen=read_matrix(base / spec["visual_seen"]),
-        labels_seen=read_labels(base / spec["labels_seen"]),
-        visual_unseen=read_matrix(base / spec["visual_unseen"]),
-        labels_unseen=read_labels(base / spec["labels_unseen"]),
-        prototypes=read_matrix(base / spec["prototypes"]),
-        seen_classes=_ids("seen_classes"),
-        unseen_classes=_ids("unseen_classes"),
-    )
+    # the readers are looked up at each call, where a tracer may have rebound them
+    arrays = {key: (read_matrix if key in MATRIX_FIELDS else read_labels)(base / spec[key])
+              for key in FILE_KEYS}
+    return ZslDataset(**arrays, seen_classes=_ids("seen_classes"),
+                      unseen_classes=_ids("unseen_classes"))
 
 
 def save_manifest(dataset: ZslDataset, manifest_path) -> Path:
@@ -908,7 +913,7 @@ def save_manifest(dataset: ZslDataset, manifest_path) -> Path:
     spec = {}
     for key in FILE_KEYS:
         spec[key] = f"{key}.csv"
-        write = write_labels if key.startswith("labels") else write_matrix
+        write = write_matrix if key in MATRIX_FIELDS else write_labels
         write(out_dir / spec[key], getattr(dataset, key))
     for key in ("seen_classes", "unseen_classes"):
         spec[key] = getattr(dataset, key).tolist()

@@ -8,6 +8,7 @@ import pytest
 from jcmspl.archive import (
     FORMAT_VERSION,
     MAGIC,
+    DatasetFingerprint,
     fingerprint_dataset,
     load_model,
     save_model,
@@ -203,3 +204,34 @@ def test_fingerprint_of_the_default_synth_is_pinned():
     ds, _ = synth_generate(SynthSpec())
     expected = "b3fb2ec58b8fa348865e0ca2d09e6e40f4634819fed8d91c139ec783d4120e82"
     assert fingerprint_dataset(ds).sha256 == reference_sha256(ds) == expected
+
+
+def golden_archive(variant):
+    # every hyperparameter away from its default and every dimension distinct,
+    # so that two fields swapped on disk change the bytes
+    hyper = Hyperparams(k=3, lambda1=0.5, lambda2=2.0, lambda3=0.25, lambda4=3.0, t_max=7,
+                        tol=1e-3, seed=11, variant=variant, ridge_eps=1e-6)
+    fingerprint = DatasetFingerprint(m=4, d=2, n_seen=5, n_unseen=6, c_seen=7, c_unseen=8,
+                                     sha256="0123456789abcdef" * 4)
+    if variant == "fpl":
+        A, B = np.arange(8.0).reshape(2, 4) / 8, None
+    else:
+        A, B = np.arange(12.0).reshape(3, 4) / 8, -np.arange(6.0).reshape(3, 2) / 4
+    return JcmsplModel(A=A, B=B, variant=variant, hyper=hyper), fingerprint
+
+
+GOLDEN_SHA256 = {
+    "jcmspl1": "6ed211cd7b585b1666919399cb7b1b616dc33b0fd5da090909412761f49847a7",
+    "fpl": "a552edb599514e03f694296350cd69a5700cbc271f18b2ed2c320744551050bf",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_SHA256))
+def test_archive_bytes_are_pinned(tmp_path, variant):
+    # the round-trip tests above pass for any field order that save and load
+    # share; this digest pins the order and layout on disk
+    model, fingerprint = golden_archive(variant)
+    path = save_model(tmp_path / "model.bin", model, fingerprint)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[variant]
+    loaded = load_model(path)
+    assert loaded.model.hyper == model.hyper and loaded.fingerprint == fingerprint

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jcmspl.dataset as dataset_module
 from forked import drop_sidecars, forked_io
 from jcmspl.archive import fingerprint_dataset
 from jcmspl.dataset import (
@@ -200,6 +201,23 @@ def test_manifest_round_trip(tmp_path):
     for name in ("manifest.json", "visual_seen.csv", "labels_seen.csv",
                  "visual_unseen.csv", "labels_unseen.csv", "prototypes.csv"):
         assert (second_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_load_manifest_reads_through_the_module_readers_at_call_time(tmp_path, monkeypatch):
+    # perfbench's tracer rebinds jcmspl.dataset.read_matrix and read_labels;
+    # a reader bound before the rebinding would leave its spans empty
+    manifest = save_manifest(tiny_dataset(), tmp_path / "manifest.json")
+    calls = {"read_matrix": 0, "read_labels": 0}
+    for name in calls:
+        reader = getattr(dataset_module, name)
+
+        def counted(path, name=name, reader=reader):
+            calls[name] += 1
+            return reader(path)
+
+        monkeypatch.setattr(dataset_module, name, counted)
+    load_manifest(manifest)
+    assert calls == {"read_matrix": 3, "read_labels": 2}
 
 
 def test_write_table_formats_each_cell_by_its_type(tmp_path):

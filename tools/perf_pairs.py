@@ -21,9 +21,13 @@ every pair's values and relative change, the wins of the working tree
 (ties count for neither), each side's median and quartiles, whether the
 change's median is within the metric's ``bound`` of the parent's (no worse
 by more than that fraction: the no-regression rule), and whether the gain
-rule of the benchmark's guides holds: the change wins at least nine tenths
-of the pairs, and the medians differ by more than the distance between the
-parent's quartiles.  A run that gives no value for a metric (its peak
+rule of the benchmark's guides holds: at least ten pairs, the change wins
+at least nine tenths of them, and the medians differ by more than the
+distance between the parent's quartiles.  A metric whose parent quartile
+spread is wider than its bound (as a fraction of the parent's median)
+reads "within bound: unresolved" rather than "yes": runs that noisy cannot
+show that the change stays within the bound, unless every change run
+beats every parent run.  A run that gives no value for a metric (its peak
 operation failed) is reported as missing, and the metric's summary uses
 the pairs in which both sides gave one.  Failed operations are counted per
 side.  It also prints each side's median of the workload's step metrics
@@ -47,6 +51,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STEP_METRICS = ("synth_s", "train_s", "eval_s", "eval_gzsl_s", "ablate_s")
+MIN_PAIRS = 10  # the fewest pairs on which a gain may be claimed
 
 
 def export_commit(rev: str, into: Path) -> None:
@@ -92,18 +97,23 @@ def quartiles(values) -> tuple[float, float, float]:
 def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     """Wins of ``change`` over ``parent`` pair by pair (ties count for
     neither), each side's quartiles, whether the change's median is within
-    ``bound`` (a fraction) of the parent's, and whether the gain rule holds."""
+    ``bound`` (a fraction) of the parent's, whether the parent's runs resolve
+    that (their quartile spread is within the bound, or every change run
+    beats every parent run), and whether the gain rule holds."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     p_q, c_q = quartiles(parent), quartiles(change)
     gain = sign * (p_q[1] - c_q[1])
+    spread = p_q[2] - p_q[0]
+    beats_all = max(sign * c for c in change) < min(sign * p for p in parent)
     return {
         "wins": wins,
         "pairs": len(parent),
         "parent": p_q,
         "change": c_q,
         "within_bound": gain >= -bound * abs(p_q[1]),
-        "claim_holds": wins >= 0.9 * len(parent) and gain > p_q[2] - p_q[0],
+        "resolved": spread <= bound * abs(p_q[1]) or beats_all,
+        "claim_holds": len(parent) >= MIN_PAIRS and wins >= 0.9 * len(parent) and gain > spread,
     }
 
 
@@ -155,12 +165,15 @@ def report(workload: str, values: dict, steps: dict, failed: dict, metrics: dict
         s = summarize(parent, change, metric["better"], metric["bound"])
         p_q1, p_med, p_q3 = s["parent"]
         c_q1, c_med, c_q3 = s["change"]
+        verdict = ("NO" if not s["within_bound"] else "yes" if s["resolved"]
+                   else "unresolved (the parent's quartile spread is wider than the bound)")
         print(f"{head}: parent median {p_med:.4g} [Q1 {p_q1:.4g}, Q3 {p_q3:.4g}]; "
               f"change median {c_med:.4g} [Q1 {c_q1:.4g}, Q3 {c_q3:.4g}]; "
               f"median change {c_med / p_med - 1:+.1%}; "
               f"change wins {s['wins']}/{s['pairs']}; "
-              f"within bound: {'yes' if s['within_bound'] else 'NO'}; "
+              f"within bound: {verdict}; "
               f"gain rule {'holds' if s['claim_holds'] else 'does not hold'}"
+              + (f" (only {s['pairs']} pairs; it needs {MIN_PAIRS})" if s["pairs"] < MIN_PAIRS else "")
               + (f"; {missing} pair(s) missing a value" if missing else ""))
     for name in STEP_METRICS:
         medians = [f"{side} " + (f"{statistics.median(steps[side][name]):.4g}"
